@@ -115,9 +115,9 @@ int main(int argc, char** argv) {
                 mc.holds == lc.holds ? "" : "  (MISMATCH!)");
   }
   std::printf(
-      "\n(note: MC reuses the design FSM while each LC check composes and\n"
-      " re-reaches a product machine; invariance favours MC's optimized\n"
-      " early-failure path, matching the paper's observation)\n");
+      "\n(note: both reuse the resident design; each LC check adds one\n"
+      " monitor cluster and re-reaches the product, while MC answers\n"
+      " invariants from the cached reached set)\n");
   return 0;
   });
 }

@@ -52,25 +52,24 @@ double BddManager::satDensity(uint32_t rootEdge, std::vector<char>& inSupp) {
   // all assignments (over any space covering the support) that satisfy it.
   // Level-independent — each node contributes 0.5*(lo + hi) regardless of
   // how many levels its children skip — which is why the caller must check
-  // that the requested space actually covers the support. The density is
-  // memoized per *node*; a complemented edge reads 1 - d, so f and !f
-  // share the memo table. Support variables are marked as a side effect,
-  // giving the caller the validity check for free (same walk).
+  // that the requested space actually covers the support. Memoized per
+  // *edge*: a complemented edge pushes its sign onto the children
+  // (¬ITE(v,h,l) = ITE(v,¬h,¬l)), so densities are only ever added and
+  // halved. Reading 1 - d instead cancels catastrophically once d is close
+  // to 1 (a small set under a complement edge). Support variables are
+  // marked as a side effect, giving the caller the validity check for free
+  // (same walk).
   std::unordered_map<uint32_t, double> memo;
   auto rec = [&](auto&& self, uint32_t e) -> double {
     uint32_t n = eIdx(e);
-    bool neg = eIsNeg(e);
-    if (isTerm(n)) return neg ? 0.0 : 1.0;
-    double d;
-    auto it = memo.find(n);
-    if (it != memo.end()) {
-      d = it->second;
-    } else {
-      inSupp[nodes_[n].var] = 1;
-      d = 0.5 * (self(self, nodes_[n].lo) + self(self, nodes_[n].hi));
-      memo.emplace(n, d);
-    }
-    return neg ? 1.0 - d : d;
+    if (isTerm(n)) return eIsNeg(e) ? 0.0 : 1.0;
+    auto it = memo.find(e);
+    if (it != memo.end()) return it->second;
+    inSupp[nodes_[n].var] = 1;
+    uint32_t s = eSign(e);
+    double d = 0.5 * (self(self, nodes_[n].lo ^ s) + self(self, nodes_[n].hi ^ s));
+    memo.emplace(e, d);
+    return d;
   };
   return rec(rec, rootEdge);
 }

@@ -24,19 +24,19 @@ const Bdd& CtlChecker::reached() {
   if (reached_.isNull()) {
     obs::Span span("ctl.reach");
     ReachOptions ro;
-    ro.keepOnionRings = opts_.wantTrace;
+    // Invariants are answered from the rings (checkInvariantEarly).
+    ro.keepOnionRings = opts_.wantTrace || opts_.earlyFailureDetection;
     ro.recordFrontierStates = opts_.recordFrontierStates;
     ReachResult r = reachableStates(*tr_, fsm_->initialStates(), ro);
-    reached_ = r.reached;
-    onionRings_ = std::move(r.onionRings);
-    frontierStates_ = std::move(r.frontierStates);
-    stats_.reachabilitySteps = r.depth;
-    if (opts_.useReachedDontCares) {
-      minimizedTr_ = tr_->minimized(reached_);
-      activeTr_ = &*minimizedTr_;
-    }
+    adoptReachability(std::move(r.reached), std::move(r.onionRings),
+                      std::move(r.frontierStates), r.depth);
   }
   return reached_;
+}
+
+const TransitionRelation& CtlChecker::activeTr() {
+  (void)reached();
+  return *activeTr_;
 }
 
 void CtlChecker::seedReachability(Bdd reached, std::vector<Bdd> onionRings,
@@ -45,6 +45,13 @@ void CtlChecker::seedReachability(Bdd reached, std::vector<Bdd> onionRings,
   if (!reached_.isNull())
     throw std::logic_error(
         "CtlChecker::seedReachability: reachability already computed");
+  adoptReachability(std::move(reached), std::move(onionRings),
+                    std::move(frontierStates), steps);
+}
+
+void CtlChecker::adoptReachability(Bdd reached, std::vector<Bdd> onionRings,
+                                   std::vector<double> frontierStates,
+                                   size_t steps) {
   reached_ = std::move(reached);
   onionRings_ = std::move(onionRings);
   frontierStates_ = std::move(frontierStates);
@@ -170,63 +177,61 @@ Bdd CtlChecker::statesRec(const CtlFormula& f) {
 Bdd CtlChecker::states(const CtlRef& formula) { return statesRec(*formula); }
 
 McResult CtlChecker::checkInvariantEarly(const CtlRef& formula) {
-  // AG p with propositional p: check p on every frontier and stop at the
-  // first violation — Early Failure Detection, technique 1.
+  // AG p with propositional p — Early Failure Detection, technique 1. With
+  // the reachable set cached the answer is reached ∧ ¬p and the trace comes
+  // from the cached onion rings; otherwise p is checked on every frontier
+  // and the fixpoint stops at the first violation.
   McResult res;
   Bdd p = evalPropositional(formula->left);
   Bdd notP = !p;
 
-  std::vector<Bdd> rings;
-  Bdd violating;
-  ReachOptions ro;
-  ro.keepOnionRings = false;
-  ro.watch = [&](const Bdd& frontier, size_t) {
-    rings.push_back(frontier);
-    Bdd bad = frontier & notP;
-    if (!bad.isZero()) {
-      violating = bad;
-      return true;
+  std::vector<Bdd> partialRings;
+  const std::vector<Bdd>* rings = &onionRings_;
+  if (reached_.isNull()) {
+    ReachOptions ro;
+    ro.recordFrontierStates = opts_.recordFrontierStates;
+    ro.watch = [&](const Bdd& frontier, size_t) {
+      partialRings.push_back(frontier);
+      return !(frontier & notP).isZero();
+    };
+    ReachResult rr = reachableStates(*tr_, fsm_->initialStates(), ro);
+    if (rr.stoppedEarly) {
+      stats_.reachabilitySteps = rr.depth;
+      rings = &partialRings;
+    } else {
+      // The EFD run computed the full reachable set; keep it.
+      adoptReachability(std::move(rr.reached), std::move(partialRings),
+                        std::move(rr.frontierStates), rr.depth);
     }
-    return false;
-  };
-  ReachResult rr = reachableStates(*tr_, fsm_->initialStates(), ro);
-  stats_.reachabilitySteps = rr.depth;
+  }
   res.stats = stats_;
-  if (violating.isNull()) {
+  if (!reached_.isNull() && (reached_ & notP).isZero()) {
     res.holds = true;
-    // The full reachable set came out of the EFD run; keep it.
-    if (reached_.isNull()) {
-      reached_ = rr.reached;
-      onionRings_ = std::move(rings);
-      if (opts_.useReachedDontCares) {
-        minimizedTr_ = tr_->minimized(reached_);
-        activeTr_ = &*minimizedTr_;
-      }
-    }
-    res.satisfying = rr.reached & p;
+    res.satisfying = reached_ & p;
     return res;
   }
   res.holds = false;
   res.stats.usedEarlyFailure = true;
-  if (opts_.wantTrace) {
-    // Shortest path: backtrack through the rings we already have.
-    TransitionRelation const& tr = *tr_;
-    const Fsm& fsm = *fsm_;
-    Trace trace;
-    std::vector<std::vector<int8_t>> rev;
-    std::vector<int8_t> curAssign = concretizeState(fsm, violating);
-    Bdd cur = fsm.stateFromValues(fsm.decodeState(curAssign));
+  if (!opts_.wantTrace) return res;
+  // Shortest path: backtrack from the first ring that violates p.
+  const Fsm& fsm = *fsm_;
+  size_t depth = 0;
+  while (depth + 1 < rings->size() && ((*rings)[depth] & notP).isZero())
+    ++depth;
+  std::vector<std::vector<int8_t>> rev;
+  std::vector<int8_t> curAssign = concretizeState(fsm, (*rings)[depth] & notP);
+  Bdd cur = fsm.stateFromValues(fsm.decodeState(curAssign));
+  rev.push_back(curAssign);
+  for (size_t k = depth; k-- > 0;) {
+    Bdd prev = (*rings)[k] & activeTr_->preimage(cur);
+    curAssign = concretizeState(fsm, prev);
+    cur = fsm.stateFromValues(fsm.decodeState(curAssign));
     rev.push_back(curAssign);
-    for (size_t k = rings.size() - 1; k-- > 0;) {
-      Bdd prev = rings[k] & tr.preimage(cur);
-      curAssign = concretizeState(fsm, prev);
-      cur = fsm.stateFromValues(fsm.decodeState(curAssign));
-      rev.push_back(curAssign);
-    }
-    for (size_t i = rev.size(); i-- > 0;) trace.states.push_back(rev[i]);
-    attachInputs(fsm, trace);
-    res.counterexample = std::move(trace);
   }
+  Trace trace;
+  for (size_t i = rev.size(); i-- > 0;) trace.states.push_back(rev[i]);
+  attachInputs(fsm, trace);
+  res.counterexample = std::move(trace);
   return res;
 }
 

@@ -77,8 +77,8 @@ class CtlChecker {
   /// instance; throws std::logic_error once reachability exists.
   void seedReachability(Bdd reached, std::vector<Bdd> onionRings,
                         std::vector<double> frontierStates, size_t steps);
-  /// Onion rings of the reachability fixpoint (empty unless wantTrace kept
-  /// them). Exposed so a batch scheduler can replicate checker state.
+  /// Onion rings of the reachability fixpoint (kept when traces or early
+  /// failure detection are on). Exposed so a batch scheduler can replicate checker state.
   [[nodiscard]] const std::vector<Bdd>& onionRings() const {
     return onionRings_;
   }
@@ -91,6 +91,10 @@ class CtlChecker {
   [[nodiscard]] const McStats& lastStats() const { return stats_; }
   [[nodiscard]] const Fsm& fsm() const { return *fsm_; }
   [[nodiscard]] const TransitionRelation& tr() const { return *tr_; }
+  /// The relation the fixpoints run on: tr() restrict-minimized by the
+  /// reachable states when don't-cares are on (exact on reached()), else
+  /// tr() itself. Computes reachability on first use.
+  const TransitionRelation& activeTr();
   [[nodiscard]] const std::vector<Bdd>& fairnessConstraints() const {
     return fair_;
   }
@@ -108,6 +112,8 @@ class CtlChecker {
  private:
   Bdd statesRec(const CtlFormula& f);
   McResult checkInvariantEarly(const CtlRef& formula);
+  void adoptReachability(Bdd reached, std::vector<Bdd> onionRings,
+                         std::vector<double> frontierStates, size_t steps);
 
   const Fsm* fsm_;
   const TransitionRelation* tr_;

@@ -109,7 +109,11 @@ void Fsm::buildVariables(const blifmv::Model& flat) {
   nonStateCube_ = space_.cube(nonState);
   stateBits_ = space_.totalBits(stateVars_);
 
-  uint32_t nv = mgr.numVars();
+  buildRenameMaps();
+}
+
+void Fsm::buildRenameMaps() {
+  uint32_t nv = space_.mgr().numVars();
   nextToPresentMap_.resize(nv);
   presentToNextMap_.resize(nv);
   for (uint32_t i = 0; i < nv; ++i) {
@@ -220,6 +224,7 @@ void Fsm::buildRelations(const blifmv::Model& flat) {
       Bdd dflt = space_.literal(out, resolve(out, *t.defaultValue));
       rel |= (!covered) & dflt;
     }
+    drivers_.emplace(out, Driver{relations_.size(), std::move(ins)});
     relations_.push_back(std::move(rel));
   }
 
@@ -294,6 +299,45 @@ std::optional<MvVarId> Fsm::signalVar(const std::string& name) const {
   auto it = signalVar_.find(name);
   if (it == signalVar_.end()) return std::nullopt;
   return it->second;
+}
+
+const Fsm::Driver* Fsm::driverOf(MvVarId v) const {
+  auto it = drivers_.find(v);
+  return it == drivers_.end() ? nullptr : &it->second;
+}
+
+void Fsm::reserveMonitorRail(uint32_t bits) {
+  BddManager& mgr = space_.mgr();
+  while (railPresent_.size() < bits) {
+    railPresent_.push_back(mgr.newVar());
+    railNext_.push_back(mgr.newVar());
+  }
+}
+
+Fsm Fsm::withMonitor(const std::string& name,
+                     const std::vector<std::string>& valueNames,
+                     uint32_t initValue) const {
+  const auto domain = static_cast<uint32_t>(valueNames.size());
+  const uint32_t nbits = MvSpace::bitsFor(domain);
+  if (railPresent_.size() < nbits)
+    throw std::logic_error("fsm: monitor rail narrower than the monitor");
+  if (signalVar_.contains(name))
+    throw std::logic_error("fsm: monitor name " + name + " is taken");
+  Fsm out(*this);
+  std::vector<BddVar> xb(railPresent_.begin(), railPresent_.begin() + nbits);
+  std::vector<BddVar> yb(railNext_.begin(), railNext_.begin() + nbits);
+  MvVarId x = out.space_.addVar(name, domain, valueNames, xb);
+  MvVarId y = out.space_.addVar(name + "$next", domain, valueNames, yb);
+  out.latches_.push_back(LatchInfo{name, "", x, y, 0});
+  out.stateVars_.push_back(x);
+  out.nextVars_.push_back(y);
+  out.signalVar_[name] = x;
+  out.presentCube_ &= out.space_.cube(x);
+  out.nextCube_ &= out.space_.cube(y);
+  out.stateBits_ += nbits;
+  out.init_ &= out.space_.literal(x, initValue);
+  out.buildRenameMaps();
+  return out;
 }
 
 Bdd Fsm::nextToPresent(const Bdd& f) const {

@@ -94,6 +94,33 @@ class Fsm {
   /// Build the present-state cube BDD for explicit latch values.
   [[nodiscard]] Bdd stateFromValues(const std::vector<uint32_t>& values) const;
 
+  /// The table that drives a combinational signal: its conjunct in
+  /// relations() and the signals it reads. Null for latch outputs and free
+  /// inputs.
+  struct Driver {
+    size_t relation;
+    std::vector<MvVarId> inputs;
+  };
+  [[nodiscard]] const Driver* driverOf(MvVarId v) const;
+
+  // ---- monitor latch (language containment) ----
+  /// Make sure the monitor variable rail holds at least `bits` present/next
+  /// BDD variable pairs. The rail is allocated at the bottom of the order on
+  /// first use and widened only when a wider monitor arrives, so every
+  /// product built on this design reuses the same variables.
+  void reserveMonitorRail(uint32_t bits);
+  /// This design plus one monitor latch `name` (domain = valueNames.size(),
+  /// reset to `initValue`) on the first bits of the monitor rail, which
+  /// must be wide enough. The design's relations, cubes and initial states
+  /// are shared as they are; append the monitor's own relation with
+  /// appendRelation().
+  [[nodiscard]] Fsm withMonitor(const std::string& name,
+                                const std::vector<std::string>& valueNames,
+                                uint32_t initValue) const;
+  /// Add one conjunct to the relations (the monitor's transition relation
+  /// of a withMonitor() product).
+  void appendRelation(Bdd relation) { relations_.push_back(std::move(relation)); }
+
   /// Non-fatal diagnostics collected during construction (incomplete or
   /// nondeterministic tables, free inputs).
   [[nodiscard]] const std::vector<std::string>& diagnostics() const {
@@ -113,17 +140,21 @@ class Fsm {
   void buildRelations(const blifmv::Model& flat);
   void buildInit(const blifmv::Model& flat);
   void checkCombinationalCycles(const blifmv::Model& flat) const;
+  void buildRenameMaps();
 
   MvSpace space_;
   std::string name_;
   std::vector<LatchInfo> latches_;
   std::vector<MvVarId> stateVars_, nextVars_, inputVars_, internalVars_;
   std::unordered_map<std::string, MvVarId> signalVar_;
+  std::unordered_map<MvVarId, Driver> drivers_;
   std::vector<Bdd> relations_;
   Bdd init_;
   Bdd presentCube_, nextCube_, nonStateCube_;
   std::vector<BddVar> nextToPresentMap_, presentToNextMap_;
   uint32_t stateBits_ = 0;
+  /// Monitor rail: present/next variable pairs, LSB first.
+  std::vector<BddVar> railPresent_, railNext_;
   std::vector<std::string> diagnostics_;
 };
 

@@ -91,6 +91,28 @@ TransitionRelation TransitionRelation::partitioned(const Fsm& fsm,
   return tr;
 }
 
+TransitionRelation TransitionRelation::withMonitorCluster(
+    const Fsm& product, const TransitionRelation& design, Bdd monitor) {
+  // The monitor latch is the product's last one (Fsm::withMonitor).
+  const MvSpace& space = product.space();
+  TransitionRelation tr(product);
+  tr.clusters_.reserve(design.clusters_.size() + 1);
+  tr.clusters_.push_back(std::move(monitor));
+  tr.clusters_.insert(tr.clusters_.end(), design.clusters_.begin(),
+                      design.clusters_.end());
+  // Going first on image, the monitor cluster is the last user of the
+  // monitor's present bits; last on preimage, of its next bits. Every
+  // design variable keeps its step: the monitor cluster reads none that a
+  // design step quantifies earlier than before.
+  tr.imgCubes_.push_back(space.cube(product.stateVars().back()));
+  tr.imgCubes_.insert(tr.imgCubes_.end(), design.imgCubes_.begin(),
+                      design.imgCubes_.end());
+  tr.preCubes_.push_back(space.cube(product.nextVars().back()));
+  tr.preCubes_.insert(tr.preCubes_.end(), design.preCubes_.begin(),
+                      design.preCubes_.end());
+  return tr;
+}
+
 void TransitionRelation::computeStepCubes() {
   BddManager& mgr = fsm_->mgr();
   uint32_t nv = mgr.numVars();

@@ -33,6 +33,16 @@ class TransitionRelation {
   static TransitionRelation transferred(const Fsm& dstFsm, BddTransfer& tx,
                                         const TransitionRelation& src);
 
+  /// The transition relation of `product`, a Fsm::withMonitor() product of
+  /// `design`'s machine: `design`'s clusters and quantification schedule
+  /// as they are, plus `monitor` — a relation over present state, the
+  /// monitor latch and its next state only — as the first image step. The
+  /// monitor's present bits are quantified with it on image, its next bits
+  /// with it on preimage; no support walk over the design clusters.
+  static TransitionRelation withMonitorCluster(const Fsm& product,
+                                               const TransitionRelation& design,
+                                               Bdd monitor);
+
   /// Successor states: img(S)(x) = (∃x,i. T ∧ S)[y := x].
   [[nodiscard]] Bdd image(const Bdd& statesX) const;
   /// Predecessor states: pre(S)(x) = ∃y,i. T ∧ S[x := y].

@@ -251,12 +251,23 @@ cov::Report Session::coverage(cov::Options options) {
 }
 
 BugReport Session::checkCtl(const std::string& name, const CtlRef& formula) {
+  return checkCtlOn(checker(), name, formula);
+}
+
+BugReport Session::checkAutomaton(const std::string& name,
+                                  const Automaton& aut) {
+  CtlChecker& mc = checker();
+  return checkAutomatonOn(*fsm_, mc, fairness_, opts_, name, aut);
+}
+
+BugReport Session::checkCtlOn(CtlChecker& checker, const std::string& name,
+                              const CtlRef& formula) {
   BugReport report;
   report.paradigm = BugReport::Paradigm::ModelChecking;
   report.propertyName = name;
   report.propertyText = formula->toString();
   obs::Span span("env.verify.ctl");
-  McResult r = checker().check(formula);
+  McResult r = checker.check(formula);
   report.holds = r.holds;
   report.trace = r.counterexample;
   report.seconds = r.stats.seconds;
@@ -266,33 +277,35 @@ BugReport Session::checkCtl(const std::string& name, const CtlRef& formula) {
   return report;
 }
 
-BugReport Session::checkAutomaton(const std::string& name,
-                                  const Automaton& aut) {
-  build();
+BugReport Session::checkAutomatonOn(Fsm& design, CtlChecker& checker,
+                                    const FairnessSpec& fairness,
+                                    const Options& opts,
+                                    const std::string& name,
+                                    const Automaton& aut) {
   BugReport report;
   report.paradigm = BugReport::Paradigm::LanguageContainment;
   report.propertyName = name;
   report.propertyText = "automaton " + aut.name() + " (" +
                         std::to_string(aut.numStates()) + " states)";
   LcOptions lo;
-  lo.earlyFailureDetection = opts_.earlyFailureDetection;
-  lo.wantTrace = opts_.wantTraces;
-  lo.partitionedTr = opts_.partitionedTr;
-  lo.clusterLimit = opts_.clusterLimit;
-  lo.quantMethod = opts_.quantMethod;
-  // Each containment check runs in its own manager: the product machine has
-  // its own variable space.
+  lo.earlyFailureDetection = opts.earlyFailureDetection;
+  lo.wantTrace = opts.wantTraces;
+  lo.partitionedTr = opts.partitionedTr;
+  lo.clusterLimit = opts.clusterLimit;
+  lo.quantMethod = opts.quantMethod;
+  // The design's reachable states (cached by the checker) bound every
+  // product state, so its reached-minimized TR serves the product as is.
+  const TransitionRelation& designTr = checker.activeTr();
   obs::Span span("env.verify.lc");
-  BddManager productMgr;
-  LcChecker lc(productMgr, flat_, aut, fairness_, lo);
+  LcChecker lc(design, designTr, checker.reached(), aut, fairness, lo);
   LcResult r = lc.check();
   report.holds = r.contained;
   report.notes = r.notes;
   report.seconds = r.stats.seconds;
   report.usedEarlyFailure = r.stats.usedEarlyFailure;
   if (r.trace.has_value()) {
-    // Render against the product FSM now; the trace's variable indices are
-    // only meaningful in the product manager.
+    // Render against the product FSM now; the monitor latch exists only in
+    // the product.
     report.notes.push_back("error trace (design + monitor):\n" +
                            lc.formatTrace(*r.trace));
   }

@@ -119,6 +119,18 @@ class Session {
   BugReport checkAutomaton(const std::string& name, const Automaton& aut);
   BugReport check(const PifProperty& property);
 
+  /// The bodies of checkCtl/checkAutomaton against an explicit design
+  /// machine and checker — a Session's own or a batch worker's replica.
+  /// The containment product is built in `design`'s manager, on its
+  /// monitor rail and on `checker`'s reached-minimized TR.
+  static BugReport checkCtlOn(CtlChecker& checker, const std::string& name,
+                              const CtlRef& formula);
+  static BugReport checkAutomatonOn(Fsm& design, CtlChecker& checker,
+                                    const FairnessSpec& fairness,
+                                    const Options& opts,
+                                    const std::string& name,
+                                    const Automaton& aut);
+
   // ---- access ----
   [[nodiscard]] const blifmv::Design& design() const { return design_; }
   [[nodiscard]] const blifmv::Model& flatModel() const { return flat_; }

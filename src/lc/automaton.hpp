@@ -1,8 +1,8 @@
 // Deterministic ω-automata with edge guards over design signals and Rabin
 // acceptance — the property formalism of HSIS's language-containment
-// paradigm [16]. A property automaton is compiled into a BLIF-MV monitor
-// (one latch + one transition table) and composed with the design, so the
-// product machine is an ordinary Fsm.
+// paradigm [16]. A property automaton runs as a monitor on a built design:
+// one latch plus a transition relation over the design signals its guards
+// read (monitorRelation), so the product machine is an ordinary Fsm.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "blifmv/blifmv.hpp"
+#include "fsm/fsm.hpp"
 #include "pif/sigexpr.hpp"
 
 namespace hsis {
@@ -57,14 +57,17 @@ class Automaton {
   /// language-containment failure — the basis of early failure detection.
   [[nodiscard]] std::vector<bool> deadStates() const;
 
-  /// Compile into a monitor and append to the flat design model:
-  /// a latch `monitorSignal` (domain = #states, symbolic value names) and a
-  /// transition table enumerating guard-signal assignments. Checks that the
-  /// automaton is deterministic and complete over the enumerated space;
-  /// throws std::runtime_error otherwise (or when the enumeration exceeds
-  /// `maxRows`).
-  void compose(blifmv::Model& flatDesign, const std::string& monitorSignal,
-               size_t maxRows = 1u << 16) const;
+  /// Design signals read by the edge guards, in order of first use.
+  [[nodiscard]] std::vector<std::string> guardSignals() const;
+
+  /// The monitor's transition relation T(g, m, m') in `fsm`: `present` and
+  /// `next` are the monitor latch's variables, g the design signals the
+  /// guards read (any signal, not only latch outputs). Checks determinism
+  /// and completeness symbolically, over every assignment of the guard
+  /// signals; throws std::runtime_error on a nondeterministic or incomplete
+  /// automaton, an unknown signal or an out-of-domain guard value.
+  [[nodiscard]] Bdd monitorRelation(const Fsm& fsm, MvVarId present,
+                                    MvVarId next) const;
 
  private:
   std::string name_;

@@ -1,10 +1,12 @@
 #include "lc/lc.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
+#include "fsm/quantify.hpp"
 #include "obs/control.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
@@ -22,48 +24,121 @@ int64_t clampToGauge(double v) {
   return static_cast<int64_t>(v);
 }
 
+bool isStateVar(const Fsm& fsm, MvVarId v) {
+  const std::vector<MvVarId>& sv = fsm.stateVars();
+  return std::find(sv.begin(), sv.end(), v) != sv.end();
+}
+
+/// Guard signal `v` as a function of present state: G(x, v) = ∃ cone.
+/// ∏ cone, over the relations of the tables in v's combinational fan-in
+/// (down to latch outputs and free inputs). Exact for v's own value: every
+/// consistent assignment of the design's relations satisfies the cone.
+Bdd guardFunction(const Fsm& fsm, MvVarId v) {
+  BddManager& mgr = fsm.mgr();
+  const MvSpace& space = fsm.space();
+  std::vector<Bdd> rels;
+  std::vector<MvVarId> inner;  // cone signals other than v and latches
+  std::unordered_set<MvVarId> seen{v};
+  std::vector<MvVarId> stack{v};
+  while (!stack.empty()) {
+    MvVarId s = stack.back();
+    stack.pop_back();
+    const Fsm::Driver* d = fsm.driverOf(s);
+    if (d == nullptr) continue;
+    rels.push_back(fsm.relations()[d->relation]);
+    for (MvVarId in : d->inputs) {
+      if (!seen.insert(in).second) continue;
+      if (!isStateVar(fsm, in)) inner.push_back(in);
+      stack.push_back(in);
+    }
+  }
+  if (rels.empty()) return mgr.bddOne();  // a free input: any value
+  return productAndQuantify(mgr, rels, space.cube(inner), QuantMethod::Greedy);
+}
+
 }  // namespace
+
+LcChecker::LcChecker(Fsm& design, const TransitionRelation& designTr,
+                     const Bdd& designReached, const Automaton& property,
+                     const FairnessSpec& fairness, LcOptions options)
+    : opts_(options) {
+  obs::Span span("lc.build");
+  buildProduct(design, designTr, designReached, property);
+  buildConstraints(property, fairness);
+}
 
 LcChecker::LcChecker(BddManager& mgr, const blifmv::Model& flatDesign,
                      const Automaton& property, const FairnessSpec& fairness,
                      LcOptions options)
     : opts_(options) {
   obs::Span span("lc.build");
-  // Compose the monitor into a copy of the design, picking a monitor
-  // signal name that collides with nothing in the flat model.
-  blifmv::Model product = flatDesign;
-  std::unordered_set<std::string> taken;
-  for (const auto& [name, decl] : product.varDecls) {
-    (void)decl;
-    taken.insert(name);
-  }
-  for (const auto& l : product.latches) {
-    taken.insert(l.input);
-    taken.insert(l.output);
-  }
-  for (const auto& t : product.tables) {
-    taken.insert(t.output);
-    for (const auto& in : t.inputs) taken.insert(in);
-  }
+  Fsm design(mgr, flatDesign);
+  TransitionRelation tr =
+      opts_.partitionedTr
+          ? TransitionRelation::partitioned(design, opts_.clusterLimit)
+          : TransitionRelation::monolithic(design, opts_.quantMethod);
+  Bdd reached = reachableStates(tr, design.initialStates()).reached;
+  buildProduct(design, tr.minimized(reached), reached, property);
+  buildConstraints(property, fairness);
+}
+
+void LcChecker::buildProduct(Fsm& design, const TransitionRelation& designTr,
+                             const Bdd& designReached,
+                             const Automaton& property) {
+  BddManager& mgr = design.mgr();
   monitor_ = "_monitor";
-  while (taken.contains(monitor_) || taken.contains(monitor_ + "_ns")) {
-    monitor_ += "_";
-  }
-  property.compose(product, monitor_);
-
-  fsm_.emplace(mgr, product);
-  if (opts_.partitionedTr) {
-    tr_ = TransitionRelation::partitioned(*fsm_, opts_.clusterLimit);
-  } else {
-    tr_ = TransitionRelation::monolithic(*fsm_, opts_.quantMethod);
-  }
-
-  std::optional<MvVarId> mv = fsm_->signalVar(monitor_);
-  if (!mv.has_value()) throw std::logic_error("lc: monitor variable missing");
-  monitorVar_ = *mv;
+  while (design.signalVar(monitor_).has_value()) monitor_ += "_";
+  std::vector<std::string> names;
+  for (uint32_t s = 0; s < property.numStates(); ++s)
+    names.push_back(property.stateName(s));
+  if (names.empty())
+    throw std::runtime_error("automaton " + property.name() + ": no states");
+  design.reserveMonitorRail(MvSpace::bitsFor(property.numStates()));
+  fsm_.emplace(design.withMonitor(monitor_, names, property.initialState()));
+  monitorVar_ = fsm_->stateVars().back();
+  obs::Span span("lc.monitor");
+  Bdd tmon =
+      property.monitorRelation(*fsm_, monitorVar_, fsm_->nextVars().back());
+  fsm_->appendRelation(tmon);
   autDead_ = property.deadStates();
 
-  buildConstraints(property, fairness);
+  // M = ∃g. T_mon ∧ ∏ G(x,g). Decoupling the guards from the design's own
+  // step is exact only where each guard has one value per reachable state.
+  const MvSpace& space = fsm_->space();
+  Bdd monitor = tmon;
+  for (const std::string& sig : property.guardSignals()) {
+    MvVarId g = *fsm_->signalVar(sig);
+    if (isStateVar(*fsm_, g)) continue;
+    Bdd fn = guardFunction(*fsm_, g);
+    Bdd seen = mgr.bddZero();
+    for (uint32_t k = 0; k < space.domain(g); ++k) {
+      Bdd valueAt = mgr.andExists(fn, space.literal(g, k), space.cube(g));
+      if (!(valueAt & seen & designReached).isZero()) {
+        reclustered_ = true;
+        break;
+      }
+      seen |= valueAt;
+    }
+    if (reclustered_) {
+      HSIS_LOG_INFO("lc.build",
+                    "guard is not a function of state; re-clustering",
+                    {{"signal", std::string_view(sig)}});
+      break;
+    }
+    monitor = mgr.andExists(monitor, fn, space.cube(g));
+  }
+
+  if (!reclustered_) {
+    tr_ = TransitionRelation::withMonitorCluster(*fsm_, designTr,
+                                                 std::move(monitor));
+    return;
+  }
+  obs::counter("lc.build.reclustered").add();
+  TransitionRelation product =
+      opts_.partitionedTr
+          ? TransitionRelation::partitioned(*fsm_, opts_.clusterLimit)
+          : TransitionRelation::monolithic(*fsm_, opts_.quantMethod);
+  tr_ = product.minimized(designReached);
 }
 
 Bdd LcChecker::monitorSet(const std::vector<uint32_t>& states) const {
@@ -74,6 +149,7 @@ Bdd LcChecker::monitorSet(const std::vector<uint32_t>& states) const {
 
 void LcChecker::buildConstraints(const Automaton& property,
                                  const FairnessSpec& fairness) {
+  obs::Span span("lc.fairness");
   BddManager& mgr = fsm_->mgr();
   const Fsm& fsm = *fsm_;
 
@@ -305,12 +381,6 @@ LcResult LcChecker::check() {
 
   stats_.reachedStates = fsm.countStates(rr.reached);
   obs::gauge("lc.product.states").set(clampToGauge(stats_.reachedStates));
-
-  // Reachability don't cares: restrict-minimize the clusters by the
-  // reachable set before the (preimage-heavy) fair-cycle computation. All
-  // subsequent sources are inside the reachable set, so the minimized
-  // relation is exact where it is used.
-  tr_ = tr_->minimized(rr.reached);
 
   // Early pass detection (technique 2): a required Büchi set that is
   // unreachable means no fair run exists at all.

@@ -1,8 +1,8 @@
 // Language containment checking: L(design) ⊆ L(property).
 //
-// The deterministic edge-Rabin property automaton is composed with the
-// design as a monitor; containment fails iff the product has a reachable
-// fair cycle where "fair" means:
+// The deterministic edge-Rabin property automaton runs as a monitor on the
+// design; containment fails iff the product has a reachable fair cycle
+// where "fair" means:
 //   - every system fairness constraint holds (Büchi sets from negative
 //     state-subset constraints, edge sets from positive fair edges), and
 //   - the run is NOT accepted by the property: for every Rabin pair
@@ -11,6 +11,20 @@
 // Emptiness is decided with the Emerson-Lei-style operator iteration of
 // [17], computing an approximation of the fair states first (exact for the
 // Büchi fragment).
+//
+// The product is built on the resident design, in its manager: the
+// design's relations and its reached-minimized TR clusters are used as
+// they are, and the property adds one monitor latch (on the design's
+// monitor variable rail, Fsm::reserveMonitorRail) and one monitor cluster
+//   M(x,m,m') = ∃g. T_mon(g,m,m') ∧ G(x,g),
+// where G gives each guard signal as a function of present state, from
+// that signal's cone of design relations. When some guard is not a
+// function of state on the design's reachable states (it reads a free
+// input or a $ND-driven net), the guard and the design's next state can be
+// correlated through that choice, so the product is instead re-clustered
+// from the design relations plus T_mon. Either way every cluster is exact
+// on product states (design reached × monitor domain), the only states the
+// reachability, hull and trace computations visit.
 #pragma once
 
 #include <optional>
@@ -66,8 +80,18 @@ struct LcResult {
 
 class LcChecker {
  public:
-  /// Compose `property` with the flattened design and build the product
-  /// machine in `mgr`. `fairness` constrains the design's infinite runs.
+  /// Compose `property` onto a built design. `designReached` is the
+  /// design's reachable state set and `designTr` a transition relation of
+  /// `design` that is exact on it (a session's reached-minimized TR,
+  /// CtlChecker::activeTr). The product lives in the design's manager; the
+  /// monitor reuses the design's rail, widening it only for a wider
+  /// automaton. `fairness` constrains the design's infinite runs.
+  LcChecker(Fsm& design, const TransitionRelation& designTr,
+            const Bdd& designReached, const Automaton& property,
+            const FairnessSpec& fairness = {}, LcOptions options = {});
+
+  /// Standalone: build the design machine from the flattened model in
+  /// `mgr` (FSM, TR, reachability), then compose as above.
   LcChecker(BddManager& mgr, const blifmv::Model& flatDesign,
             const Automaton& property, const FairnessSpec& fairness = {},
             LcOptions options = {});
@@ -78,6 +102,9 @@ class LcChecker {
   [[nodiscard]] const Fsm& fsm() const { return *fsm_; }
   [[nodiscard]] const TransitionRelation& tr() const { return *tr_; }
   [[nodiscard]] const std::string& monitorSignal() const { return monitor_; }
+  /// True when some guard is not a function of state on the design's
+  /// reachable states and the product TR was re-clustered from relations.
+  [[nodiscard]] bool reclustered() const { return reclustered_; }
   /// Pretty-print a product state, monitor state last.
   [[nodiscard]] std::string formatState(const std::vector<int8_t>& s) const;
   /// Render a whole trace.
@@ -93,6 +120,8 @@ class LcChecker {
   }
 
  private:
+  void buildProduct(Fsm& design, const TransitionRelation& designTr,
+                    const Bdd& designReached, const Automaton& property);
   void buildConstraints(const Automaton& property, const FairnessSpec& fairness);
   Bdd monitorSet(const std::vector<uint32_t>& states) const;
   /// Counterexample lasso from the fair hull, validated against (and if
@@ -105,6 +134,7 @@ class LcChecker {
   std::optional<Fsm> fsm_;
   std::optional<TransitionRelation> tr_;
   LcOptions opts_;
+  bool reclustered_ = false;
   std::vector<bool> autDead_;
   MvVarId monitorVar_ = 0;
 

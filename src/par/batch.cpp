@@ -14,7 +14,6 @@
 #include "ctl/mc.hpp"
 #include "fsm/fsm.hpp"
 #include "fsm/image.hpp"
-#include "lc/lc.hpp"
 #include "obs/control.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
@@ -29,10 +28,6 @@ uint64_t nowMicros() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-uint64_t toMicros(double seconds) {
-  return seconds > 0 ? static_cast<uint64_t>(seconds * 1e6) : 0;
 }
 
 /// One worker's private copy of the design's symbolic machine. Everything
@@ -99,60 +94,6 @@ void finishReplica(Replica& rep, const Session::Options& opts) {
       std::move(rep.frontierStates), rep.reachSteps);
 }
 
-/// Session::checkCtl against a replica checker (same report shape, same
-/// metrics — counters are atomic, spans are per-thread).
-BugReport checkCtlOn(CtlChecker& checker, const std::string& name,
-                     const CtlRef& formula) {
-  BugReport report;
-  report.paradigm = BugReport::Paradigm::ModelChecking;
-  report.propertyName = name;
-  report.propertyText = formula->toString();
-  obs::Span span("env.verify.ctl");
-  McResult r = checker.check(formula);
-  report.holds = r.holds;
-  report.trace = r.counterexample;
-  report.seconds = r.stats.seconds;
-  report.usedEarlyFailure = r.stats.usedEarlyFailure;
-  obs::counter("env.mc.micros").add(toMicros(r.stats.seconds));
-  obs::counter("env.props.ctl").add();
-  return report;
-}
-
-/// Session::checkAutomaton, reconstructed from the session's const state.
-/// Needs no replica: the containment check builds its own product manager
-/// from the flattened model, so it is manager-independent by design.
-BugReport checkAutomatonOn(const blifmv::Model& flat,
-                           const FairnessSpec& fairness,
-                           const Session::Options& opts,
-                           const std::string& name, const Automaton& aut) {
-  BugReport report;
-  report.paradigm = BugReport::Paradigm::LanguageContainment;
-  report.propertyName = name;
-  report.propertyText = "automaton " + aut.name() + " (" +
-                        std::to_string(aut.numStates()) + " states)";
-  LcOptions lo;
-  lo.earlyFailureDetection = opts.earlyFailureDetection;
-  lo.wantTrace = opts.wantTraces;
-  lo.partitionedTr = opts.partitionedTr;
-  lo.clusterLimit = opts.clusterLimit;
-  lo.quantMethod = opts.quantMethod;
-  obs::Span span("env.verify.lc");
-  BddManager productMgr;
-  LcChecker lc(productMgr, flat, aut, fairness, lo);
-  LcResult r = lc.check();
-  report.holds = r.contained;
-  report.notes = r.notes;
-  report.seconds = r.stats.seconds;
-  report.usedEarlyFailure = r.stats.usedEarlyFailure;
-  if (r.trace.has_value()) {
-    report.notes.push_back("error trace (design + monitor):\n" +
-                           lc.formatTrace(*r.trace));
-  }
-  obs::counter("env.lc.micros").add(toMicros(r.stats.seconds));
-  obs::counter("env.props.lc").add();
-  return report;
-}
-
 }  // namespace
 
 double BatchReport::theoreticalSpeedup() const {
@@ -186,24 +127,17 @@ BatchReport checkBatch(Session& session,
     return out;
   }
 
-  bool anyCtl = false;
-  for (const PifProperty& p : properties)
-    anyCtl |= p.kind == PifProperty::Kind::Ctl;
-
   // Build everything shared up front, on this thread: the design machine,
-  // the primary checker, and — when any CTL property needs it — the
-  // reachability fixpoint that every replica is seeded with.
+  // the primary checker, and the reachability fixpoint that every replica
+  // is seeded with (CTL and LC checks alike run on it).
   session.build();
   CtlChecker& primary = session.checker();
+  (void)primary.reached();
   std::vector<std::unique_ptr<Replica>> replicas;
   uint64_t transferStart = nowMicros();
-  if (anyCtl) {
-    (void)primary.reached();
-    replicas.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w)
-      replicas.push_back(
-          buildReplica(session, primary, out.transferredNodes));
-  }
+  replicas.reserve(static_cast<size_t>(workers));
+  for (int w = 0; w < workers; ++w)
+    replicas.push_back(buildReplica(session, primary, out.transferredNodes));
   out.transferMicros = nowMicros() - transferStart;
   HSIS_LOG_INFO("par.batch", "replicas built",
                 {{"workers", workers},
@@ -216,16 +150,15 @@ BatchReport checkBatch(Session& session,
   std::atomic<size_t> abortedCount{0};
   std::exception_ptr fatal;
   std::mutex fatalMu;
-  const blifmv::Model& flat = session.flatModel();
   const FairnessSpec& fairness = session.fairness();
   const Session::Options& opts = session.options();
 
   auto workerBody = [&](int w) {
     obs::TaskAbort slot;
     obs::bindTaskAbort(&slot);
-    Replica* rep = anyCtl ? replicas[static_cast<size_t>(w)].get() : nullptr;
+    Replica& rep = *replicas[static_cast<size_t>(w)];
     try {
-      if (rep != nullptr) finishReplica(*rep, opts);
+      finishReplica(rep, opts);
       for (;;) {
         if (options.requestAbort != nullptr &&
             options.requestAbort->requested()) {
@@ -251,10 +184,10 @@ BatchReport checkBatch(Session& session,
         uint64_t t0 = nowMicros();
         try {
           if (p.kind == PifProperty::Kind::Ctl) {
-            out.reports[i] = checkCtlOn(*rep->checker, p.name, p.ctl);
+            out.reports[i] = Session::checkCtlOn(*rep.checker, p.name, p.ctl);
           } else {
-            out.reports[i] =
-                checkAutomatonOn(flat, fairness, opts, p.name, p.aut);
+            out.reports[i] = Session::checkAutomatonOn(
+                *rep.fsm, *rep.checker, fairness, opts, p.name, p.aut);
           }
         } catch (const obs::AbortedError& e) {
           if (obs::detail::g_abortRequested.load(std::memory_order_relaxed))

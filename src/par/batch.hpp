@@ -16,9 +16,10 @@
 // mode — then handed to the workers, which do the rest (checker
 // construction, don't-care minimization, the checks) fully concurrently.
 //
-// Language-containment properties need no replica: each LC check builds
-// its own product manager from the flattened model anyway (exactly like
-// Session::checkAutomaton), so any worker can take one.
+// Language-containment properties run on the replica too: the monitor is
+// composed onto the replica's design machine, on its monitor rail and its
+// reached-minimized TR (Session::checkAutomatonOn), so any worker can take
+// either kind of property.
 //
 // Abort semantics mirror hsis_serve's per-request contract: every worker
 // binds its own obs::TaskAbort slot, so a per-property abort (watchdog

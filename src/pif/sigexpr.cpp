@@ -187,7 +187,7 @@ SigExprRef parseSigExpr(const std::string& text) {
   return ExprParser(text).parse();
 }
 
-Bdd evalSigExpr(const SigExpr& e, const Fsm& fsm) {
+Bdd evalSigExpr(const SigExpr& e, const Fsm& fsm, bool anySignal) {
   BddManager& mgr = fsm.mgr();
   switch (e.kind) {
     case SigExpr::Kind::True:
@@ -195,11 +195,13 @@ Bdd evalSigExpr(const SigExpr& e, const Fsm& fsm) {
     case SigExpr::Kind::False:
       return mgr.bddZero();
     case SigExpr::Kind::Not:
-      return !evalSigExpr(*e.args[0], fsm);
+      return !evalSigExpr(*e.args[0], fsm, anySignal);
     case SigExpr::Kind::And:
-      return evalSigExpr(*e.args[0], fsm) & evalSigExpr(*e.args[1], fsm);
+      return evalSigExpr(*e.args[0], fsm, anySignal) &
+             evalSigExpr(*e.args[1], fsm, anySignal);
     case SigExpr::Kind::Or:
-      return evalSigExpr(*e.args[0], fsm) | evalSigExpr(*e.args[1], fsm);
+      return evalSigExpr(*e.args[0], fsm, anySignal) |
+             evalSigExpr(*e.args[1], fsm, anySignal);
     case SigExpr::Kind::Atom: {
       std::optional<MvVarId> var = fsm.signalVar(e.signal);
       if (!var.has_value())
@@ -208,9 +210,9 @@ Bdd evalSigExpr(const SigExpr& e, const Fsm& fsm) {
       // Atoms must be state predicates: combinational signals are
       // existentially quantified out of the transition relation, so a set
       // over them would not survive image computation. (Automaton edge
-      // guards may reference any signal — they are composed into the
-      // product at the table level instead.)
-      bool isState = false;
+      // guards may reference any signal: the containment checker composes
+      // each one through its cone of design relations.)
+      bool isState = anySignal;
       for (MvVarId sv : fsm.stateVars()) isState = isState || sv == *var;
       if (!isState)
         throw std::runtime_error(

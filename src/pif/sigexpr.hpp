@@ -45,8 +45,9 @@ SigExprRef sigOr(SigExprRef a, SigExprRef b);
 SigExprRef parseSigExpr(const std::string& text);
 
 /// Evaluate to a BDD over the FSM's signal variables. Unknown signals or
-/// out-of-domain values throw std::runtime_error.
-Bdd evalSigExpr(const SigExpr& e, const Fsm& fsm);
+/// out-of-domain values throw std::runtime_error, and so do combinational
+/// signals unless `anySignal` (automaton edge guards).
+Bdd evalSigExpr(const SigExpr& e, const Fsm& fsm, bool anySignal = false);
 inline Bdd evalSigExpr(const SigExprRef& e, const Fsm& fsm) {
   return evalSigExpr(*e, fsm);
 }

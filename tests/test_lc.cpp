@@ -1,8 +1,17 @@
 // Tests for ω-automata and the language-containment checker.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
+
 #include "blifmv/blifmv.hpp"
+#include "hsis/session.hpp"
 #include "lc/lc.hpp"
+#include "models/models.hpp"
+#include "obs/control.hpp"
+#include "par/batch.hpp"
+#include "pif/pif.hpp"
+#include "proplib/proplib.hpp"
 #include "vl2mv/vl2mv.hpp"
 
 namespace hsis {
@@ -53,6 +62,27 @@ TEST(Automaton, DeadStates) {
   EXPECT_FALSE(bd[1]);
 }
 
+/// A product of a one-signal design (x ∈ {0,1}) with an `n`-state monitor.
+Fsm monitorProduct(BddManager& mgr, const Automaton& aut) {
+  Fsm design(mgr, blifmv::flatten(blifmv::parse(R"(
+.model m
+.table x
+(0,1)
+.end
+)")));
+  std::vector<std::string> names;
+  for (uint32_t s = 0; s < aut.numStates(); ++s)
+    names.push_back(aut.stateName(s));
+  design.reserveMonitorRail(MvSpace::bitsFor(aut.numStates()));
+  return design.withMonitor("_monitor", names, aut.initialState());
+}
+
+Bdd monitorOn(BddManager& mgr, const Automaton& aut) {
+  Fsm product = monitorProduct(mgr, aut);
+  return aut.monitorRelation(product, product.stateVars().back(),
+                             product.nextVars().back());
+}
+
 TEST(Automaton, ErrorsAndChecks) {
   Automaton aut("t");
   aut.addState("A");
@@ -61,12 +91,12 @@ TEST(Automaton, ErrorsAndChecks) {
   EXPECT_THROW(aut.addEdge("A", "Z", sigTrue()), std::runtime_error);
   EXPECT_THROW(aut.addRabinPair({"Z"}, {}), std::runtime_error);
 
-  blifmv::Model flat;
+  BddManager mgr;
   // no acceptance condition
   Automaton na("na");
   na.addState("A");
   na.addEdge("A", "A", sigTrue());
-  EXPECT_THROW(na.compose(flat, "_m"), std::runtime_error);
+  EXPECT_THROW(monitorOn(mgr, na), std::runtime_error);
   // nondeterministic guards
   Automaton nd("nd");
   nd.addState("A");
@@ -75,33 +105,39 @@ TEST(Automaton, ErrorsAndChecks) {
   nd.addEdge("A", "B", parseSigExpr("x=1"));
   nd.addEdge("B", "B", sigTrue());
   nd.setStayAcceptance({"A"});
-  EXPECT_THROW(nd.compose(flat, "_m"), std::runtime_error);
+  EXPECT_THROW(monitorOn(mgr, nd), std::runtime_error);
   // incomplete guards
   Automaton inc("inc");
   inc.addState("A");
   inc.addEdge("A", "A", parseSigExpr("x=1"));
   inc.setStayAcceptance({"A"});
-  EXPECT_THROW(inc.compose(flat, "_m"), std::runtime_error);
+  EXPECT_THROW(monitorOn(mgr, inc), std::runtime_error);
+  // unknown guard signal, out-of-domain guard value
+  EXPECT_THROW(monitorOn(mgr, figure2Automaton("y=1")), std::runtime_error);
+  EXPECT_THROW(monitorOn(mgr, figure2Automaton("x=2")), std::runtime_error);
 }
 
-TEST(Automaton, ComposeBuildsMonitor) {
-  blifmv::Model flat = blifmv::flatten(blifmv::parse(R"(
-.model m
-.table x
-(0,1)
-.end
-)"));
+TEST(Automaton, MonitorRelationBuildsMonitor) {
+  BddManager mgr;
   Automaton aut = figure2Automaton("x=1");
-  aut.compose(flat, "_monitor");
-  ASSERT_EQ(flat.latches.size(), 1u);
-  EXPECT_EQ(flat.latches[0].output, "_monitor");
-  EXPECT_EQ(flat.latches[0].resetValues, std::vector<std::string>{"A"});
-  ASSERT_NE(flat.declOf("_monitor"), nullptr);
-  EXPECT_EQ(flat.declOf("_monitor")->domain, 2u);
-  EXPECT_EQ(flat.declOf("_monitor")->valueNames,
-            (std::vector<std::string>{"A", "B"}));
-  // 2 assignments of x times 2 states = 4 rows
-  EXPECT_EQ(flat.tables.back().rows.size(), 4u);
+  Fsm product = monitorProduct(mgr, aut);
+  ASSERT_EQ(product.numLatches(), 1u);
+  EXPECT_EQ(product.latchName(0), "_monitor");
+  const MvSpace& space = product.space();
+  MvVarId m = product.stateVars().back();
+  MvVarId next = product.nextVars().back();
+  MvVarId x = *product.signalVar("x");
+  EXPECT_EQ(space.valueNames(m), (std::vector<std::string>{"A", "B"}));
+  EXPECT_TRUE(product.initialStates() == space.literal(m, 0));
+
+  Bdd t = aut.monitorRelation(product, m, next);
+  // 2 assignments of x times 2 states = 4 transitions
+  std::vector<BddVar> vars;
+  for (MvVarId v : {x, m, next})
+    vars.insert(vars.end(), space.bits(v).begin(), space.bits(v).end());
+  EXPECT_EQ(mgr.satCount(t, vars), 4.0);
+  Bdd fromA = t & space.literal(m, 0) & space.literal(x, 1);
+  EXPECT_TRUE(fromA == (fromA & space.literal(next, 1)));
 }
 
 // ------------------------------------------------------------ containment
@@ -337,6 +373,272 @@ TEST(Lc, MonitorNameAvoidsCollision) {
   // design already uses "_monitor": the checker must pick another name
   LcChecker lc(mgr, flat, figure2Automaton("x=1"));
   EXPECT_NE(lc.monitorSignal(), "_monitor");
+}
+
+// ------------------------------------------- product on the resident design
+
+Session::DesignSource verilogSource(std::string_view text,
+                                    std::string_view top = {}) {
+  Session::DesignSource src;
+  src.kind = Session::DesignSource::Kind::Verilog;
+  src.text = std::string(text);
+  src.top = std::string(top);
+  return src;
+}
+
+/// The standalone wrapper's verdict: design built afresh in its own manager.
+bool standaloneVerdict(const blifmv::Model& flat, const Automaton& aut,
+                       const FairnessSpec& fairness) {
+  BddManager mgr;
+  LcChecker lc(mgr, flat, aut, fairness);
+  return lc.check().contained;
+}
+
+TEST(LcSession, MatchesStandaloneOnTableOneModels) {
+  size_t compared = 0;
+  for (const models::ModelDef& m : models::all()) {
+    Session s;
+    s.load(verilogSource(m.verilog, m.top));
+    s.build();
+    PifFile pif = parsePif(std::string(m.pif));
+    s.setFairness(pif.fairness);
+    for (const PifProperty& p : pif.properties) {
+      if (p.kind != PifProperty::Kind::Automaton) continue;
+      BugReport r = s.checkAutomaton(p.name, p.aut);
+      EXPECT_EQ(r.holds, standaloneVerdict(s.flatModel(), p.aut, pif.fairness))
+          << m.name << "/" << p.name;
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 12u);
+}
+
+/// A requester/server pair with a $ND request line (the proplib fixture).
+const char* kReqAck = R"(
+module m;
+  wire clk;
+  reg req, ack, gnt0, gnt1, turn;
+  reg [1:0] cnt;
+  always @(posedge clk) begin
+    req <= $ND(0, 1);
+    ack <= req;
+    turn <= !turn;
+    gnt0 <= turn;
+    gnt1 <= !turn;
+    cnt <= cnt + 1;
+  end
+  initial req = 0;
+  initial ack = 0;
+  initial turn = 0;
+  initial gnt0 = 0;
+  initial gnt1 = 0;
+  initial cnt = 0;
+endmodule
+)";
+
+TEST(LcSession, MatchesStandaloneOnProplibTemplates) {
+  Session s;
+  s.load(verilogSource(kReqAck));
+  s.build();
+  auto e = [](const char* text) { return parseSigExpr(text); };
+  const std::vector<PifProperty> props = {
+      proplib::invariantAutomaton("inv_ok", e("!(gnt0 & gnt1)")),
+      proplib::invariantAutomaton("inv_bad", e("cnt!=3")),
+      proplib::mutualExclusion("mutex_ok", e("gnt0"), e("gnt1")),
+      proplib::mutualExclusion("mutex_bad", e("req"), e("ack")),
+      proplib::absenceAfter("absence", e("cnt=0"), e("cnt=3")),
+      proplib::precedence("prec_ok", e("req"), e("ack")),
+      proplib::precedence("prec_bad", e("ack"), e("req")),
+      proplib::cyclicOrder("cyclic_ok", {e("cnt=0"), e("cnt=1"), e("cnt=2")}),
+      proplib::cyclicOrder("cyclic_bad", {e("cnt=1"), e("cnt=0")}),
+      proplib::existence("exist", e("cnt=2")),
+      proplib::response("resp_ctl", e("req"), e("ack")),
+      proplib::responseAutomaton("resp_ok", e("req"), e("ack")),
+      proplib::responseAutomaton("resp_bad", e("ack"), e("req")),
+      proplib::recurrence("rec_ok", e("turn")),
+      proplib::recurrence("rec_bad", e("req")),
+      proplib::recurrenceCtl("rec_ctl", e("turn")),
+      proplib::resettable("reset", e("cnt=0")),
+  };
+  size_t automata = 0;
+  std::set<bool> verdicts;
+  for (const PifProperty& p : props) {
+    BugReport r = s.check(p);
+    if (p.kind != PifProperty::Kind::Automaton) continue;
+    ++automata;
+    verdicts.insert(r.holds);
+    EXPECT_EQ(r.holds, standaloneVerdict(s.flatModel(), p.aut, {})) << p.name;
+  }
+  EXPECT_GE(automata, 10u);
+  EXPECT_EQ(verdicts.size(), 2u);  // both verdicts exercised
+}
+
+TEST(LcSession, StateFunctionGuardsAddOneClusterWithoutReclustering) {
+  // philos' guards read the combinational eating nets e0..e3.
+  const models::ModelDef* m = models::find("philos");
+  BddManager mgr;
+  Fsm design(mgr, blifmv::flatten(vl2mv::compile(std::string(m->verilog),
+                                                 std::string(m->top))));
+  TransitionRelation tr = TransitionRelation::partitioned(design);
+  Bdd reached = reachableStates(tr, design.initialStates()).reached;
+  TransitionRelation active = tr.minimized(reached);
+  PifFile pif = parsePif(std::string(m->pif));
+  for (const PifProperty& p : pif.properties) {
+    if (p.kind != PifProperty::Kind::Automaton) continue;
+    LcChecker lc(design, active, reached, p.aut, pif.fairness);
+    EXPECT_FALSE(lc.reclustered()) << p.name;
+    EXPECT_EQ(lc.tr().clusterCount(), active.clusterCount() + 1) << p.name;
+    EXPECT_EQ(lc.fsm().numLatches(), design.numLatches() + 1);
+  }
+}
+
+TEST(LcSession, NondeterministicGuardFallsBackToReclustering) {
+  // The guard reads a $ND net that is also the latch's next state: the
+  // monitor must see the same choice the design makes. Quantifying the
+  // guard apart from the design step would let the monitor read nd=1 on a
+  // step where the design latched 0 — a false failure.
+  const char* kNd = R"(
+.model nd
+.table nd
+(0,1)
+.latch nd s
+.reset s
+0
+.end
+)";
+  Automaton aut("nd_is_latched");
+  aut.addState("idle");
+  aut.addState("expect");
+  aut.addState("bad");
+  aut.addEdge("idle", "idle", parseSigExpr("!nd"));
+  aut.addEdge("idle", "expect", parseSigExpr("nd"));
+  aut.addEdge("expect", "expect", parseSigExpr("s=1 & nd"));
+  aut.addEdge("expect", "idle", parseSigExpr("s=1 & !nd"));
+  aut.addEdge("expect", "bad", parseSigExpr("s=0"));
+  aut.addEdge("bad", "bad", sigTrue());
+  aut.setStayAcceptance({"idle", "expect"});
+
+  blifmv::Model flat = blifmv::flatten(blifmv::parse(kNd));
+  BddManager mgr;
+  Fsm design(mgr, flat);
+  TransitionRelation tr = TransitionRelation::partitioned(design);
+  Bdd reached = reachableStates(tr, design.initialStates()).reached;
+  LcChecker lc(design, tr.minimized(reached), reached, aut);
+  EXPECT_TRUE(lc.reclustered());
+  EXPECT_TRUE(lc.check().contained);
+  EXPECT_TRUE(standaloneVerdict(flat, aut, {}));
+
+  Session s;
+  Session::DesignSource src;
+  src.kind = Session::DesignSource::Kind::BlifMv;
+  src.text = kNd;
+  s.load(src);
+  EXPECT_TRUE(s.checkAutomaton("nd_is_latched", aut).holds);
+}
+
+TEST(LcSession, RepeatedChecksReuseTheMonitorRail) {
+  const models::ModelDef* m = models::find("philos");
+  Session s;
+  s.load(verilogSource(m->verilog, m->top));
+  PifFile pif = parsePif(std::string(m->pif));
+  s.setFairness(pif.fairness);
+  std::vector<const PifProperty*> lc;
+  for (const PifProperty& p : pif.properties)
+    if (p.kind == PifProperty::Kind::Automaton) lc.push_back(&p);
+  ASSERT_GE(lc.size(), 2u);
+  std::vector<bool> expected;
+  for (const PifProperty* p : lc) expected.push_back(s.check(*p).holds);
+  const uint32_t vars = s.manager().numVars();
+  for (size_t i = 0; i < 600; ++i) {
+    const size_t k = i % lc.size();
+    ASSERT_EQ(s.check(*lc[k]).holds, expected[k]) << i;
+  }
+  EXPECT_EQ(s.manager().numVars(), vars);
+}
+
+TEST(LcSession, MonitorRailWidensOnlyForWiderAutomata) {
+  Session s;
+  Session::DesignSource src;
+  src.kind = Session::DesignSource::Kind::BlifMv;
+  src.text = kCounter;
+  s.load(src);
+  s.build();
+  // A 2-state monitor takes one rail pair, a 5-state one three.
+  auto chain = [](uint32_t n) {
+    Automaton aut("chain" + std::to_string(n));
+    for (uint32_t i = 0; i < n; ++i) aut.addState("q" + std::to_string(i));
+    for (uint32_t i = 0; i < n; ++i)
+      aut.addEdge("q" + std::to_string(i), "q" + std::to_string((i + 1) % n),
+                  sigTrue());
+    aut.setBuchiAcceptance({"q0"});
+    return aut;
+  };
+  const uint32_t base = s.manager().numVars();
+  EXPECT_TRUE(s.checkAutomaton("two", chain(2)).holds);
+  EXPECT_EQ(s.manager().numVars(), base + 2);
+  EXPECT_TRUE(s.checkAutomaton("five", chain(5)).holds);
+  EXPECT_EQ(s.manager().numVars(), base + 6);
+  EXPECT_TRUE(s.checkAutomaton("two", chain(2)).holds);
+  EXPECT_TRUE(s.checkAutomaton("four", chain(4)).holds);
+  EXPECT_EQ(s.manager().numVars(), base + 6);
+}
+
+TEST(LcSession, BatchRunsContainmentOnReplicas) {
+  const models::ModelDef* m = models::find("pingpong");
+  PifFile pif = parsePif(std::string(m->pif));
+  std::vector<PifProperty> lc;
+  for (const PifProperty& p : pif.properties)
+    if (p.kind == PifProperty::Kind::Automaton) lc.push_back(p);
+  ASSERT_GE(lc.size(), 4u);
+  Session serial;
+  serial.load(verilogSource(m->verilog, m->top));
+  serial.setFairness(pif.fairness);
+  Session s;
+  s.load(verilogSource(m->verilog, m->top));
+  s.setFairness(pif.fairness);
+  s.build();
+  const uint32_t vars = s.manager().numVars();
+  par::BatchReport batch = par::checkBatch(s, lc, {.jobs = 4});
+  ASSERT_EQ(batch.reports.size(), lc.size());
+  for (size_t i = 0; i < lc.size(); ++i) {
+    BugReport want = serial.check(lc[i]);
+    EXPECT_EQ(batch.reports[i].holds, want.holds) << lc[i].name;
+    EXPECT_EQ(batch.reports[i].notes, want.notes) << lc[i].name;
+  }
+  EXPECT_EQ(batch.aborted, 0u);
+  EXPECT_GT(batch.transferredNodes, 0u);
+  // The monitors ran on the replicas' rails, not the session's.
+  EXPECT_EQ(s.manager().numVars(), vars);
+}
+
+TEST(LcSession, AbortMidCheckLeavesSessionReusable) {
+  obs::clearAbort();
+  const models::ModelDef* m = models::find("scheduler");
+  Session s;
+  s.load(verilogSource(m->verilog, m->top));
+  PifFile pif = parsePif(std::string(m->pif));
+  s.setFairness(pif.fairness);
+  const PifProperty* prop = nullptr;
+  for (const PifProperty& p : pif.properties)
+    if (p.kind == PifProperty::Kind::Automaton) prop = &p;
+  ASSERT_NE(prop, nullptr);
+  (void)s.reachedStates();  // the design's fixpoint is cached first
+
+  // Pre-raised: lc.build has no safe point, so the abort lands in the
+  // product's reachability fixpoint, after the monitor is composed.
+  obs::TaskAbort slot;
+  obs::bindTaskAbort(&slot);
+  slot.request("test: abort inside a containment check");
+  EXPECT_THROW(s.check(*prop), obs::AbortedError);
+  slot.clear();
+  obs::bindTaskAbort(nullptr);
+
+  EXPECT_TRUE(s.resident());
+  const uint32_t vars = s.manager().numVars();
+  EXPECT_TRUE(s.check(*prop).holds);
+  EXPECT_EQ(s.manager().numVars(), vars);
+  for (const PifProperty& p : pif.properties)
+    EXPECT_TRUE(s.check(p).holds) << p.name;
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // builds, and every property produces its designed verdict.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hsis/environment.hpp"
 #include "models/models.hpp"
 
@@ -129,6 +131,45 @@ TEST(Models, Table1Shape) {
   }
   EXPECT_GT(mdlcLines, maxOtherLines * 4);
   EXPECT_GT(schedulerStates, maxOtherStates);
+}
+
+/// scheduler with `n` cells: the bundled design's cell module under a
+/// generated ring. Exactly one token circulates and each cell is idle or
+/// running with a timer in 0..3, so n * 5^n states are reachable.
+std::string schedulerRing(int n) {
+  std::string cell(models::find("scheduler")->verilog);
+  cell = cell.substr(cell.find("module cell"));
+  std::string v = "module scheduler;\n  wire clk;\n";
+  for (int i = 0; i < n; ++i)
+    v += "  wire s" + std::to_string(i) + ", b" + std::to_string(i) + ";\n";
+  for (int i = 0; i < n; ++i) {
+    v += i == 0 ? "  cell #(.HASTOKEN(1)) c0(" : "  cell c" + std::to_string(i) + "(";
+    v += "s" + std::to_string((i + n - 1) % n) + ", s" + std::to_string(i) +
+         ", b" + std::to_string(i) + ");\n";
+  }
+  return v + "endmodule\n\n" + cell;
+}
+
+TEST(Models, ReachedStateCountsAreExact) {
+  // The reached sets are small functions under complement edges; a density
+  // count that read those edges as 1 - d drifted (2mdlc) or cancelled to 0
+  // (scheduler-40).
+  auto reached = [](const std::string& verilog, const std::string& top) {
+    Environment env;
+    env.readVerilog(verilog, top);
+    env.build();
+    return env.reachedStates();
+  };
+  const models::ModelDef* mdlc = models::find("2mdlc");
+  EXPECT_EQ(reached(std::string(mdlc->verilog), std::string(mdlc->top)),
+            22316033.0);
+  for (int n : {10, 24, 40}) {
+    double expected = n;
+    for (int i = 0; i < n; ++i) expected *= 5;
+    EXPECT_NEAR(reached(schedulerRing(n), "scheduler"), expected,
+                expected * 1e-12)
+        << "scheduler-" << n;
+  }
 }
 
 }  // namespace
