@@ -265,6 +265,18 @@ std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
         for (int i = 0; i < 4096; ++i) f = !f;
       });
     }
+    add("bdd/cube/2048", [] {
+      // Quantification cubes as the TR schedule builds them: variables in
+      // ascending level order, each new one below all the others. Linear
+      // in the cube size; folding bddVar instead is quadratic.
+      constexpr uint32_t nv = 2048;
+      hsis::BddManager m(nv);
+      for (uint32_t stride = 1; stride <= 8; ++stride) {
+        std::vector<hsis::BddVar> vars;
+        for (hsis::BddVar v = stride - 1; v < nv; v += stride) vars.push_back(v);
+        (void)m.cube(vars);
+      }
+    });
   } else if (suite == "parallel") {
     // The multi-core engine, both grains, swept over a thread count list
     // (1, 2, 4, ... up to --threads). t1/j1 rows are the serial anchors a

@@ -208,6 +208,11 @@ class BddManager {
 
   std::vector<BddVar> support(const Bdd& f);
   Bdd supportCube(const Bdd& f);
+  /// Positive cube: the conjunction of `vars`, in any order, duplicates
+  /// allowed. Sorted by current level and built deepest level first, so it
+  /// costs one node per distinct variable, under any order (also after
+  /// sift()). Build every quantification cube here, not by folding bddVar.
+  Bdd cube(std::span<const BddVar> vars);
   /// Number of satisfying assignments over an `nvars`-variable space.
   /// support(f) must fit inside that space: throws std::invalid_argument
   /// when f depends on more than `nvars` variables (the density recursion
@@ -604,6 +609,10 @@ class BddManager {
   /// Shared satCount core: the memoized density of `rootEdge`, marking
   /// every support variable in `inSupp` (sized numVars()) along the way.
   double satDensity(uint32_t rootEdge, std::vector<char>& inSupp);
+  /// Conjunction of literals over `vars`: variable v is positive unless
+  /// `phase` is non-empty and phase[v] == 0. One mkNode per distinct
+  /// variable, deepest level first (cube and cubeFromAssignment).
+  Bdd cubeOf(std::vector<BddVar> vars, std::span<const int8_t> phase);
 
   // fork-join parallel apply (bdd_ops.cpp). The *Par workers mirror their
   // serial kernels but split the two cofactor subproblems across the task

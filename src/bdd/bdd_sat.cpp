@@ -39,12 +39,30 @@ std::vector<BddVar> BddManager::support(const Bdd& f) {
   return out;
 }
 
-Bdd BddManager::supportCube(const Bdd& f) {
-  std::vector<BddVar> s = support(f);
-  Bdd cube = bddOne();
-  // Build bottom-up (deepest literal first) so each mkNode is O(1).
-  for (auto it = s.rbegin(); it != s.rend(); ++it) cube &= bddVar(*it);
-  return cube;
+Bdd BddManager::supportCube(const Bdd& f) { return cube(support(f)); }
+
+Bdd BddManager::cube(std::span<const BddVar> vars) {
+  return cubeOf(std::vector<BddVar>(vars.begin(), vars.end()), {});
+}
+
+Bdd BddManager::cubeOf(std::vector<BddVar> vars,
+                       std::span<const int8_t> phase) {
+  assert(std::all_of(vars.begin(), vars.end(),
+                     [&](BddVar v) { return v < perm_.size(); }));
+  maybeGcOrSift();
+  // Sort inside the op: the order cannot change until it ends.
+  ScopedOp guard(this);
+  std::sort(vars.begin(), vars.end(),
+            [&](BddVar a, BddVar b) { return perm_[a] < perm_[b]; });
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  // Each new literal sits above everything built so far, so mkNode is the
+  // whole cost: no apply, no cache, no rebuilt chain.
+  uint32_t e = kOneEdge;
+  for (auto it = vars.rbegin(); it != vars.rend(); ++it) {
+    e = !phase.empty() && phase[*it] == 0 ? mkNode(*it, e, kZeroEdge)
+                                          : mkNode(*it, kZeroEdge, e);
+  }
+  return makeHandle(e);
 }
 
 double BddManager::satDensity(uint32_t rootEdge, std::vector<char>& inSupp) {
@@ -132,17 +150,11 @@ std::vector<int8_t> BddManager::pickCube(const Bdd& f) {
 }
 
 Bdd BddManager::cubeFromAssignment(std::span<const int8_t> assign) {
-  // Build deepest-literal-first for linear cost.
-  std::vector<std::pair<uint32_t, BddVar>> lits;  // (level, var)
+  std::vector<BddVar> vars;
   for (uint32_t v = 0; v < assign.size() && v < numVars(); ++v) {
-    if (assign[v] >= 0) lits.emplace_back(perm_[v], v);
+    if (assign[v] >= 0) vars.push_back(v);
   }
-  std::sort(lits.begin(), lits.end());
-  Bdd cube = bddOne();
-  for (auto it = lits.rbegin(); it != lits.rend(); ++it) {
-    cube &= bddLiteral(it->second, assign[it->second] == 1);
-  }
-  return cube;
+  return cubeOf(std::move(vars), assign);
 }
 
 uint32_t BddManager::beginVisit() const {

@@ -68,19 +68,16 @@ TransitionRelation TransitionRelation::partitioned(const Fsm& fsm,
     Bdd result;
     if (node->relation >= 0) {
       result = rels[node->relation];
-      Bdd cube = mgr.bddOne();
-      for (auto it = node->quantifyHere.rbegin(); it != node->quantifyHere.rend(); ++it)
-        cube &= mgr.bddVar(*it);
-      if (!cube.isOne()) result = mgr.exists(result, cube);
+      if (!node->quantifyHere.empty())
+        result = mgr.exists(result, mgr.cube(node->quantifyHere));
       return emitIfBig(std::move(result));
     }
     Bdd l = exec(node->left.get());
     Bdd r = exec(node->right.get());
-    Bdd cube = mgr.bddOne();
-    for (auto it = node->quantifyHere.rbegin(); it != node->quantifyHere.rend(); ++it) {
-      if (!emittedSupport[*it]) cube &= mgr.bddVar(*it);
-    }
-    result = mgr.andExists(l, r, cube);
+    std::vector<BddVar> quantify;
+    for (BddVar v : node->quantifyHere)
+      if (!emittedSupport[v]) quantify.push_back(v);
+    result = mgr.andExists(l, r, mgr.cube(quantify));
     return emitIfBig(std::move(result));
   };
   Bdd top = exec(plan.root.get());
@@ -134,8 +131,11 @@ void TransitionRelation::computeStepCubes() {
     for (BddVar v : mgr.support(clusters_[i])) firstUse[v] = static_cast<int>(i);
   }
 
-  imgCubes_.assign(clusters_.size(), mgr.bddOne());
-  preCubes_.assign(clusters_.size(), mgr.bddOne());
+  // Collect each step's variables, then build each cube in one level-ordered
+  // pass (BddManager::cube): folding bddVar one variable at a time rebuilds
+  // the chain below every new variable, quadratic in the cube size.
+  std::vector<std::vector<BddVar>> imgVars(clusters_.size());
+  std::vector<std::vector<BddVar>> preVars(clusters_.size());
   for (uint32_t v = 0; v < nv; ++v) {
     bool quantForImage = isPresent[v] || isNonState[v];
     bool quantForPre = isNext[v] || isNonState[v];
@@ -144,9 +144,13 @@ void TransitionRelation::computeStepCubes() {
     size_t imgStep = lastUse[v] < 0 ? 0 : static_cast<size_t>(lastUse[v]);
     size_t preStep =
         firstUse[v] < 0 ? clusters_.size() - 1 : static_cast<size_t>(firstUse[v]);
-    if (quantForImage) imgCubes_[imgStep] &= mgr.bddVar(v);
-    if (quantForPre) preCubes_[preStep] &= mgr.bddVar(v);
+    if (quantForImage) imgVars[imgStep].push_back(v);
+    if (quantForPre) preVars[preStep].push_back(v);
   }
+  imgCubes_.clear();
+  preCubes_.clear();
+  for (const auto& vars : imgVars) imgCubes_.push_back(mgr.cube(vars));
+  for (const auto& vars : preVars) preCubes_.push_back(mgr.cube(vars));
 }
 
 Bdd TransitionRelation::image(const Bdd& statesX) const {

@@ -21,9 +21,14 @@ class TransitionRelation {
                                        QuantMethod method = QuantMethod::Greedy,
                                        QuantExecStats* stats = nullptr);
 
-  /// Cluster the conjuncts so that no cluster BDD exceeds `clusterLimit`
-  /// nodes; non-state variables local to one cluster are quantified inside
-  /// it, the rest during image computation.
+  /// Cluster the conjuncts along the greedy early-quantification plan: an
+  /// intermediate product is emitted as a cluster as soon as it exceeds
+  /// `clusterLimit` nodes. `clusterLimit` is the emit threshold, not a cap:
+  /// one conjunction of two operands under the limit can land far above it
+  /// (2mdlc at 5000 holds a 54,445-node cluster, from a 3,128- and a
+  /// 1,940-node operand). Emitting the two operands separately instead
+  /// measured no faster on 2mdlc. Non-state variables local to one cluster
+  /// are quantified inside it, the rest during image computation.
   static TransitionRelation partitioned(const Fsm& fsm,
                                         size_t clusterLimit = 5000);
 
@@ -56,6 +61,10 @@ class TransitionRelation {
   [[nodiscard]] const Bdd& monolithicRelation() const;
   [[nodiscard]] size_t clusterCount() const { return clusters_.size(); }
   [[nodiscard]] const std::vector<Bdd>& clusters() const { return clusters_; }
+  /// The quantification schedule: imageCubes()[i] is quantified right after
+  /// cluster i on image, preimageCubes()[i] on preimage.
+  [[nodiscard]] const std::vector<Bdd>& imageCubes() const { return imgCubes_; }
+  [[nodiscard]] const std::vector<Bdd>& preimageCubes() const { return preCubes_; }
   [[nodiscard]] size_t totalNodes() const;
   [[nodiscard]] const Fsm& fsm() const { return *fsm_; }
 

@@ -239,19 +239,12 @@ Bdd execNode(BddManager& mgr, const QuantPlanNode* node,
   Bdd result;
   if (node->relation >= 0) {
     result = relations[node->relation];
-    if (!node->quantifyHere.empty()) {
-      Bdd cube = mgr.bddOne();
-      for (auto it = node->quantifyHere.rbegin(); it != node->quantifyHere.rend(); ++it)
-        cube &= mgr.bddVar(*it);
-      result = mgr.exists(result, cube);
-    }
+    if (!node->quantifyHere.empty())
+      result = mgr.exists(result, mgr.cube(node->quantifyHere));
   } else {
     Bdd l = execNode(mgr, node->left.get(), relations, stats);
     Bdd r = execNode(mgr, node->right.get(), relations, stats);
-    Bdd cube = mgr.bddOne();
-    for (auto it = node->quantifyHere.rbegin(); it != node->quantifyHere.rend(); ++it)
-      cube &= mgr.bddVar(*it);
-    result = mgr.andExists(l, r, cube);
+    result = mgr.andExists(l, r, mgr.cube(node->quantifyHere));
     if (stats != nullptr) ++stats->andExistsCalls;
     static obs::Counter& andExistsCalls = obs::counter("fsm.quant.and_exists");
     andExistsCalls.add();

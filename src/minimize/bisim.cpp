@@ -42,10 +42,8 @@ BisimResult bisimulation(const Fsm& fsm, const TransitionRelation& tr,
   res.shadowMapInverse = shadowInv;
   (void)nvBefore;
 
-  Bdd x2Cube = mgr.bddOne();
-  for (size_t i = x2Bits.size(); i-- > 0;) x2Cube &= mgr.bddVar(x2Bits[i]);
-  Bdd y2Cube = mgr.bddOne();
-  for (size_t i = y2Bits.size(); i-- > 0;) y2Cube &= mgr.bddVar(y2Bits[i]);
+  Bdd x2Cube = mgr.cube(x2Bits);
+  Bdd y2Cube = mgr.cube(y2Bits);
 
   // Monolithic transition relation over (x,y) and its shadow copy.
   Bdd t = mgr.bddOne();
@@ -109,14 +107,13 @@ Bdd expandByEquivalence(const Fsm& fsm, const BisimResult& bisim,
   BddManager& mgr = fsm.mgr();
   Bdd rep2 = mgr.permute(repSet, bisim.shadowMap);
   // ∃x2: E(x,x2) ∧ repSet(x2)
-  Bdd x2Cube = mgr.bddOne();
+  std::vector<BddVar> x2Bits;
   const MvSpace& space = fsm.space();
-  for (size_t l = fsm.numLatches(); l-- > 0;) {
-    for (BddVar b : space.bits(fsm.stateVar(l))) {
-      x2Cube &= mgr.bddVar(bisim.shadowMap[b]);
-    }
+  for (size_t l = 0; l < fsm.numLatches(); ++l) {
+    for (BddVar b : space.bits(fsm.stateVar(l)))
+      x2Bits.push_back(bisim.shadowMap[b]);
   }
-  return mgr.andExists(bisim.equivalence, rep2, x2Cube);
+  return mgr.andExists(bisim.equivalence, rep2, mgr.cube(x2Bits));
 }
 
 }  // namespace hsis

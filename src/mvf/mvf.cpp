@@ -78,17 +78,13 @@ Bdd MvSpace::literalSet(MvVarId v, const std::vector<uint32_t>& values) const {
   return r;
 }
 
-Bdd MvSpace::cube(MvVarId v) const {
-  Bdd r = mgr_->bddOne();
-  const Info& info = vars_[v];
-  for (size_t i = info.bits.size(); i-- > 0;) r &= mgr_->bddVar(info.bits[i]);
-  return r;
-}
+Bdd MvSpace::cube(MvVarId v) const { return mgr_->cube(vars_[v].bits); }
 
 Bdd MvSpace::cube(const std::vector<MvVarId>& vs) const {
-  Bdd r = mgr_->bddOne();
-  for (MvVarId v : vs) r &= cube(v);
-  return r;
+  std::vector<BddVar> bits;
+  for (MvVarId v : vs)
+    bits.insert(bits.end(), vars_[v].bits.begin(), vars_[v].bits.end());
+  return mgr_->cube(bits);
 }
 
 Bdd MvSpace::validEncodings(MvVarId v) const {

@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "mvf/mvf.hpp"
 #include "obs/obs.hpp"
 #include "par/fj.hpp"
 
@@ -247,6 +249,73 @@ TEST(BddOracle, NegationAllocatesNothing) {
   EXPECT_EQ(nf.nodeCount(), f.nodeCount());  // f and !f share all nodes
   EXPECT_TRUE((f | nf).isOne());
   EXPECT_TRUE((f & nf).isZero());
+}
+
+TEST(BddOracle, CubeMatchesConjunction) {
+  // cube(vars) is the fold of bddVar over any order, with duplicates, also
+  // after sift() has moved the levels away from the variable ids.
+  constexpr uint32_t n = 24;
+  BddManager m(n);
+  std::mt19937 rng(11);
+  auto fold = [&](const std::vector<BddVar>& vars) {
+    Bdd r = m.bddOne();
+    for (BddVar v : vars) r &= m.bddVar(v);
+    return r;
+  };
+  auto randomVars = [&] {
+    std::vector<BddVar> vars;
+    for (BddVar v = 0; v < n; ++v) {
+      if (rng() % 2 == 0) vars.push_back(v);
+      if (rng() % 5 == 0) vars.push_back(v);  // duplicate
+    }
+    std::shuffle(vars.begin(), vars.end(), rng);
+    return vars;
+  };
+  auto checkRounds = [&](const char* phase) {
+    for (int round = 0; round < 200; ++round) {
+      std::vector<BddVar> vars = randomVars();
+      EXPECT_EQ(m.cube(vars), fold(vars)) << phase << ", round " << round;
+    }
+    EXPECT_TRUE(m.cube({}).isOne()) << phase;
+  };
+  checkRounds("identity order");
+
+  // x_i & x_{i+n/2} pairs: the interleaved order is linear, the identity
+  // order exponential, so sifting reorders.
+  Bdd f = m.bddZero();
+  for (BddVar i = 0; i < n / 2; ++i) f |= m.bddVar(i) & m.bddVar(i + n / 2);
+  m.sift();
+  bool moved = false;
+  for (BddVar v = 0; v < n; ++v) moved |= m.level(v) != v;
+  ASSERT_TRUE(moved) << "sift left the order unchanged";
+  checkRounds("after sift");
+
+  MvSpace space(m);
+  std::vector<MvVarId> mvs;
+  for (uint32_t d : {3u, 8u, 5u, 2u})
+    mvs.push_back(space.addVar("v" + std::to_string(d), d));
+  for (MvVarId v : mvs) {
+    Bdd old = m.bddOne();
+    for (size_t i = space.bits(v).size(); i-- > 0;) old &= m.bddVar(space.bits(v)[i]);
+    EXPECT_EQ(space.cube(v), old);
+  }
+  Bdd all = m.bddOne();
+  for (MvVarId v : mvs) all &= space.cube(v);
+  EXPECT_EQ(space.cube(mvs), all);
+}
+
+TEST(BddOracle, CubeIsLinear) {
+  // One node per variable: building a long cube in ascending-level order
+  // must not rebuild the chain below each new variable.
+  constexpr uint32_t n = 2000;
+  BddManager m(n);
+  std::vector<BddVar> vars(n);
+  std::iota(vars.begin(), vars.end(), 0);
+  uint64_t before = obs::counter("bdd.nodes.created").value();
+  Bdd c = m.cube(vars);
+  EXPECT_LE(obs::counter("bdd.nodes.created").value() - before, n);
+  EXPECT_EQ(c.nodeCount(), n + 1);  // plus the terminal
+  EXPECT_EQ(m.support(c), vars);
 }
 
 TEST(BddOracle, SharedModeThreadsMatchTruthTables) {

@@ -7,6 +7,8 @@
 #include "fsm/image.hpp"
 #include "fsm/quantify.hpp"
 #include "fsm/trace.hpp"
+#include "models/models.hpp"
+#include "vl2mv/vl2mv.hpp"
 
 namespace hsis {
 namespace {
@@ -348,6 +350,67 @@ TEST(Image, MinimizedAgreesOnCareSet) {
     s = tr.image(s);
   }
 }
+
+// Every quantifiable variable is quantified at exactly one step: present
+// and non-state variables on image, next and non-state on preimage.
+void expectScheduleCoversOnce(const Fsm& fsm, const TransitionRelation& tr,
+                              const char* which) {
+  BddManager& mgr = fsm.mgr();
+  auto stepsOf = [&](const std::vector<Bdd>& cubes) {
+    std::vector<int> steps(mgr.numVars(), 0);
+    for (const Bdd& c : cubes)
+      for (BddVar v : mgr.support(c)) ++steps[v];
+    return steps;
+  };
+  std::vector<int> img = stepsOf(tr.imageCubes());
+  std::vector<int> pre = stepsOf(tr.preimageCubes());
+  std::vector<bool> present(mgr.numVars()), next(mgr.numVars()),
+      nonState(mgr.numVars());
+  for (BddVar v : mgr.support(fsm.presentCube())) present[v] = true;
+  for (BddVar v : mgr.support(fsm.nextCube())) next[v] = true;
+  for (BddVar v : mgr.support(fsm.nonStateCube())) nonState[v] = true;
+  for (BddVar v = 0; v < mgr.numVars(); ++v) {
+    EXPECT_EQ(img[v], present[v] || nonState[v] ? 1 : 0)
+        << which << ": image steps of variable " << v;
+    EXPECT_EQ(pre[v], next[v] || nonState[v] ? 1 : 0)
+        << which << ": preimage steps of variable " << v;
+  }
+}
+
+struct PinnedTr {
+  const char* model;
+  size_t clusters;
+  size_t nodes;
+};
+
+class TableOneSchedule : public ::testing::TestWithParam<PinnedTr> {};
+
+TEST_P(TableOneSchedule, StepCubesQuantifyEachVariableOnce) {
+  const PinnedTr& pin = GetParam();
+  const models::ModelDef* m = models::find(pin.model);
+  ASSERT_NE(m, nullptr);
+  auto flat = blifmv::flatten(
+      vl2mv::compile(std::string(m->verilog), std::string(m->top)));
+  BddManager mgr;
+  Fsm fsm(mgr, flat);
+  auto tr = TransitionRelation::partitioned(fsm);
+  // The clustering plan itself, as Session::build makes it.
+  EXPECT_EQ(tr.clusterCount(), pin.clusters);
+  EXPECT_EQ(tr.totalNodes(), pin.nodes);
+  expectScheduleCoversOnce(fsm, tr, "partitioned");
+  ReachResult r = reachableStates(tr, fsm.initialStates());
+  expectScheduleCoversOnce(fsm, tr.minimized(r.reached), "minimized");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, TableOneSchedule,
+    ::testing::Values(PinnedTr{"philos", 1, 178}, PinnedTr{"pingpong", 1, 5},
+                      PinnedTr{"gigamax", 1, 127},
+                      PinnedTr{"scheduler", 1, 1363},
+                      PinnedTr{"dcnew", 1, 327}, PinnedTr{"2mdlc", 2, 56384}),
+    [](const ::testing::TestParamInfo<PinnedTr>& info) {
+      return std::string(info.param.model);
+    });
 
 // ------------------------------------------------------------------ trace
 
