@@ -362,7 +362,7 @@ TEST(ProfCli, StripRecognizesProfileFlags) {
   const char* raw[] = {"prog",           "--profile-out", "out/myprof",
                        "--profile-interval-ms", "5",      "design.v"};
   int argc = 6;
-  char* argv[6];
+  char* argv[7] = {};  // argv[argc] is the terminating nullptr
   for (int i = 0; i < argc; ++i) argv[i] = const_cast<char*>(raw[i]);
 
   ObsCliOptions opts = stripObsCliFlags(argc, argv);
@@ -377,7 +377,7 @@ TEST(ProfCli, StripRecognizesProfileFlags) {
 TEST(ProfCli, BareProfileFlagUsesDefaults) {
   const char* raw[] = {"prog", "--profile"};
   int argc = 2;
-  char* argv[2];
+  char* argv[3] = {};  // argv[argc] is the terminating nullptr
   for (int i = 0; i < argc; ++i) argv[i] = const_cast<char*>(raw[i]);
 
   ObsCliOptions opts = stripObsCliFlags(argc, argv);
