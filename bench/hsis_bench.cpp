@@ -447,7 +447,7 @@ int main(int argc, char** argv) {
 
   hsisbench::BenchDoc doc;
   doc.suite = suite;
-  doc.gitSha = hsisbench::gitSha();
+  doc.gitSha = hsis::obs::gitSha();
   doc.repeat = repeat;
   doc.warmup = warmup;
 

@@ -362,8 +362,8 @@ void noteRunSubject(std::string_view subject);
 void noteRunResult(std::string_view result, std::string_view detail,
                    std::string_view digest = {});
 
-/// Best-effort commit id: $HSIS_GIT_SHA (set by CI) or `git rev-parse
-/// --short HEAD`, else "unknown".
+/// Best-effort commit id: a non-empty $HSIS_GIT_SHA (set by CI) or `git
+/// rev-parse --short HEAD`, else "unknown".
 std::string gitSha();
 
 /// Run the driver body; on a watchdog/user abort print what happened,
