@@ -1,6 +1,5 @@
 // hsis-cex-v1 serialization and the matching reader used by
 // `hsis_report cex` and `hsis_client --cex-out`.
-#include <cstdio>
 #include <stdexcept>
 
 #include "cex/cex.hpp"
@@ -10,98 +9,48 @@ namespace hsis::cex {
 
 namespace {
 
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+void appendSignals(obs::jsonlite::Writer& w,
+                   const std::vector<SignalInfo>& sigs) {
+  w.beginArray();
+  for (const SignalInfo& s : sigs) {
+    w.beginObject().key("name").value(s.name).key("domain").value(s.domain);
+    w.key("bits").value(s.bits).key("values").beginArray();
+    for (const std::string& v : s.valueNames) w.value(v);
+    w.endArray().key("line").value(s.sourceLine).endObject();
   }
-  out += '"';
-  return out;
+  w.endArray();
 }
 
-void appendSignals(std::string& out, const std::vector<SignalInfo>& sigs) {
-  out += "[";
-  for (size_t i = 0; i < sigs.size(); ++i) {
-    const SignalInfo& s = sigs[i];
-    if (i) out += ", ";
-    out += "{\"name\": " + quoted(s.name);
-    out += ", \"domain\": " + std::to_string(s.domain);
-    out += ", \"bits\": " + std::to_string(s.bits);
-    out += ", \"values\": [";
-    for (size_t k = 0; k < s.valueNames.size(); ++k) {
-      if (k) out += ", ";
-      out += quoted(s.valueNames[k]);
-    }
-    out += "], \"line\": " + std::to_string(s.sourceLine);
-    out += "}";
-  }
-  out += "]";
-}
-
-void appendValues(std::string& out, const std::vector<uint32_t>& vals) {
-  out += "[";
-  for (size_t i = 0; i < vals.size(); ++i) {
-    if (i) out += ", ";
-    out += std::to_string(vals[i]);
-  }
-  out += "]";
+void appendValues(obs::jsonlite::Writer& w, const std::vector<uint32_t>& vals) {
+  w.beginArray();
+  for (uint32_t v : vals) w.value(v);
+  w.endArray();
 }
 
 }  // namespace
 
 std::string toJson(const Artifact& a) {
-  std::string out = "{\"schema\": \"hsis-cex-v1\"";
-  out += ", \"trace_id\": " + quoted(a.traceId);
-  out += ", \"git_sha\": " + quoted(a.gitSha);
-  out += ", \"design\": {\"name\": " + quoted(a.designName);
-  out += ", \"digest\": " + quoted(a.designDigest);
-  out += ", \"kind\": " + quoted(a.designKind);
-  out += ", \"top\": " + quoted(a.designTop);
-  out += ", \"text\": " + quoted(a.designText);
-  out += "}, \"property\": {\"name\": " + quoted(a.propertyName);
-  out += ", \"text\": " + quoted(a.propertyText);
-  out += ", \"digest\": " + quoted(a.propertyDigest);
-  out += "}, \"replay\": " + quoted(a.replay);
-  out += ", \"replay_note\": " + quoted(a.replayNote);
-  out += ", \"cycle_start\": " + std::to_string(a.cycleStart);
-  out += ", \"latches\": ";
-  appendSignals(out, a.latches);
-  out += ", \"inputs\": ";
-  appendSignals(out, a.inputs);
-  out += ", \"steps\": [";
-  for (size_t i = 0; i < a.steps.size(); ++i) {
-    if (i) out += ", ";
-    out += "{\"latches\": ";
-    appendValues(out, a.steps[i].latchValues);
-    out += ", \"inputs\": ";
-    appendValues(out, a.steps[i].inputValues);
-    out += "}";
+  std::string out;
+  obs::jsonlite::Writer w(out);
+  w.beginObject().key("schema").value(kSchema);
+  w.key("trace_id").value(a.traceId).key("git_sha").value(a.gitSha);
+  w.key("design").beginObject().key("name").value(a.designName);
+  w.key("digest").value(a.designDigest).key("kind").value(a.designKind);
+  w.key("top").value(a.designTop).key("text").value(a.designText);
+  w.endObject().key("property").beginObject().key("name").value(a.propertyName);
+  w.key("text").value(a.propertyText);
+  w.key("digest").value(a.propertyDigest).endObject();
+  w.key("replay").value(a.replay).key("replay_note").value(a.replayNote);
+  w.key("cycle_start").value(a.cycleStart);
+  appendSignals(w.key("latches"), a.latches);
+  appendSignals(w.key("inputs"), a.inputs);
+  w.key("steps").beginArray();
+  for (const Step& step : a.steps) {
+    appendValues(w.beginObject().key("latches"), step.latchValues);
+    appendValues(w.key("inputs"), step.inputValues);
+    w.endObject();
   }
-  out += "]}";
+  w.endArray().endObject();
   return out;
 }
 

@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "obs/control.hpp"
+#include "obs/jsonlite.hpp"
 #include "obs/prof.hpp"
 #include "obs/tracectx.hpp"
 
@@ -18,29 +19,7 @@ namespace hsis::obs {
 
 namespace {
 
-// Metric names are dotted identifiers and span names are chosen by this
-// codebase, but escape defensively so the output is always valid JSON.
-void appendEscaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
+using jsonlite::appendQuoted;
 
 std::string formatMs(uint64_t ns) {
   return jsonDouble(static_cast<double>(ns) * 1e-6);
@@ -75,9 +54,9 @@ void appendSpanJson(std::string& out, const Snapshot& snap,
   const SpanSample& s = snap.spans[idx];
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   out += pad + "{";
-  appendEscaped(out, "name");
+  appendQuoted(out, "name");
   out += ": ";
-  appendEscaped(out, s.name);
+  appendQuoted(out, s.name);
   out += ", \"ms\": " + formatMs(s.durationNs);
   out += ", \"start_ms\": " + formatMs(s.startNs - baseStartNs(snap));
   out += ", \"children\": [";
@@ -101,6 +80,22 @@ std::string jsonDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.6g", v);
   return buf;
+}
+
+std::string histogramSummaryJson(const HistogramSummary& s) {
+  // Key set is part of the contract (consumers assert it); only the values
+  // switch between numbers and null.
+  std::string out;
+  jsonlite::Writer w(out);
+  w.beginObject().key("count").value(s.count);
+  const std::pair<const char*, uint64_t> quantiles[] = {
+      {"p50", s.p50}, {"p90", s.p90}, {"p99", s.p99}, {"max", s.max}};
+  for (const auto& [name, v] : quantiles) {
+    w.key(name);
+    s.count == 0 ? w.value(nullptr) : w.value(v);
+  }
+  w.endObject();
+  return out;
 }
 
 Snapshot snapshot() {
@@ -142,7 +137,7 @@ std::string toJson(const Snapshot& snap) {
     const MetricSample& m = snap.metrics[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    ";
-    appendEscaped(out, m.name);
+    appendQuoted(out, m.name);
     out += ": ";
     if (m.kind == MetricSample::Kind::Histogram) {
       out += "{\"count\": " + std::to_string(m.count) +
@@ -153,7 +148,7 @@ std::string toJson(const Snapshot& snap) {
              ", \"max\": " + std::to_string(m.max) + ", \"buckets\": {";
       for (size_t b = 0; b < m.buckets.size(); ++b) {
         if (b != 0) out += ", ";
-        appendEscaped(out, std::to_string(m.buckets[b].first));
+        appendQuoted(out, std::to_string(m.buckets[b].first));
         out += ": " + std::to_string(m.buckets[b].second);
       }
       out += "}}";
@@ -165,9 +160,9 @@ std::string toJson(const Snapshot& snap) {
   out += "  \"aborted\": ";
   if (snap.aborted) {
     out += "{\"reason\": ";
-    appendEscaped(out, snap.abortReason);
+    appendQuoted(out, snap.abortReason);
     out += ", \"phase\": ";
-    appendEscaped(out, snap.abortPhase);
+    appendQuoted(out, snap.abortPhase);
     out += "},\n";
   } else {
     out += "null,\n";
@@ -208,7 +203,7 @@ std::string toChromeTrace(const Snapshot& snap) {
     out += " {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1";
     out += ", \"tid\": " + std::to_string(shortTid);
     out += ", \"args\": {\"name\": ";
-    appendEscaped(out, name);
+    appendQuoted(out, name);
     out += "}}";
     sep();
     out += " {\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": 1";
@@ -220,14 +215,14 @@ std::string toChromeTrace(const Snapshot& snap) {
   for (const SpanSample& s : snap.spans) {
     sep();
     out += " {\"name\": ";
-    appendEscaped(out, s.name);
+    appendQuoted(out, s.name);
     out += ", \"cat\": \"hsis\", \"ph\": \"X\", \"pid\": 1";
     out += ", \"tid\": " + std::to_string(s.threadId % 1000000);
     out += ", \"ts\": " + std::to_string(s.startNs / 1000);
     out += ", \"dur\": " + std::to_string(s.durationNs / 1000);
     if (s.traceId != 0) {
       out += ", \"args\": {\"trace\": ";
-      appendEscaped(out, traceIdHex(s.traceId));
+      appendQuoted(out, traceIdHex(s.traceId));
       out += "}";
     }
     out += "}";

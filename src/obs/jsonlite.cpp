@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace hsis::obs::jsonlite {
 
 namespace {
@@ -194,5 +196,39 @@ const Value* find(const Object& obj, const std::string& key) {
   auto it = obj.find(key);
   return it == obj.end() ? nullptr : &it->second;
 }
+
+void appendQuoted(std::string& out, std::string_view s) {
+  out += '"';
+  size_t clean = 0;  // start of the pending run of verbatim bytes
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, clean, i - clean);
+    clean = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        out += "\\u00";
+        out += "0123456789abcdef"[c >> 4];
+        out += "0123456789abcdef"[c & 0xF];
+    }
+  }
+  out.append(s, clean);
+  out += '"';
+}
+
+Writer& Writer::key(std::string_view k) {
+  item();
+  appendQuoted(out_, k);
+  out_ += ": ";
+  afterKey_ = true;
+  return *this;
+}
+
+Writer& Writer::value(double d) { return raw(jsonDouble(d)); }
 
 }  // namespace hsis::obs::jsonlite

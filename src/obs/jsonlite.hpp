@@ -1,9 +1,13 @@
-// Just enough recursive-descent JSON to read back this repo's own exports
-// (hsis-obs-v1 snapshots, BENCH_*.json, heartbeat JSONL) without pulling
-// in a dependency. Shared by perf_compare, hsis_bench, and the tests.
-// Throws std::runtime_error on malformed input.
+// The one JSON reader and writer behind every hsis-*-v1 artifact, without
+// pulling in a dependency. `parse` is just enough recursive descent to read
+// back this repo's own exports (throws std::runtime_error on malformed
+// input); `appendQuoted` is the only string escaper, and `Writer` renders
+// the compact single-line house style `{"k": v, "k2": [1, 2]}`.
 #pragma once
 
+#include <charconv>
+#include <concepts>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -55,5 +59,72 @@ Value parse(std::string_view text);
 
 /// Object member lookup that returns nullptr instead of throwing.
 const Value* find(const Object& obj, const std::string& key);
+
+/// Append `s` as a quoted JSON string: `"` `\` LF CR TAB as two-character
+/// escapes, every other byte below 0x20 as \u00xx, all else verbatim (UTF-8
+/// passes through).
+void appendQuoted(std::string& out, std::string_view s);
+
+/// Appends compact JSON to a caller-owned string, inserting the `, ` and
+/// `: ` separators itself. Nesting is not checked: callers close what they
+/// open.
+class Writer {
+ public:
+  explicit Writer(std::string& out) : out_(out) {}
+
+  Writer& beginObject() { return open('{'); }
+  Writer& endObject() { return close('}'); }
+  Writer& beginArray() { return open('['); }
+  Writer& endArray() { return close(']'); }
+  Writer& key(std::string_view k);
+
+  Writer& value(std::string_view s) {
+    item();
+    appendQuoted(out_, s);
+    return *this;
+  }
+  /// A string, not the pointer's truth value.
+  Writer& value(const char* s) { return value(std::string_view(s)); }
+  Writer& value(bool b) { return raw(b ? "true" : "false"); }
+  Writer& value(std::nullptr_t) { return raw("null"); }
+  /// Through obs::jsonDouble: `%.6g`, non-finite as null.
+  Writer& value(double d);
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  Writer& value(T v) {
+    char buf[24];
+    std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+    return raw(std::string_view(buf, static_cast<size_t>(r.ptr - buf)));
+  }
+  /// A pre-rendered value (a number in a schema-specific format, or a
+  /// whole JSON object), copied verbatim.
+  Writer& raw(std::string_view token) {
+    item();
+    out_ += token;
+    return *this;
+  }
+
+ private:
+  void item() {
+    if (!afterKey_ && !first_) out_ += ", ";
+    afterKey_ = false;
+    first_ = false;
+  }
+  Writer& open(char c) {
+    item();
+    out_ += c;
+    first_ = true;
+    return *this;
+  }
+  Writer& close(char c) {
+    out_ += c;
+    first_ = false;
+    return *this;
+  }
+
+  std::string& out_;
+  bool first_ = true;      ///< nothing written yet in the open container
+  bool afterKey_ = false;  ///< a key was written; its value comes next
+};
 
 }  // namespace hsis::obs::jsonlite

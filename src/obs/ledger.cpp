@@ -56,98 +56,45 @@ std::string digestOf(std::string_view text) {
 
 // --------------------------------------------------------------- rendering
 
-namespace {
-
-void appendEscaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string toJsonl(const Record& r) {
   std::string out;
   out.reserve(320);
-  out += "{\"schema\": \"hsis-ledger-v1\", \"run_id\": ";
-  appendEscaped(out, r.runId);
-  out += ", \"time\": ";
-  appendEscaped(out, r.time);
-  out += ", \"driver\": ";
-  appendEscaped(out, r.driver);
-  out += ", \"subject\": ";
-  appendEscaped(out, r.subject);
-  out += ", \"result\": ";
-  appendEscaped(out, r.result);
-  out += ", \"detail\": ";
-  appendEscaped(out, r.detail);
-  out += ", \"digest\": ";
-  appendEscaped(out, r.digest);
-  out += ", \"wall_s\": " + jsonDouble(r.wallSeconds);
-  out += ", \"peak_rss_kb\": " + std::to_string(r.peakRssKb);
-  out += ", \"git_sha\": ";
-  appendEscaped(out, r.gitSha);
-  out += ", \"config\": ";
-  appendEscaped(out, r.config);
+  jsonlite::Writer w(out);
+  w.beginObject().key("schema").value("hsis-ledger-v1");
+  w.key("run_id").value(r.runId).key("time").value(r.time);
+  w.key("driver").value(r.driver).key("subject").value(r.subject);
+  w.key("result").value(r.result).key("detail").value(r.detail);
+  w.key("digest").value(r.digest).key("wall_s").value(r.wallSeconds);
+  w.key("peak_rss_kb").value(r.peakRssKb).key("git_sha").value(r.gitSha);
+  w.key("config").value(r.config);
   // Request-telemetry fields are optional so non-serve records (and every
   // record written before them) keep their exact shape. They must stay
   // BEFORE "signal": armCrashRecord splits the line at `"signal": null}`.
-  if (!r.traceId.empty()) {
-    out += ", \"trace_id\": ";
-    appendEscaped(out, r.traceId);
-  }
+  if (!r.traceId.empty()) w.key("trace_id").value(r.traceId);
   if (!r.stages.empty()) {
-    out += ", \"stages\": {";
-    bool first = true;
-    for (const auto& [name, micros] : r.stages) {
-      if (!first) out += ", ";
-      first = false;
-      appendEscaped(out, name);
-      out += ": " + std::to_string(micros);
-    }
-    out += "}";
+    w.key("stages").beginObject();
+    for (const auto& [name, micros] : r.stages) w.key(name).value(micros);
+    w.endObject();
   }
   if (r.hasCoverage) {
-    out += ", \"coverage\": {\"state_fraction\": " +
-           jsonDouble(r.covStateFraction);
-    out += ", \"values_reached\": " + std::to_string(r.covValuesReached);
-    out += ", \"values_total\": " + std::to_string(r.covValuesTotal);
-    out += ", \"bins_hit\": " + std::to_string(r.covBinsHit);
-    out += ", \"bins_total\": " + std::to_string(r.covBinsTotal);
-    out += "}";
+    w.key("coverage").beginObject();
+    w.key("state_fraction").value(r.covStateFraction);
+    w.key("values_reached").value(r.covValuesReached);
+    w.key("values_total").value(r.covValuesTotal);
+    w.key("bins_hit").value(r.covBinsHit);
+    w.key("bins_total").value(r.covBinsTotal).endObject();
   }
   if (!r.cexPath.empty()) {
-    out += ", \"cex\": {\"path\": ";
-    appendEscaped(out, r.cexPath);
-    out += ", \"replay\": ";
-    appendEscaped(out, r.cexReplay);
-    out += "}";
+    w.key("cex").beginObject().key("path").value(r.cexPath);
+    w.key("replay").value(r.cexReplay).endObject();
   }
-  out += ", \"obs_enabled\": ";
-  out += r.obsEnabled ? "true" : "false";
-  out += ", \"signal\": ";
+  w.key("obs_enabled").value(r.obsEnabled).key("signal");
   if (r.signalName.empty()) {
-    out += "null";
+    w.value(nullptr);
   } else {
-    appendEscaped(out, r.signalName);
+    w.value(r.signalName);
   }
-  out += "}";
+  w.endObject();
   return out;
 }
 

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "obs/control.hpp"
+#include "obs/jsonlite.hpp"
 #include "obs/ledger.hpp"
 #include "obs/obs.hpp"
 #include "obs/tracectx.hpp"
@@ -59,38 +60,6 @@ Level level() noexcept {
 // -------------------------------------------------------------- rendering
 
 namespace {
-
-void appendEscaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void appendFieldValue(std::string& out, const Field& f) {
-  switch (f.kind) {
-    case Field::Kind::I64: out += std::to_string(f.i); break;
-    case Field::Kind::U64: out += std::to_string(f.u); break;
-    case Field::Kind::F64: out += jsonDouble(f.d); break;
-    case Field::Kind::Bool: out += f.u ? "true" : "false"; break;
-    case Field::Kind::Str: appendEscaped(out, f.s); break;
-  }
-}
 
 uint64_t currentThreadId() {
   return std::hash<std::thread::id>{}(std::this_thread::get_id());
@@ -190,32 +159,35 @@ void event(Level level, std::string_view component, std::string_view message,
   const uint64_t tid = currentThreadId();
   const uint64_t trace = currentTraceId();
 
-  // One rendering serves the ring and both sinks.
+  // One rendering serves the ring and both sinks. The head (everything
+  // up to and including "msg") is shared with the ring's stand-in line.
+  auto head = [&](std::string& out, std::string_view msg) {
+    jsonlite::Writer w(out);
+    w.beginObject().key("kind").value("event");
+    w.key("lvl").value(levelName(level));
+    w.key("t_ns").value(tNs).key("tid").value(tid).key("tseq").value(tseq);
+    if (trace != 0) w.key("trace").value(traceIdHex(trace));
+    w.key("comp").value(component).key("msg").value(msg);
+    return w;
+  };
   std::string line;
   line.reserve(192);
-  line += "{\"kind\": \"event\", \"lvl\": \"";
-  line += levelName(level);
-  line += "\", \"t_ns\": " + std::to_string(tNs);
-  line += ", \"tid\": " + std::to_string(tid);
-  line += ", \"tseq\": " + std::to_string(tseq);
-  if (trace != 0) line += ", \"trace\": \"" + traceIdHex(trace) + "\"";
-  line += ", \"comp\": ";
-  appendEscaped(line, component);
-  line += ", \"msg\": ";
-  appendEscaped(line, message);
+  jsonlite::Writer w = head(line, message);
   if (fields.size() != 0) {
-    line += ", \"fields\": {";
-    bool first = true;
+    w.key("fields").beginObject();
     for (const Field& f : fields) {
-      if (!first) line += ", ";
-      first = false;
-      appendEscaped(line, f.key);
-      line += ": ";
-      appendFieldValue(line, f);
+      w.key(f.key);
+      switch (f.kind) {
+        case Field::Kind::I64: w.value(f.i); break;
+        case Field::Kind::U64: w.value(f.u); break;
+        case Field::Kind::F64: w.value(f.d); break;
+        case Field::Kind::Bool: w.value(f.u != 0); break;
+        case Field::Kind::Str: w.value(f.s); break;
+      }
     }
-    line += "}";
+    w.endObject();
   }
-  line += "}";
+  w.endObject();
 
   // Ring: claim a slot, invalidate, copy, publish. Lines that do not fit
   // are replaced by a short valid stand-in so the crash dump never carries
@@ -224,17 +196,8 @@ void event(Level level, std::string_view component, std::string_view message,
     std::string ringLine;
     const std::string* src = &line;
     if (line.size() > kRingSlotBytes) {
-      ringLine = "{\"kind\": \"event\", \"lvl\": \"";
-      ringLine += levelName(level);
-      ringLine += "\", \"t_ns\": " + std::to_string(tNs);
-      ringLine += ", \"tid\": " + std::to_string(tid);
-      ringLine += ", \"tseq\": " + std::to_string(tseq);
-      if (trace != 0) ringLine += ", \"trace\": \"" + traceIdHex(trace) + "\"";
-      ringLine += ", \"comp\": ";
-      appendEscaped(ringLine, component);
-      ringLine += ", \"msg\": ";
-      appendEscaped(ringLine, message.substr(0, 128));
-      ringLine += ", \"truncated\": true}";
+      jsonlite::Writer r = head(ringLine, message.substr(0, 128));
+      r.key("truncated").value(true).endObject();
       src = &ringLine;
     }
     const uint64_t idx =

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "obs/control.hpp"
+#include "obs/jsonlite.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
 
@@ -56,19 +57,17 @@ void publishCensus(BddCensus c) {
   // Keep the flight recorder's pre-serialized census current: a crash
   // between publications then still reports the latest BDD heap shape.
   if (flight::detail::wantsPublish()) {
-    std::string line = "{\"kind\": \"census\", \"seq\": " +
-                       std::to_string(c.seq) +
-                       ", \"t_ns\": " + std::to_string(c.tNs) +
-                       ", \"live_nodes\": " + std::to_string(c.liveNodes) +
-                       ", \"allocated_nodes\": " +
-                       std::to_string(c.allocatedNodes) +
-                       ", \"dead_nodes\": " + std::to_string(c.deadNodes) +
-                       ", \"cache_lookups\": " + std::to_string(c.cacheLookups) +
-                       ", \"cache_hits\": " + std::to_string(c.cacheHits) +
-                       ", \"gc_runs\": " + std::to_string(c.gcRuns) +
-                       ", \"reorderings\": " + std::to_string(c.reorderings) +
-                       ", \"peak_live_nodes\": " +
-                       std::to_string(c.peakLiveNodes) + "}\n";
+    std::string line;
+    jsonlite::Writer w(line);
+    w.beginObject().key("kind").value("census").key("seq").value(c.seq);
+    w.key("t_ns").value(c.tNs).key("live_nodes").value(c.liveNodes);
+    w.key("allocated_nodes").value(c.allocatedNodes);
+    w.key("dead_nodes").value(c.deadNodes);
+    w.key("cache_lookups").value(c.cacheLookups);
+    w.key("cache_hits").value(c.cacheHits).key("gc_runs").value(c.gcRuns);
+    w.key("reorderings").value(c.reorderings);
+    w.key("peak_live_nodes").value(c.peakLiveNodes).endObject();
+    line += '\n';
     flight::detail::publishCensusLine(line);
   }
   b.latest = std::move(c);
@@ -91,75 +90,43 @@ void clearCensus() {
 
 // ------------------------------------------------------------ JSONL export
 
-namespace {
-
-void appendEscapedJson(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string ProfSample::toJsonl() const {
   std::string out;
   out.reserve(512);
-  out += "{\"kind\": \"sample\", \"seq\": " + std::to_string(seq);
-  out += ", \"t_s\": " + jsonDouble(tSeconds);
-  out += ", \"rss_kb\": " + std::to_string(rssKb);
-  out += ", \"stacks\": [";
-  for (size_t i = 0; i < folded.size(); ++i) {
-    if (i != 0) out += ", ";
-    appendEscapedJson(out, folded[i]);
-  }
-  out += "]";
+  jsonlite::Writer w(out);
+  w.beginObject().key("kind").value("sample").key("seq").value(seq);
+  w.key("t_s").value(tSeconds).key("rss_kb").value(rssKb);
+  w.key("stacks").beginArray();
+  for (const std::string& stack : folded) w.value(stack);
+  w.endArray();
   if (census.has_value()) {
     const BddCensus& c = *census;
-    out += ", \"census_seq\": " + std::to_string(c.seq);
-    out += ", \"live_nodes\": " + std::to_string(c.liveNodes);
-    out += ", \"allocated_nodes\": " + std::to_string(c.allocatedNodes);
-    out += ", \"free_nodes\": " + std::to_string(c.freeNodes);
-    out += ", \"dead_nodes\": " + std::to_string(c.deadNodes);
-    out += ", \"dead_fraction\": " + jsonDouble(c.deadFraction());
-    out += ", \"unique_buckets\": " + std::to_string(c.uniqueBuckets);
-    out += ", \"unique_load\": " + jsonDouble(c.uniqueLoad());
-    out += ", \"cache_entries\": " + std::to_string(c.cacheEntries);
-    out += ", \"cache_used\": " + std::to_string(c.cacheUsed);
-    out += ", \"cache_lookups\": " + std::to_string(c.cacheLookups);
-    out += ", \"cache_hits\": " + std::to_string(c.cacheHits);
-    out += ", \"d_cache_lookups\": " + std::to_string(dCacheLookups);
-    out += ", \"d_cache_hits\": " + std::to_string(dCacheHits);
-    out += ", \"gc_runs\": " + std::to_string(c.gcRuns);
-    out += ", \"d_gc_runs\": " + std::to_string(dGcRuns);
-    out += ", \"reorder_count\": " + std::to_string(c.reorderings);
-    out += ", \"d_reorder_count\": " + std::to_string(dReorderings);
-    out += ", \"peak_live_nodes\": " + std::to_string(c.peakLiveNodes);
-    out += ", \"level_nodes\": [";
-    for (size_t i = 0; i < c.levelNodes.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += std::to_string(c.levelNodes[i]);
-    }
-    out += "]";
+    w.key("census_seq").value(c.seq);
+    w.key("live_nodes").value(c.liveNodes);
+    w.key("allocated_nodes").value(c.allocatedNodes);
+    w.key("free_nodes").value(c.freeNodes);
+    w.key("dead_nodes").value(c.deadNodes);
+    w.key("dead_fraction").value(c.deadFraction());
+    w.key("unique_buckets").value(c.uniqueBuckets);
+    w.key("unique_load").value(c.uniqueLoad());
+    w.key("cache_entries").value(c.cacheEntries);
+    w.key("cache_used").value(c.cacheUsed);
+    w.key("cache_lookups").value(c.cacheLookups);
+    w.key("cache_hits").value(c.cacheHits);
+    w.key("d_cache_lookups").value(dCacheLookups);
+    w.key("d_cache_hits").value(dCacheHits);
+    w.key("gc_runs").value(c.gcRuns);
+    w.key("d_gc_runs").value(dGcRuns);
+    w.key("reorder_count").value(c.reorderings);
+    w.key("d_reorder_count").value(dReorderings);
+    w.key("peak_live_nodes").value(c.peakLiveNodes);
+    w.key("level_nodes").beginArray();
+    for (uint64_t n : c.levelNodes) w.value(n);
+    w.endArray();
   } else {
-    out += ", \"census_seq\": null";
+    w.key("census_seq").value(nullptr);
   }
-  out += "}";
+  w.endObject();
   return out;
 }
 
@@ -206,12 +173,12 @@ Profiler::Impl& Profiler::impl() const {
 std::string Profiler::headerJson() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  std::string out = "{\"schema\": \"hsis-prof-v1\", \"kind\": \"header\"";
-  out += ", \"enabled\": ";
-  out += kEnabled ? "true" : "false";
-  out += ", \"interval_ms\": " + std::to_string(im.opts.intervalMs);
-  out += ", \"ring_capacity\": " + std::to_string(im.opts.ringCapacity);
-  out += "}";
+  std::string out;
+  jsonlite::Writer w(out);
+  w.beginObject().key("schema").value("hsis-prof-v1");
+  w.key("kind").value("header").key("enabled").value(kEnabled);
+  w.key("interval_ms").value(im.opts.intervalMs);
+  w.key("ring_capacity").value(im.opts.ringCapacity).endObject();
   return out;
 }
 

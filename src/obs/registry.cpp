@@ -186,22 +186,4 @@ Tracer& Tracer::instance() {
 
 #endif  // HSIS_OBS_DISABLE
 
-std::string histogramSummaryJson(const HistogramSummary& s) {
-  // Key set is part of the contract (consumers assert it); only the values
-  // switch between numbers and null.
-  std::string out = "{\"count\": " + std::to_string(s.count);
-  auto quantile = [&](const char* name, uint64_t v) {
-    out += ", \"";
-    out += name;
-    out += "\": ";
-    out += s.count == 0 ? "null" : std::to_string(v);
-  };
-  quantile("p50", s.p50);
-  quantile("p90", s.p90);
-  quantile("p99", s.p99);
-  quantile("max", s.max);
-  out += "}";
-  return out;
-}
-
 }  // namespace hsis::obs

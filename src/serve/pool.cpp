@@ -7,6 +7,7 @@
 #include "debug/report.hpp"
 #include "obs/control.hpp"
 #include "obs/ledger.hpp"
+#include "obs/jsonlite.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
 #include "obs/tracectx.hpp"
@@ -518,25 +519,20 @@ SessionPool::Stats SessionPool::stats() const {
 
 std::string SessionPool::statsJsonObject() const {
   Stats s = stats();
-  std::string out = "{";
-  out += "\"workers\": " + std::to_string(s.workers);
-  out += ", \"busy_workers\": " + std::to_string(s.busyWorkers);
-  out += ", \"queue_depth\": " + std::to_string(s.queueDepth);
-  out += ", \"accepted\": " + std::to_string(s.accepted);
-  out += ", \"rejected\": " + std::to_string(s.rejected);
-  out += ", \"completed\": " + std::to_string(s.completed);
-  out += ", \"failed\": " + std::to_string(s.failed);
-  out += ", \"aborted\": " + std::to_string(s.aborted);
-  out += ", \"cache_hits\": " + std::to_string(s.cacheHits);
-  out += ", \"cache_misses\": " + std::to_string(s.cacheMisses);
-  out += ", \"evictions\": " + std::to_string(s.evictions);
-  out += ", \"cex_captures\": " + std::to_string(s.cexCaptures);
-  out += ", \"resident\": [";
-  for (size_t i = 0; i < s.resident.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += "\"" + escapeJson(s.resident[i]) + "\"";
-  }
-  out += "]}";
+  std::string out;
+  obs::jsonlite::Writer w(out);
+  w.beginObject().key("workers").value(s.workers);
+  w.key("busy_workers").value(s.busyWorkers);
+  w.key("queue_depth").value(s.queueDepth);
+  w.key("accepted").value(s.accepted).key("rejected").value(s.rejected);
+  w.key("completed").value(s.completed).key("failed").value(s.failed);
+  w.key("aborted").value(s.aborted).key("cache_hits").value(s.cacheHits);
+  w.key("cache_misses").value(s.cacheMisses);
+  w.key("evictions").value(s.evictions);
+  w.key("cex_captures").value(s.cexCaptures);
+  w.key("resident").beginArray();
+  for (const std::string& digest : s.resident) w.value(digest);
+  w.endArray().endObject();
   return out;
 }
 
@@ -550,45 +546,38 @@ std::string SessionPool::statsStreamJson() const {
       lookups > 0 ? static_cast<double>(s.cacheHits) /
                         static_cast<double>(lookups)
                   : 0.0;
-  std::string out = "{";
-  out += "\"t_s\": " + obs::jsonDouble(tSeconds);
-  out += ", \"queue_depth\": " + std::to_string(s.queueDepth);
-  out += ", \"workers\": " + std::to_string(s.workers);
-  out += ", \"busy_workers\": " + std::to_string(s.busyWorkers);
-  out += ", \"rss_kb\": " + std::to_string(obs::currentRssKb());
-  out += ", \"requests\": {\"accepted\": " + std::to_string(s.accepted);
-  out += ", \"rejected\": " + std::to_string(s.rejected);
-  out += ", \"completed\": " + std::to_string(s.completed);
-  out += ", \"failed\": " + std::to_string(s.failed);
-  out += ", \"aborted\": " + std::to_string(s.aborted);
-  out += "}, \"cache\": {\"hits\": " + std::to_string(s.cacheHits);
-  out += ", \"misses\": " + std::to_string(s.cacheMisses);
-  out += ", \"evictions\": " + std::to_string(s.evictions);
-  out += ", \"hit_rate\": " + obs::jsonDouble(hitRate);
-  out += "}, \"latency_us\": {";
+  std::string out;
+  obs::jsonlite::Writer w(out);
+  w.beginObject().key("t_s").value(tSeconds);
+  w.key("queue_depth").value(s.queueDepth).key("workers").value(s.workers);
+  w.key("busy_workers").value(s.busyWorkers);
+  w.key("rss_kb").value(obs::currentRssKb());
+  w.key("requests").beginObject().key("accepted").value(s.accepted);
+  w.key("rejected").value(s.rejected).key("completed").value(s.completed);
+  w.key("failed").value(s.failed).key("aborted").value(s.aborted);
+  w.endObject().key("cache").beginObject().key("hits").value(s.cacheHits);
+  w.key("misses").value(s.cacheMisses).key("evictions").value(s.evictions);
+  w.key("hit_rate").value(hitRate).endObject();
+  w.key("latency_us").beginObject();
   const LatencyHistograms& h = latencyHistograms();
   const std::pair<const char*, const obs::Histogram*> stages[] = {
       {"queue", &h.queue}, {"parse", &h.parse},   {"tr", &h.tr},
       {"reach", &h.reach}, {"check", &h.check},   {"render", &h.render},
       {"total", &h.total}};
-  bool first = true;
   for (const auto& [name, hist] : stages) {
-    obs::HistogramSummary sum = obs::summarizeHistogram(*hist);
-    if (!first) out += ", ";
-    first = false;
-    out += std::string("\"") + name +
-           "\": " + obs::histogramSummaryJson(sum);
+    w.key(name).raw(obs::histogramSummaryJson(obs::summarizeHistogram(*hist)));
   }
   // Constant-shape coverage summary (last report wins); all zeros until a
   // CTL request completed with coverage enabled.
-  out += "}, \"coverage\": {\"reports\": " + std::to_string(s.covReports);
-  out += ", \"state_fraction\": " + obs::jsonDouble(s.covLastStateFraction);
-  out += ", \"values_reached\": " + std::to_string(s.covLastValuesReached);
-  out += ", \"values_total\": " + std::to_string(s.covLastValuesTotal);
-  out += ", \"bins_hit\": " + std::to_string(s.covLastBinsHit);
-  out += ", \"bins_total\": " + std::to_string(s.covLastBinsTotal);
-  out += "}, \"cex\": {\"captures\": " + std::to_string(s.cexCaptures);
-  out += "}}";
+  w.endObject().key("coverage").beginObject();
+  w.key("reports").value(s.covReports);
+  w.key("state_fraction").value(s.covLastStateFraction);
+  w.key("values_reached").value(s.covLastValuesReached);
+  w.key("values_total").value(s.covLastValuesTotal);
+  w.key("bins_hit").value(s.covLastBinsHit);
+  w.key("bins_total").value(s.covLastBinsTotal).endObject();
+  w.key("cex").beginObject().key("captures").value(s.cexCaptures);
+  w.endObject().endObject();
   return out;
 }
 

@@ -1,7 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cstdio>
-
 #include "obs/obs.hpp"
 
 namespace hsis::serve {
@@ -10,6 +8,7 @@ namespace {
 
 using obs::jsonlite::Object;
 using obs::jsonlite::Value;
+using obs::jsonlite::Writer;
 
 using obs::jsonlite::find;  // ADL would find it anyway; be explicit
 
@@ -39,55 +38,21 @@ bool boolField(const Object& obj, const std::string& key, bool fallback) {
   return v->boolean();
 }
 
-void appendField(std::string& out, std::string_view key,
-                 std::string_view value, bool& first) {
-  if (!first) out += ", ";
-  first = false;
-  out += '"';
-  out += key;
-  out += "\": ";
-  out += value;
-}
-
-void appendString(std::string& out, std::string_view key,
-                  std::string_view value, bool& first) {
-  appendField(out, key, "\"" + escapeJson(value) + "\"", first);
-}
-
-std::string frameHead(std::string_view event, std::string_view id) {
-  std::string out = "{\"schema\": \"";
-  out += kSchema;
-  out += "\", \"event\": \"";
-  out += event;
-  out += "\", \"id\": \"";
-  out += escapeJson(id);
-  out += '"';
-  return out;
+/// `{"schema": …, "event": …, "id": …` with the object left open.
+Writer openFrame(std::string& out, std::string_view event,
+                 std::string_view id) {
+  Writer w(out);
+  w.beginObject().key("schema").value(kSchema);
+  w.key("event").value(event).key("id").value(id);
+  return w;
 }
 
 }  // namespace
 
 std::string escapeJson(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+  obs::jsonlite::appendQuoted(out, s);
+  return out.substr(1, out.size() - 2);
 }
 
 // ---------------------------------------------------------------- requests
@@ -154,149 +119,115 @@ Request parseRequest(const std::string& line) {
 }
 
 std::string renderRequest(const Request& request) {
-  std::string out = "{";
-  bool first = true;
-  appendString(out, "schema", kSchema, first);
-  switch (request.op) {
-    case Request::Op::Ping: appendString(out, "op", "ping", first); break;
-    case Request::Op::Stats: appendString(out, "op", "stats", first); break;
-    case Request::Op::Shutdown:
-      appendString(out, "op", "shutdown", first);
-      break;
-    case Request::Op::StatsStream:
-      appendString(out, "op", "stats-stream", first);
-      break;
-    case Request::Op::Check: appendString(out, "op", "check", first); break;
-  }
-  appendString(out, "id", request.id, first);
-  if (request.op == Request::Op::StatsStream) {
-    appendField(out, "interval_ms", std::to_string(request.statsIntervalMs),
-                first);
-  }
+  static constexpr const char* kOps[] = {  // in Request::Op order
+      "check", "ping", "stats", "stats-stream", "shutdown"};
+  std::string out;
+  Writer w(out);
+  w.beginObject().key("schema").value(kSchema);
+  w.key("op").value(kOps[static_cast<size_t>(request.op)]);
+  w.key("id").value(request.id);
+  if (request.op == Request::Op::StatsStream)
+    w.key("interval_ms").value(request.statsIntervalMs);
   if (request.op == Request::Op::Check) {
     const CheckRequest& c = request.check;
-    if (!c.name.empty()) appendString(out, "name", c.name, first);
-    std::string design = "{\"kind\": \"";
-    design += c.design.kind == Session::DesignSource::Kind::Verilog
-                  ? "verilog"
-                  : "blifmv";
-    design += "\", \"text\": \"" + escapeJson(c.design.text) + "\"";
-    if (!c.design.top.empty())
-      design += ", \"top\": \"" + escapeJson(c.design.top) + "\"";
-    design += "}";
-    appendField(out, "design", design, first);
-    appendString(out, "pif", c.pif, first);
-    std::string budget = "{\"wall_s\": " + obs::jsonDouble(c.budget.wallSeconds) +
-                         ", \"rss_mb\": " + std::to_string(c.budget.rssMb) + "}";
-    appendField(out, "budget", budget, first);
-    appendField(out, "want_trace", c.wantTrace ? "true" : "false", first);
-    if (!c.traceId.empty()) appendString(out, "trace_id", c.traceId, first);
+    if (!c.name.empty()) w.key("name").value(c.name);
+    w.key("design").beginObject().key("kind");
+    w.value(c.design.kind == Session::DesignSource::Kind::Verilog ? "verilog"
+                                                                  : "blifmv");
+    w.key("text").value(c.design.text);
+    if (!c.design.top.empty()) w.key("top").value(c.design.top);
+    w.endObject().key("pif").value(c.pif);
+    w.key("budget").beginObject().key("wall_s").value(c.budget.wallSeconds);
+    w.key("rss_mb").value(c.budget.rssMb).endObject();
+    w.key("want_trace").value(c.wantTrace);
+    if (!c.traceId.empty()) w.key("trace_id").value(c.traceId);
   }
-  out += "}";
+  w.endObject();
   return out;
 }
 
 // ------------------------------------------------------------------ frames
 
-namespace {
-
-void appendTraceId(std::string& out, std::string_view traceId) {
-  if (!traceId.empty())
-    out += ", \"trace_id\": \"" + escapeJson(traceId) + "\"";
-}
-
-}  // namespace
-
 std::string acceptedFrame(std::string_view id, size_t queueDepth,
                           std::string_view traceId) {
-  std::string out = frameHead("accepted", id);
-  out += ", \"queue_depth\": " + std::to_string(queueDepth);
-  appendTraceId(out, traceId);
-  out += "}";
+  std::string out;
+  Writer w = openFrame(out, "accepted", id);
+  w.key("queue_depth").value(queueDepth);
+  if (!traceId.empty()) w.key("trace_id").value(traceId);
+  w.endObject();
   return out;
 }
 
 std::string loadedFrame(std::string_view id, bool cacheHit,
                         uint64_t readMicros, std::string_view traceId) {
-  std::string out = frameHead("loaded", id);
-  out += ", \"cache\": \"";
-  out += cacheHit ? "hit" : "miss";
-  out += "\", \"read_micros\": " + std::to_string(readMicros);
-  appendTraceId(out, traceId);
-  out += "}";
+  std::string out;
+  Writer w = openFrame(out, "loaded", id);
+  w.key("cache").value(cacheHit ? "hit" : "miss");
+  w.key("read_micros").value(readMicros);
+  if (!traceId.empty()) w.key("trace_id").value(traceId);
+  w.endObject();
   return out;
 }
 
 std::string verdictFrame(std::string_view id, const VerdictInfo& verdict,
                          std::string_view traceId) {
-  std::string out = frameHead("verdict", id);
-  out += ", \"property\": \"" + escapeJson(verdict.property) + "\"";
-  out += ", \"paradigm\": \"";
-  out += verdict.languageContainment ? "lc" : "ctl";
-  out += "\", \"holds\": ";
-  out += verdict.holds ? "true" : "false";
-  out += ", \"seconds\": " + obs::jsonDouble(verdict.seconds);
-  if (!verdict.trace.empty())
-    out += ", \"trace\": \"" + escapeJson(verdict.trace) + "\"";
-  appendTraceId(out, traceId);
-  out += "}";
+  std::string out;
+  Writer w = openFrame(out, "verdict", id);
+  w.key("property").value(verdict.property);
+  w.key("paradigm").value(verdict.languageContainment ? "lc" : "ctl");
+  w.key("holds").value(verdict.holds).key("seconds").value(verdict.seconds);
+  if (!verdict.trace.empty()) w.key("trace").value(verdict.trace);
+  if (!traceId.empty()) w.key("trace_id").value(traceId);
+  w.endObject();
   return out;
 }
 
 std::string doneFrame(std::string_view id, std::string_view verdict,
                       std::string_view detail, const DoneStats& stats,
                       std::string_view traceId) {
-  std::string out = frameHead("done", id);
-  out += ", \"verdict\": \"";
-  out += verdict;
-  out += "\"";
-  if (!detail.empty())
-    out += ", \"detail\": \"" + escapeJson(detail) + "\"";
-  out += ", \"stats\": {\"cache\": \"";
-  out += stats.cacheHit ? "hit" : "miss";
-  out += "\", \"read_micros\": " + std::to_string(stats.readMicros);
-  out += ", \"wall_s\": " + obs::jsonDouble(stats.wallSeconds);
-  out += ", \"properties\": " + std::to_string(stats.properties);
-  out += ", \"failures\": " + std::to_string(stats.failures);
+  std::string out;
+  Writer w = openFrame(out, "done", id);
+  w.key("verdict").value(verdict);
+  if (!detail.empty()) w.key("detail").value(detail);
+  w.key("stats").beginObject().key("cache").value(stats.cacheHit ? "hit"
+                                                                 : "miss");
+  w.key("read_micros").value(stats.readMicros);
+  w.key("wall_s").value(stats.wallSeconds);
+  w.key("properties").value(stats.properties);
+  w.key("failures").value(stats.failures);
   const StageMicros& st = stats.stages;
-  out += ", \"stages\": {\"queue\": " + std::to_string(st.queue);
-  out += ", \"parse\": " + std::to_string(st.parse);
-  out += ", \"tr\": " + std::to_string(st.tr);
-  out += ", \"reach\": " + std::to_string(st.reach);
-  out += ", \"check\": " + std::to_string(st.check);
-  out += ", \"render\": " + std::to_string(st.render);
-  out += "}";
+  w.key("stages").beginObject().key("queue").value(st.queue);
+  w.key("parse").value(st.parse).key("tr").value(st.tr);
+  w.key("reach").value(st.reach).key("check").value(st.check);
+  w.key("render").value(st.render).endObject();
   if (stats.hasCoverage) {
-    out += ", \"coverage\": {\"state_fraction\": " +
-           obs::jsonDouble(stats.covStateFraction);
-    out += ", \"values_reached\": " + std::to_string(stats.covValuesReached);
-    out += ", \"values_total\": " + std::to_string(stats.covValuesTotal);
-    out += ", \"bins_hit\": " + std::to_string(stats.covBinsHit);
-    out += ", \"bins_total\": " + std::to_string(stats.covBinsTotal);
-    out += "}";
+    w.key("coverage").beginObject();
+    w.key("state_fraction").value(stats.covStateFraction);
+    w.key("values_reached").value(stats.covValuesReached);
+    w.key("values_total").value(stats.covValuesTotal);
+    w.key("bins_hit").value(stats.covBinsHit);
+    w.key("bins_total").value(stats.covBinsTotal).endObject();
   }
   if (stats.hasCex) {
-    out += ", \"cex\": {\"path\": \"" + escapeJson(stats.cexPath) + "\"";
-    out += ", \"replay\": \"" + escapeJson(stats.cexReplay) + "\"}";
+    w.key("cex").beginObject().key("path").value(stats.cexPath);
+    w.key("replay").value(stats.cexReplay).endObject();
   }
-  out += "}";
-  appendTraceId(out, traceId);
-  out += "}";
+  w.endObject();
+  if (!traceId.empty()) w.key("trace_id").value(traceId);
+  w.endObject();
   return out;
 }
 
 std::string pongFrame(std::string_view id, std::string_view version) {
-  std::string out = frameHead("pong", id);
-  out += ", \"version\": \"" + escapeJson(version) + "\"}";
+  std::string out;
+  openFrame(out, "pong", id).key("version").value(version).endObject();
   return out;
 }
 
 std::string statsFrame(std::string_view id,
                        std::string_view serverJsonObject) {
-  std::string out = frameHead("stats", id);
-  out += ", \"server\": ";
-  out += serverJsonObject;
-  out += "}";
+  std::string out;
+  openFrame(out, "stats", id).key("server").raw(serverJsonObject).endObject();
   return out;
 }
 
@@ -304,21 +235,23 @@ std::string statsTickFrame(std::string_view id, uint64_t seq,
                            std::string_view statsJsonObject) {
   // Its own schema: consumers (hsis_top, CI asserts) key on it without
   // caring about the request/response protocol version.
-  std::string out = "{\"schema\": \"hsis-serve-stats-v1\", \"event\": "
-                    "\"stats-tick\", \"id\": \"";
-  out += escapeJson(id);
-  out += "\", \"seq\": " + std::to_string(seq);
-  out += ", \"stats\": ";
-  out += statsJsonObject;
-  out += "}";
+  std::string out;
+  Writer w(out);
+  w.beginObject().key("schema").value("hsis-serve-stats-v1");
+  w.key("event").value("stats-tick").key("id").value(id);
+  w.key("seq").value(seq).key("stats").raw(statsJsonObject).endObject();
   return out;
 }
 
-std::string byeFrame(std::string_view id) { return frameHead("bye", id) + "}"; }
+std::string byeFrame(std::string_view id) {
+  std::string out;
+  openFrame(out, "bye", id).endObject();
+  return out;
+}
 
 std::string errorFrame(std::string_view id, std::string_view message) {
-  std::string out = frameHead("error", id);
-  out += ", \"message\": \"" + escapeJson(message) + "\"}";
+  std::string out;
+  openFrame(out, "error", id).key("message").value(message).endObject();
   return out;
 }
 

@@ -47,9 +47,9 @@
 //    "coverage": {"reports": N, "state_fraction": F, "values_reached": N,
 //    "values_total": N, "bins_hit": N, "bins_total": N}}}
 //
-// Parsing reuses obs/jsonlite; rendering is direct (same idiom as the
-// heartbeat/ledger JSONL writers). All functions are pure — no sockets
-// here — so the tests cover the protocol without a server.
+// Parsing and rendering both go through obs/jsonlite (`parse` and
+// `Writer`, like every other JSONL artifact). All functions are pure — no
+// sockets here — so the tests cover the protocol without a server.
 #pragma once
 
 #include <cstdint>
@@ -187,7 +187,7 @@ struct Frame {
 /// Parse one frame line. Throws ProtocolError on malformed input.
 Frame parseFrame(const std::string& line);
 
-/// JSON string-escape (shared by the frame builders and the client).
+/// The body of obs::jsonlite::appendQuoted(s), without the quotes.
 std::string escapeJson(std::string_view s);
 
 }  // namespace hsis::serve

@@ -6,6 +6,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "obs/jsonlite.hpp"
 #include "obs/obs.hpp"
 #include "obs/prof.hpp"
 #include "obs/tracectx.hpp"
@@ -22,25 +23,22 @@ bool writeFile(const std::filesystem::path& path, const std::string& text) {
 }
 
 std::string requestJson(const SlowRequestInfo& info) {
-  std::string out = "{\"schema\": \"hsis-slow-request-v1\"";
-  out += ", \"trace_id\": \"" + obs::traceIdHex(info.traceId) + "\"";
-  out += ", \"id\": \"" + escapeJson(info.requestId) + "\"";
-  out += ", \"name\": \"" + escapeJson(info.name) + "\"";
-  out += ", \"digest\": \"" + escapeJson(info.digest) + "\"";
-  out += ", \"verdict\": \"" + escapeJson(info.verdict) + "\"";
-  out += ", \"detail\": \"" + escapeJson(info.detail) + "\"";
-  out += ", \"cache\": \"";
-  out += info.cacheHit ? "hit" : "miss";
-  out += "\", \"wall_s\": " + obs::jsonDouble(info.wallSeconds);
-  out += ", \"threshold_s\": " + obs::jsonDouble(info.thresholdSeconds);
+  std::string out;
+  obs::jsonlite::Writer w(out);
+  w.beginObject().key("schema").value("hsis-slow-request-v1");
+  w.key("trace_id").value(obs::traceIdHex(info.traceId));
+  w.key("id").value(info.requestId).key("name").value(info.name);
+  w.key("digest").value(info.digest).key("verdict").value(info.verdict);
+  w.key("detail").value(info.detail);
+  w.key("cache").value(info.cacheHit ? "hit" : "miss");
+  w.key("wall_s").value(info.wallSeconds);
+  w.key("threshold_s").value(info.thresholdSeconds);
   const StageMicros& st = info.stages;
-  out += ", \"stages\": {\"queue\": " + std::to_string(st.queue);
-  out += ", \"parse\": " + std::to_string(st.parse);
-  out += ", \"tr\": " + std::to_string(st.tr);
-  out += ", \"reach\": " + std::to_string(st.reach);
-  out += ", \"check\": " + std::to_string(st.check);
-  out += ", \"render\": " + std::to_string(st.render);
-  out += "}}\n";
+  w.key("stages").beginObject().key("queue").value(st.queue);
+  w.key("parse").value(st.parse).key("tr").value(st.tr);
+  w.key("reach").value(st.reach).key("check").value(st.check);
+  w.key("render").value(st.render).endObject().endObject();
+  out += '\n';
   return out;
 }
 
@@ -97,18 +95,17 @@ std::string censusJsonl(uint64_t traceId) {
                     "\"source\": \"slow-request\", \"trace_id\": \"" +
                     obs::traceIdHex(traceId) + "\"}\n";
   if (auto c = obs::prof::latestCensus()) {
-    out += "{\"kind\": \"census\", \"seq\": " + std::to_string(c->seq);
-    out += ", \"t_ns\": " + std::to_string(c->tNs);
-    out += ", \"live_nodes\": " + std::to_string(c->liveNodes);
-    out += ", \"allocated_nodes\": " + std::to_string(c->allocatedNodes);
-    out += ", \"dead_nodes\": " + std::to_string(c->deadNodes);
-    out += ", \"cache_lookups\": " + std::to_string(c->cacheLookups);
-    out += ", \"cache_hits\": " + std::to_string(c->cacheHits);
-    out += ", \"gc_runs\": " + std::to_string(c->gcRuns);
-    out += ", \"reorderings\": " + std::to_string(c->reorderings);
-    out += ", \"peak_live_nodes\": " + std::to_string(c->peakLiveNodes);
-    out += ", \"dead_fraction\": " + obs::jsonDouble(c->deadFraction());
-    out += "}\n";
+    obs::jsonlite::Writer w(out);
+    w.beginObject().key("kind").value("census").key("seq").value(c->seq);
+    w.key("t_ns").value(c->tNs).key("live_nodes").value(c->liveNodes);
+    w.key("allocated_nodes").value(c->allocatedNodes);
+    w.key("dead_nodes").value(c->deadNodes);
+    w.key("cache_lookups").value(c->cacheLookups);
+    w.key("cache_hits").value(c->cacheHits).key("gc_runs").value(c->gcRuns);
+    w.key("reorderings").value(c->reorderings);
+    w.key("peak_live_nodes").value(c->peakLiveNodes);
+    w.key("dead_fraction").value(c->deadFraction()).endObject();
+    out += '\n';
   }
   return out;
 }
