@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/control.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/ledger.hpp"
 
@@ -82,6 +83,22 @@ TEST(LedgerIdentity, DigestIsDeterministicHex) {
   EXPECT_EQ(digestOf("abc"), digestOf("abc"));
   EXPECT_NE(digestOf("abc"), digestOf("abd"));
   EXPECT_EQ(digestOf("x").size(), 16u);
+}
+
+TEST(LedgerIdentity, EmptyGitShaEnvFallsBack) {
+  // CI exports HSIS_GIT_SHA="$(git rev-parse ...)", which is empty outside
+  // a checkout: every record must then carry a real id or "unknown", not "".
+  const char* saved = std::getenv("HSIS_GIT_SHA");
+  std::string restore = saved != nullptr ? saved : "";
+  ::setenv("HSIS_GIT_SHA", "", 1);
+  EXPECT_FALSE(gitSha().empty());
+  ::setenv("HSIS_GIT_SHA", "abc1234", 1);
+  EXPECT_EQ(gitSha(), "abc1234");
+  if (saved != nullptr) {
+    ::setenv("HSIS_GIT_SHA", restore.c_str(), 1);
+  } else {
+    ::unsetenv("HSIS_GIT_SHA");
+  }
 }
 
 // ------------------------------------------------------------ round trip
