@@ -116,7 +116,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\n(note: both reuse the resident design; each LC check adds one\n"
-      " monitor cluster and re-reaches the product, while MC answers\n"
+      " monitor cluster and runs one fair hull over design reached x\n"
+      " monitor domain, with no product reach, while MC answers\n"
       " invariants from the cached reached set)\n");
   return 0;
   });

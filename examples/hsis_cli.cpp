@@ -33,7 +33,8 @@
 // field carries the reason and breaching phase) and the --profile files,
 // and exits with code 3. Every invocation appends one hsis-ledger-v1
 // record (pass/fail/aborted/crashed, wall, peak RSS) that hsis_report
-// queries.
+// queries. A malformed design or property file (a parse or elaboration
+// error) ends with "error: MESSAGE" on stderr and exit code 2.
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -92,7 +93,7 @@ void writeStats(const hsis::Environment& env, const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (hsis::obs::handleVersionFlag(argc, argv, "hsis_cli")) return 0;
   // hsis_cli owns --stats-json (the Environment adds derived metrics to the
   // snapshot); the process-level ledger record is written by the exit
@@ -300,4 +301,8 @@ int main(int argc, char** argv) {
                              hsis::obs::ledger::digestOf(failing));
     return 1;
   });
+} catch (const std::exception& e) {
+  std::fflush(stdout);
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

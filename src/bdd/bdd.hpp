@@ -279,6 +279,11 @@ class BddManager {
   /// deep stop-the-world in a shared phase (maybeGcOrSift arranges both).
   [[nodiscard]] obs::prof::BddCensus census() const;
   void clearCaches();
+  /// Grow the computed cache to at least `source`'s set count. The cache
+  /// otherwise grows only with this manager's own node count, so a copy
+  /// filled by BddTransfer would start at the default size while the
+  /// source's has grown. Serial mode only.
+  void growCacheToMatch(const BddManager& source);
 
   // ---- io ----
 

@@ -169,6 +169,11 @@ void BddManager::growCache(ThreadCtx& tc) {
   }
 }
 
+void BddManager::growCacheToMatch(const BddManager& source) {
+  while (mainCtx_.cache.size() < source.mainCtx_.cache.size())
+    growCache(mainCtx_);
+}
+
 void BddManager::uniqueInsert(uint32_t n) {
   const Node& nd = nodes_[n];
   uint32_t bucket = uniqueBucketOf(nd.var, nd.lo, nd.hi, uniqueMask_);

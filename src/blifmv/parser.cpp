@@ -243,6 +243,7 @@ Design parse(const std::string& text) {
   }
   if (!pending.empty()) fail(lineNo, "dangling line continuation");
   if (design.models.empty()) fail(lineNo, "no .model found");
+  if (model != nullptr) fail(lineNo, "model " + model->name + " has no .end");
   return design;
 }
 

@@ -288,7 +288,6 @@ BugReport Session::checkAutomatonOn(Fsm& design, CtlChecker& checker,
   report.propertyText = "automaton " + aut.name() + " (" +
                         std::to_string(aut.numStates()) + " states)";
   LcOptions lo;
-  lo.earlyFailureDetection = opts.earlyFailureDetection;
   lo.wantTrace = opts.wantTraces;
   lo.partitionedTr = opts.partitionedTr;
   lo.clusterLimit = opts.clusterLimit;
@@ -302,7 +301,6 @@ BugReport Session::checkAutomatonOn(Fsm& design, CtlChecker& checker,
   report.holds = r.contained;
   report.notes = r.notes;
   report.seconds = r.stats.seconds;
-  report.usedEarlyFailure = r.stats.usedEarlyFailure;
   if (r.trace.has_value()) {
     // Render against the product FSM now; the monitor latch exists only in
     // the product.

@@ -49,7 +49,7 @@ class Session {
     bool partitionedTr = true;
     size_t clusterLimit = 5000;
     QuantMethod quantMethod = QuantMethod::Greedy;
-    bool earlyFailureDetection = true;
+    bool earlyFailureDetection = true;  ///< CTL invariants only
     bool useReachedDontCares = true;
     bool wantTraces = true;
   };

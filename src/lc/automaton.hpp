@@ -53,8 +53,7 @@ class Automaton {
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
 
   /// States with no accepting continuation (pure graph analysis, assuming
-  /// all guards satisfiable). Reaching one of these is an immediate
-  /// language-containment failure — the basis of early failure detection.
+  /// all guards satisfiable). A run that reaches one of these is rejected.
   [[nodiscard]] std::vector<bool> deadStates() const;
 
   /// Design signals read by the edge guards, in order of first use.

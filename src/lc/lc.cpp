@@ -15,15 +15,6 @@ namespace hsis {
 
 namespace {
 
-/// Reachable-state counts overflow int64 on large designs; clamp for the
-/// gauge (exact counts stay in LcStats::reachedStates as double).
-int64_t clampToGauge(double v) {
-  constexpr double kMax = 9.2e18;
-  if (v >= kMax) return static_cast<int64_t>(kMax);
-  if (v <= 0) return 0;
-  return static_cast<int64_t>(v);
-}
-
 bool isStateVar(const Fsm& fsm, MvVarId v) {
   const std::vector<MvVarId>& sv = fsm.stateVars();
   return std::find(sv.begin(), sv.end(), v) != sv.end();
@@ -100,7 +91,7 @@ void LcChecker::buildProduct(Fsm& design, const TransitionRelation& designTr,
   Bdd tmon =
       property.monitorRelation(*fsm_, monitorVar_, fsm_->nextVars().back());
   fsm_->appendRelation(tmon);
-  autDead_ = property.deadStates();
+  domain_ = designReached & fsm_->space().validEncodings(monitorVar_);
 
   // M = ∃g. T_mon ∧ ∏ G(x,g). Decoupling the guards from the design's own
   // step is exact only where each guard has one value per reachable state.
@@ -234,9 +225,14 @@ std::optional<Trace> LcChecker::buildTrace(const Bdd& hull) {
 }
 
 Bdd LcChecker::fairHull(const Bdd& within) {
+  return fairHull(within, false);
+}
+
+Bdd LcChecker::fairHull(const Bdd& within, bool stopUnreached) {
   obs::Span span("lc.hull");
   static obs::Counter& iterations = obs::counter("lc.hull.iterations");
   Bdd z = within;
+  Bdd reachedFromInit;  // the last z the EU confirmed reachable
   uint64_t steps = 0;
   while (true) {
     obs::checkAbort();
@@ -283,6 +279,12 @@ Bdd LcChecker::fairHull(const Bdd& within) {
       z &= !bad;
     }
 
+    // Every z_k contains the hull: once no initial state reaches z_k, none
+    // reaches the hull. A z equal to the last one confirmed needs no EU.
+    if (stopUnreached && !z.isZero() && z != reachedFromInit) {
+      if (!initReaches(z)) z = fsm_->mgr().bddZero();
+      reachedFromInit = z;
+    }
     if (z == zOld || z.isZero()) {
       HSIS_LOG_DEBUG("lc.hull", "hull converged",
                      {{"iterations", steps},
@@ -293,12 +295,24 @@ Bdd LcChecker::fairHull(const Bdd& within) {
   }
 }
 
+bool LcChecker::initReaches(const Bdd& target) {
+  const Bdd& init = fsm_->initialStates();
+  Bdd y = target;
+  while ((y & init).isZero()) {
+    obs::checkAbort();
+    Bdd y2 = y | (domain_ & tr_->preimage(y));
+    if (y2 == y) return false;
+    y = std::move(y2);
+    ++stats_.reachabilitySteps;
+  }
+  return true;
+}
+
 LcResult LcChecker::check() {
   obs::Span span("lc.check");
   obs::counter("lc.checks").add();
   auto start = std::chrono::steady_clock::now();
   LcResult res;
-  const Fsm& fsm = *fsm_;
 
   // A statically unsatisfiable fairness constraint means the design has no
   // fair runs at all: containment holds vacuously.
@@ -312,95 +326,14 @@ LcResult LcChecker::check() {
     }
   }
 
-  // Dead monitor states: reaching one is an immediate failure candidate.
-  std::vector<uint32_t> deadList;
-  for (uint32_t s = 0; s < autDead_.size(); ++s)
-    if (autDead_[s]) deadList.push_back(s);
-  Bdd deadSet = monitorSet(deadList);
-
-  Bdd hitDead;
-  ReachOptions ro;
-  if (opts_.earlyFailureDetection && !deadSet.isZero()) {
-    ro.watch = [&](const Bdd& frontier, size_t) {
-      Bdd bad = frontier & deadSet;
-      if (!bad.isZero()) {
-        hitDead = bad;
-        return true;
-      }
-      return false;
-    };
-  }
-  ReachResult rr = reachableStates(*tr_, fsm.initialStates(), ro);
-  stats_.reachabilitySteps = rr.depth;
-
-  if (!hitDead.isNull()) {
-    // Early failure candidate: a reachable product state whose monitor
-    // component has no accepting continuation. Confirm there actually is a
-    // fair run (the fairness constraints might rule all runs out), first on
-    // the partial state space, widening to the full one if needed.
-    Bdd hull = fairHull(rr.reached);
-    bool confirmedOnPartial = !hull.isZero();
-    if (!confirmedOnPartial) {
-      rr = reachableStates(*tr_, fsm.initialStates(), ReachOptions{});
-      hull = fairHull(rr.reached);
-    }
-    if (!hull.isZero()) {
-      stats_.usedEarlyFailure = true;
-      obs::counter("lc.efd.failures").add();
-      HSIS_LOG_WARN("lc.check", "early failure: dead monitor state reached",
-                    {{"step", rr.depth},
-                     {"confirmed_on_partial", confirmedOnPartial}});
-      res.contained = false;
-      res.notes.push_back(
-          "early failure: property automaton reached a dead state (step " +
-          std::to_string(rr.depth) + ")");
-      if (!confirmedOnPartial) {
-        res.notes.push_back(
-            "fair-cycle confirmation needed the full reachable set");
-      }
-      if (opts_.wantTrace) {
-        res.trace = buildTrace(hull);
-        if (!res.trace.has_value() && confirmedOnPartial) {
-          res.notes.push_back(
-              "early-failure trace needed the full reachable set");
-          rr = reachableStates(*tr_, fsm.initialStates(), ReachOptions{});
-          hull = fairHull(rr.reached);
-          res.trace = buildTrace(hull);
-        }
-      }
-      stats_.reachedStates = fsm.countStates(rr.reached);
-      obs::gauge("lc.product.states").set(clampToGauge(stats_.reachedStates));
-      stats_.seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      res.stats = stats_;
-      return res;
-    }
-    // No fair cycle anywhere: fall through with the full reachable set.
-  }
-
-  stats_.reachedStates = fsm.countStates(rr.reached);
-  obs::gauge("lc.product.states").set(clampToGauge(stats_.reachedStates));
-
-  // Early pass detection (technique 2): a required Büchi set that is
-  // unreachable means no fair run exists at all.
-  for (const Bdd& b : buchiSets_) {
-    if ((b & rr.reached).isZero() && !b.isOne()) {
-      res.contained = true;
-      res.notes.push_back(
-          "vacuous pass: a fairness constraint is unsatisfiable on the "
-          "reachable state space");
-      res.stats = stats_;
-      return res;
-    }
-  }
-
-  Bdd hull = fairHull(rr.reached);
+  // hull(R) = hull(C) ∧ R (lc.hpp), so the property fails iff an initial
+  // state reaches hull(C); the hull comes back empty otherwise.
+  Bdd hull = fairHull(domain_, true);
   res.contained = hull.isZero();
   HSIS_LOG_INFO("lc.check", "containment check complete",
                 {{"contained", res.contained},
                  {"hull_iterations", stats_.hullIterations},
-                 {"reach_depth", rr.depth}});
+                 {"eu_steps", stats_.reachabilitySteps}});
   if (!res.contained && opts_.wantTrace) {
     res.trace = buildTrace(hull);
     if (!res.trace.has_value()) {

@@ -23,8 +23,20 @@
 // input or a $ND-driven net), the guard and the design's next state can be
 // correlated through that choice, so the product is instead re-clustered
 // from the design relations plus T_mon. Either way every cluster is exact
-// on product states (design reached × monitor domain), the only states the
-// reachability, hull and trace computations visit.
+// on the product domain C = (design reached) × (monitor domain), the only
+// states the hull and trace computations visit.
+//
+// The check never reaches the product forward. Let R ⊆ C be the product's
+// reachable set. R is forward-closed and the hull is a greatest fixpoint
+// whose witnesses are forward paths, so for s ∈ hull(C) ∧ R every witness
+// stays in R: hull(C) ∧ R is a post-fixpoint within R, and by monotonicity
+// hull(R) = hull(C) ∧ R. Containment therefore fails iff some initial
+// state reaches hull(C) within C: one backward EU, stopped at the first
+// initial state. Each Emerson-Lei sweep's approximation z_k contains the
+// hull, so the same EU runs after the first sweep and after every sweep
+// that shrinks z, and the check passes as soon as no initial state
+// reaches z_k. Only a failing
+// check walks forward: fairLasso's shortest prefix into the hull's core.
 #pragma once
 
 #include <optional>
@@ -56,6 +68,9 @@ struct FairnessSpec {
 };
 
 struct LcOptions {
+  /// Ignored: the backward decision has no separate early-failure pass
+  /// (its per-sweep stop covers it). Kept only because perfbench/jobs.cpp
+  /// still sets it; delete both together.
   bool earlyFailureDetection = true;
   bool wantTrace = true;
   bool partitionedTr = true;
@@ -64,10 +79,10 @@ struct LcOptions {
 };
 
 struct LcStats {
+  /// Preimage steps of the backward EU toward the initial states that
+  /// added states, summed over its runs (one per shrinking sweep).
   size_t reachabilitySteps = 0;
   size_t hullIterations = 0;
-  double reachedStates = 0.0;
-  bool usedEarlyFailure = false;
   double seconds = 0.0;
 };
 
@@ -102,6 +117,9 @@ class LcChecker {
   [[nodiscard]] const Fsm& fsm() const { return *fsm_; }
   [[nodiscard]] const TransitionRelation& tr() const { return *tr_; }
   [[nodiscard]] const std::string& monitorSignal() const { return monitor_; }
+  /// C = design reached × monitor domain: a superset of the product's
+  /// reachable states on which every product cluster is exact.
+  [[nodiscard]] const Bdd& domain() const { return domain_; }
   /// True when some guard is not a function of state on the design's
   /// reachable states and the product TR was re-clustered from relations.
   [[nodiscard]] bool reclustered() const { return reclustered_; }
@@ -111,7 +129,8 @@ class LcChecker {
   [[nodiscard]] std::string formatTrace(const Trace& t) const;
 
   // Exposed for tests and the debugger:
-  /// The fair hull: approximation of states on fair (counterexample) paths.
+  /// The fair hull within `within` (⊆ domain()): approximation of states on
+  /// fair (counterexample) paths, iterated to convergence.
   Bdd fairHull(const Bdd& within);
   [[nodiscard]] const std::vector<Bdd>& buchiSets() const { return buchiSets_; }
   [[nodiscard]] const std::vector<Bdd>& edgeSets() const { return edgeSets_; }
@@ -124,6 +143,12 @@ class LcChecker {
                     const Bdd& designReached, const Automaton& property);
   void buildConstraints(const Automaton& property, const FairnessSpec& fairness);
   Bdd monitorSet(const std::vector<uint32_t>& states) const;
+  /// fairHull, or the empty set as soon as no initial state reaches the
+  /// current approximation (when `stopUnreached`).
+  Bdd fairHull(const Bdd& within, bool stopUnreached);
+  /// Backward EU within domain(): does some initial state reach `target`?
+  /// Stops at the first initial state.
+  bool initReaches(const Bdd& target);
   /// Counterexample lasso from the fair hull, validated against (and if
   /// necessary re-steered through) the Streett pairs.
   std::optional<Trace> buildTrace(const Bdd& hull);
@@ -135,8 +160,8 @@ class LcChecker {
   std::optional<TransitionRelation> tr_;
   LcOptions opts_;
   bool reclustered_ = false;
-  std::vector<bool> autDead_;
   MvVarId monitorVar_ = 0;
+  Bdd domain_;
 
   std::vector<Bdd> buchiSets_;               ///< state sets: visit inf often
   std::vector<Bdd> edgeSets_;                ///< edge sets over (x,y)

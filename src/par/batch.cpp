@@ -55,6 +55,9 @@ struct Replica {
 std::unique_ptr<Replica> buildReplica(Session& session, CtlChecker& primary,
                                       size_t& transferredNodes) {
   auto rep = std::make_unique<Replica>();
+  // Sized like the source's cache, not from the replica's own node count:
+  // the replica's checks (LC hulls above all) are the source's workload.
+  rep->mgr.growCacheToMatch(session.manager());
   BddTransfer tx(session.manager(), rep->mgr);
   rep->fsm = std::make_unique<Fsm>(Fsm::transferred(tx, session.fsm()));
   rep->tr.emplace(

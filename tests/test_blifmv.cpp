@@ -95,6 +95,8 @@ TEST(BlifmvParse, Errors) {
   EXPECT_THROW(parse(".model m\n.bogus x\n.end\n"), ParseException);
   EXPECT_THROW(parse(".model m\n.mv x\n.end\n"), ParseException);
   EXPECT_THROW(parse(".model m\n0 1\n.end\n"), ParseException);  // stray row
+  EXPECT_THROW(parse(".model m\n.table x\n"), ParseException);  // no .end
+  EXPECT_THROW(parse(".model a\n.end\n.model b\n"), ParseException);  // b open
   try {
     parse(".model m\n.table a b\n0\n.end\n");
     FAIL();

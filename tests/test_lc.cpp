@@ -1,10 +1,12 @@
 // Tests for ω-automata and the language-containment checker.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string_view>
 
 #include "blifmv/blifmv.hpp"
+#include "designs.hpp"
 #include "hsis/session.hpp"
 #include "lc/lc.hpp"
 #include "models/models.hpp"
@@ -168,7 +170,7 @@ TEST(Lc, InvarianceHolds) {
   LcResult r = lc.check();
   EXPECT_TRUE(r.contained);
   EXPECT_FALSE(r.trace.has_value());
-  EXPECT_GT(r.stats.reachedStates, 0.0);
+  EXPECT_GT(r.stats.hullIterations, 0u);
 }
 
 TEST(Lc, InvarianceFailsWithEarlyDetectionAndTrace) {
@@ -177,7 +179,6 @@ TEST(Lc, InvarianceFailsWithEarlyDetectionAndTrace) {
   LcChecker lc(mgr, flat, figure2Automaton("out=1"));
   LcResult r = lc.check();
   EXPECT_FALSE(r.contained);
-  EXPECT_TRUE(r.stats.usedEarlyFailure);
   ASSERT_TRUE(r.trace.has_value());
   EXPECT_TRUE(r.trace->isLasso());
   std::string text = lc.formatTrace(*r.trace);
@@ -185,15 +186,26 @@ TEST(Lc, InvarianceFailsWithEarlyDetectionAndTrace) {
 }
 
 TEST(Lc, EarlyFailureCanBeDisabled) {
-  BddManager mgr;
-  auto flat = blifmv::flatten(blifmv::parse(kCounter));
-  LcOptions opts;
-  opts.earlyFailureDetection = false;
-  LcChecker lc(mgr, flat, figure2Automaton("out=1"), {}, opts);
-  LcResult r = lc.check();
-  EXPECT_FALSE(r.contained);
-  EXPECT_FALSE(r.stats.usedEarlyFailure);
-  EXPECT_TRUE(r.trace.has_value());
+  // Session's early-failure switch is a CTL option: LC gives the same
+  // verdict and trace with it on or off.
+  std::vector<BugReport> reports;
+  for (bool efd : {true, false}) {
+    Session::Options opts;
+    opts.earlyFailureDetection = efd;
+    Session s(opts);
+    Session::DesignSource src;
+    src.kind = Session::DesignSource::Kind::BlifMv;
+    src.text = kCounter;
+    s.load(src);
+    reports.push_back(s.checkAutomaton("inv", figure2Automaton("out=1")));
+  }
+  for (const BugReport& r : reports) {
+    EXPECT_FALSE(r.holds);
+    EXPECT_FALSE(r.usedEarlyFailure);
+    ASSERT_FALSE(r.notes.empty());
+    EXPECT_NE(r.notes.back().find("error trace"), std::string::npos);
+  }
+  EXPECT_EQ(reports[0].notes, reports[1].notes);
 }
 
 TEST(Lc, BuchiLiveness) {
@@ -639,6 +651,121 @@ TEST(LcSession, AbortMidCheckLeavesSessionReusable) {
   EXPECT_EQ(s.manager().numVars(), vars);
   for (const PifProperty& p : pif.properties)
     EXPECT_TRUE(s.check(p).holds) << p.name;
+}
+
+// ------------------------------- backward decision vs a forward reference
+
+Bdd stateCube(const Fsm& fsm, const std::vector<int8_t>& state) {
+  return fsm.stateFromValues(fsm.decodeState(state));
+}
+
+/// Checks every automaton of `props` on the design against the forward
+/// reference (reach the product forward, then take the hull of the reached
+/// set R): hull(C) ∧ R == hull(R), check() agrees with hull(R) = ∅, and a
+/// failure's trace is a lasso of the product from an initial state.
+/// Returns each automaton's verdict by name.
+std::map<std::string, bool> checkedAgainstForwardHull(
+    const std::string& verilog, const std::string& top,
+    const std::vector<PifProperty>& props, const FairnessSpec& fairness) {
+  BddManager mgr;
+  Fsm design(mgr, blifmv::flatten(vl2mv::compile(verilog, top)));
+  TransitionRelation tr = TransitionRelation::partitioned(design);
+  Bdd reached = reachableStates(tr, design.initialStates()).reached;
+  TransitionRelation active = tr.minimized(reached);
+  std::map<std::string, bool> verdicts;
+  for (const PifProperty& p : props) {
+    if (p.kind != PifProperty::Kind::Automaton) continue;
+    LcChecker lc(design, active, reached, p.aut, fairness);
+    const Fsm& product = lc.fsm();
+    const Bdd& init = product.initialStates();
+    Bdd r = reachableStates(lc.tr(), init).reached;
+    Bdd hullR = lc.fairHull(r);
+    EXPECT_TRUE((lc.fairHull(lc.domain()) & r) == hullR)
+        << p.name << ": hull(C) & R != hull(R)";
+    LcResult res = lc.check();
+    EXPECT_EQ(res.contained, hullR.isZero()) << p.name;
+    verdicts[p.name] = res.contained;
+    if (res.contained) continue;
+    const bool lasso = res.trace.has_value() && res.trace->isLasso();
+    EXPECT_TRUE(lasso) << p.name << ": no lasso";
+    if (!lasso) continue;
+    const Trace& t = *res.trace;
+    EXPECT_TRUE(stateCube(product, t.states[0]).leq(init)) << p.name;
+    for (size_t i = 0; i < t.states.size(); ++i) {
+      size_t next =
+          i + 1 < t.states.size() ? i + 1 : static_cast<size_t>(t.cycleStart);
+      EXPECT_TRUE(stateCube(product, t.states[next])
+                      .leq(lc.tr().image(stateCube(product, t.states[i]))))
+          << p.name << ": no edge at step " << i;
+    }
+  }
+  return verdicts;
+}
+
+TEST(LcSession, BackwardDecisionMatchesForwardHull) {
+  size_t compared = 0;
+  for (const models::ModelDef& m : models::all()) {
+    PifFile pif = parsePif(std::string(m.pif));
+    compared += checkedAgainstForwardHull(std::string(m.verilog),
+                                          std::string(m.top), pif.properties,
+                                          pif.fairness)
+                    .size();
+  }
+  EXPECT_GE(compared, 12u);
+
+  // The generated families, against their verdicts known by construction.
+  std::vector<perfbench::Design> scaled = {
+      perfbench::scheduler(6, false), perfbench::scheduler(8, false),
+      perfbench::philos(4, false), perfbench::philos(5, false)};
+  for (const perfbench::Design& d : scaled) {
+    PifFile pif = parsePif(d.pif);
+    std::map<std::string, bool> verdicts = checkedAgainstForwardHull(
+        d.verilog, d.top, pif.properties, pif.fairness);
+    EXPECT_EQ(verdicts.size(), 2u) << d.name;
+    for (const perfbench::Expected& e : d.verdicts) {
+      if (verdicts.count(e.property) != 0) {
+        EXPECT_EQ(verdicts[e.property], e.holds) << d.name << "/" << e.property;
+      }
+    }
+  }
+
+  // The proplib automaton templates, each beside its CTL twin if it has one.
+  auto e = [](const char* text) { return parseSigExpr(text); };
+  const std::vector<std::pair<PifProperty, std::optional<PifProperty>>> lib = {
+      {proplib::invariantAutomaton("inv_ok", e("!(gnt0 & gnt1)")),
+       proplib::invariant("inv_ok_ctl", e("!(gnt0 & gnt1)"))},
+      {proplib::invariantAutomaton("inv_bad", e("cnt!=3")),
+       proplib::invariant("inv_bad_ctl", e("cnt!=3"))},
+      {proplib::precedence("prec_ok", e("req"), e("ack")), std::nullopt},
+      {proplib::precedence("prec_bad", e("ack"), e("req")), std::nullopt},
+      {proplib::cyclicOrder("cyclic_ok", {e("cnt=0"), e("cnt=1"), e("cnt=2")}),
+       std::nullopt},
+      {proplib::cyclicOrder("cyclic_bad", {e("cnt=1"), e("cnt=0")}),
+       std::nullopt},
+      {proplib::responseAutomaton("resp_ok", e("req"), e("ack")),
+       proplib::response("resp_ok_ctl", e("req"), e("ack"))},
+      {proplib::responseAutomaton("resp_bad", e("ack"), e("req")),
+       proplib::response("resp_bad_ctl", e("ack"), e("req"))},
+      {proplib::recurrence("rec_ok", e("turn")),
+       proplib::recurrenceCtl("rec_ok_ctl", e("turn"))},
+      {proplib::recurrence("rec_bad", e("req")),
+       proplib::recurrenceCtl("rec_bad_ctl", e("req"))},
+  };
+  std::vector<PifProperty> automata;
+  for (const auto& [aut, twin] : lib) automata.push_back(aut);
+  std::map<std::string, bool> verdicts =
+      checkedAgainstForwardHull(kReqAck, "", automata, {});
+  ASSERT_EQ(verdicts.size(), lib.size());
+  Session s;
+  s.load(verilogSource(kReqAck));
+  std::set<bool> seen;
+  for (const auto& [aut, twin] : lib) {
+    seen.insert(verdicts[aut.name]);
+    if (twin.has_value()) {
+      EXPECT_EQ(s.check(*twin).holds, verdicts[aut.name]) << aut.name;
+    }
+  }
+  EXPECT_EQ(seen.size(), 2u);  // both verdicts exercised
 }
 
 }  // namespace
