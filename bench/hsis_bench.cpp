@@ -265,6 +265,25 @@ std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
         for (int i = 0; i < 4096; ++i) f = !f;
       });
     }
+    add("bdd/gc-churn", [] {
+      // A fixpoint-shaped loop in the band where a collector that waits
+      // for a fixed total node count collects most often: ~10K nodes stay
+      // live (the state sets), and every step combines two of them under
+      // a fresh random cube into a result that dies at the next step.
+      constexpr uint32_t nv = 32;
+      hsis::BddManager m(nv);
+      std::mt19937 rng(4);
+      std::vector<hsis::Bdd> sets;
+      while (m.sharedNodeCount(sets) < 10000)
+        sets.push_back(randomFunction(m, rng, nv, 16));
+      hsis::Bdd frontier = m.bddZero();
+      for (size_t step = 0; step < 4096; ++step) {
+        const hsis::Bdd& a = sets[step % sets.size()];
+        const hsis::Bdd& b = sets[(step * 7 + 3) % sets.size()];
+        hsis::Bdd sel = randomFunction(m, rng, nv, 1);
+        frontier = m.ite(sel, a, b) & !frontier;
+      }
+    });
     add("bdd/cube/2048", [] {
       // Quantification cubes as the TR schedule builds them: variables in
       // ascending level order, each new one below all the others. Linear

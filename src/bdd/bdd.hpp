@@ -152,7 +152,8 @@ class BddManager {
 
   // ---- variables and constants ----
 
-  /// Create a new variable at the bottom of the current order.
+  /// Create a new variable at the bottom of the current order. Throws
+  /// std::length_error past kMaxVars (65,535) variables.
   BddVar newVar();
   /// Create a new variable at the given level, shifting others down.
   BddVar newVarAtLevel(uint32_t level);
@@ -280,9 +281,9 @@ class BddManager {
   [[nodiscard]] obs::prof::BddCensus census() const;
   void clearCaches();
   /// Grow the computed cache to at least `source`'s set count. The cache
-  /// otherwise grows only with this manager's own node count, so a copy
-  /// filled by BddTransfer would start at the default size while the
-  /// source's has grown. Serial mode only.
+  /// otherwise grows only with this manager's own live nodes, seen at its
+  /// collections, so a copy filled by BddTransfer would start at the
+  /// default size while the source's has grown. Serial mode only.
   void growCacheToMatch(const BddManager& source);
 
   // ---- io ----
@@ -298,15 +299,23 @@ class BddManager {
   static constexpr uint32_t kTermLevel = 0xFFFFFFFFu;
   static constexpr uint32_t kNil = 0xFFFFFFFFu;
 
+  /// A node's variable id: 16 bits, so a node is 16 bytes (four per
+  /// cache line). kNoVar marks free slots and the terminals.
+  using NodeVar = uint16_t;
+  static constexpr NodeVar kNoVar = 0xFFFF;
+  /// Variables a manager can hold (ids 0 .. kMaxVars - 1).
+  static constexpr uint32_t kMaxVars = kNoVar;
+
   struct Node {
     // NSDMI defaults make a value-initialized slot read as *free*
-    // (var == kNil): the shared-phase arena is resized ahead of the bump
+    // (var == kNoVar): the shared-phase arena is resized ahead of the bump
     // allocator, and every scan recognizes untouched slots by the sentinel.
-    BddVar var = kNil;
+    NodeVar var = kNoVar;
+    uint16_t ref = 0;         ///< external reference count (saturating)
     uint32_t lo = 0, hi = 0;  ///< child edges; `lo` is always a regular edge
-    uint32_t next = kNil;     ///< unique-table chain
-    uint32_t ref = 0;         ///< external reference count (saturating)
+    uint32_t next = kNil;     ///< unique-table chain, or free-list link
   };
+  static_assert(sizeof(Node) == 16);
 
   /// The age bit lives in k2's top bit (operand c occupies bits 0..31, the
   /// op byte bits 32..39; 40..62 are always zero, 63 is free).
@@ -355,6 +364,7 @@ class BddManager {
     uint64_t flushedAged = 0;
 
     int opDepth = 0;        ///< >0 while a public op is active on this thread
+    uint64_t opCreatedBase = 0;  ///< `created` when the outermost op began
     bool inside = false;    ///< currently counted in sharedInsideOps_
     bool stwCoordinator = false;  ///< owns the current stop-the-world
     uint32_t sinceGrowthCheck = 0;
@@ -374,7 +384,9 @@ class BddManager {
   /// The complement bit of an edge (0 or kComplBit), for sign propagation.
   [[nodiscard]] static constexpr uint32_t eSign(uint32_t e) { return e & kComplBit; }
 
-  static constexpr uint32_t kRefSaturated = 0xFFFFFFFFu;
+  /// A node with this many handles becomes permanent: it and everything
+  /// below it survive every collection.
+  static constexpr uint16_t kRefSaturated = 0xFFFF;
 
   // node layer
   uint32_t mkNode(BddVar var, uint32_t lo, uint32_t hi);
@@ -386,29 +398,45 @@ class BddManager {
   void growUnique();
   void growCache(ThreadCtx& tc);
   void maybeGcOrSift();
+  /// The collection trigger, for the serial and the shared-phase path.
+  [[nodiscard]] bool gcDue() const { return liveNodeCount() > gcThreshold_; }
+  /// The collection policy, applied after every sweep (serial or shared,
+  /// triggered or explicit) that freed `freed` slots: sets the node count
+  /// at which the next collection is due and fits the computed caches to
+  /// the live set.
+  void applyGcPolicy(size_t freed);
+  /// Nodes `tc`'s computed cache is sized for: the live count at the last
+  /// collection plus the nodes the running operation has created. Garbage
+  /// left by finished operations, which the next collection frees, does
+  /// not count.
+  [[nodiscard]] size_t cacheDemand(const ThreadCtx& tc) const {
+    return gcLive_ + static_cast<size_t>(tc.created - tc.opCreatedBase);
+  }
   void incRef(uint32_t e) {
-    uint32_t& r = nodes_[eIdx(e)].ref;
+    uint16_t& r = nodes_[eIdx(e)].ref;
     if (!sharedMode_) [[likely]] {
       if (r != kRefSaturated) ++r;
       return;
     }
-    std::atomic_ref<uint32_t> ar(r);
-    uint32_t cur = ar.load(std::memory_order_relaxed);
+    std::atomic_ref<uint16_t> ar(r);
+    uint16_t cur = ar.load(std::memory_order_relaxed);
     while (cur != kRefSaturated &&
-           !ar.compare_exchange_weak(cur, cur + 1, std::memory_order_relaxed)) {
+           !ar.compare_exchange_weak(cur, static_cast<uint16_t>(cur + 1),
+                                     std::memory_order_relaxed)) {
     }
   }
   void decRef(uint32_t e) {
-    uint32_t& r = nodes_[eIdx(e)].ref;
+    uint16_t& r = nodes_[eIdx(e)].ref;
     if (!sharedMode_) [[likely]] {
       assert(r > 0);
       if (r != kRefSaturated) --r;
       return;
     }
-    std::atomic_ref<uint32_t> ar(r);
-    uint32_t cur = ar.load(std::memory_order_relaxed);
+    std::atomic_ref<uint16_t> ar(r);
+    uint16_t cur = ar.load(std::memory_order_relaxed);
     while (cur != kRefSaturated &&
-           !ar.compare_exchange_weak(cur, cur - 1, std::memory_order_relaxed)) {
+           !ar.compare_exchange_weak(cur, static_cast<uint16_t>(cur - 1),
+                                     std::memory_order_relaxed)) {
     }
   }
   [[nodiscard]] bool isTerm(uint32_t e) const { return eIdx(e) <= 1; }
@@ -419,7 +447,7 @@ class BddManager {
   // GC internals. markReachable runs the shared mark DFS (every node
   // reachable from an externally referenced one, terminals always marked)
   // used by gc(), census(), and the cache keep-alive sweep. Free arena
-  // slots are recognized by their var == kNil sentinel — no separate
+  // slots are recognized by their var == kNoVar sentinel — no separate
   // free-slot mask pass. Byte mask, not vector<bool>: the sweep and
   // keep-alive loops read it per node/entry.
   [[nodiscard]] std::vector<uint8_t> markReachable() const;
@@ -504,8 +532,10 @@ class BddManager {
   class ScopedOp {
    public:
     explicit ScopedOp(BddManager* m) : m_(m), tc_(m->ctx()) {
-      if (tc_.opDepth++ == 0 && m_->sharedMode_ && !tc_.stwCoordinator)
-        m_->enterSharedOp(tc_);
+      if (tc_.opDepth++ == 0) {
+        tc_.opCreatedBase = tc_.created;
+        if (m_->sharedMode_ && !tc_.stwCoordinator) m_->enterSharedOp(tc_);
+      }
     }
     ~ScopedOp() {
       if (--tc_.opDepth == 0) {
@@ -653,7 +683,23 @@ class BddManager {
   size_t countFrom(std::vector<uint32_t>& stack, uint32_t epoch) const;
 
   std::vector<Node> nodes_;
-  std::vector<uint32_t> freeList_;
+  /// Free arena slots, linked through Node::next: a free slot has
+  /// var == kNoVar and is in no unique-table chain, so its link field is
+  /// spare and the free list costs no memory of its own.
+  uint32_t freeHead_ = kNil;
+  size_t freeCount_ = 0;
+  void pushFree(uint32_t i) {
+    nodes_[i].var = kNoVar;  // sentinel: slot is free (reorder scans rely on it)
+    nodes_[i].next = freeHead_;
+    freeHead_ = i;
+    ++freeCount_;
+  }
+  uint32_t popFree() {
+    uint32_t i = freeHead_;
+    freeHead_ = nodes_[i].next;
+    --freeCount_;
+    return i;
+  }
   std::vector<uint32_t> uniqueTable_;  ///< bucket heads
   size_t uniqueCount_ = 0;
   uint32_t uniqueMask_ = 0;
@@ -672,7 +718,11 @@ class BddManager {
   /// still hold references to previously registered ones.
   std::deque<std::vector<BddVar>> permMaps_;
 
-  size_t gcThreshold_ = 1 << 14;
+  /// Fresh nodes a collection waits for beyond the live set (and the
+  /// first threshold): the one constant of the collection policy.
+  static constexpr size_t kGcBudget = size_t{1} << 14;
+  size_t gcThreshold_ = kGcBudget;
+  size_t gcLive_ = 0;  ///< live nodes after the last collection
   double maxGrowth_ = 1.2;
 
   mutable BddStats stats_;
@@ -738,6 +788,7 @@ class BddManager {
   obs::Counter& obsNodesCreated_;
   obs::Counter& obsGcRuns_;
   obs::Counter& obsGcReclaimed_;
+  obs::Counter& obsGcMicros_;
   obs::Counter& obsReorderings_;
   obs::Counter& obsCacheKept_;
   obs::Counter& obsCacheDropped_;

@@ -161,16 +161,15 @@ void BddManager::endShared() {
   // Consolidate free slots: per-thread chunks, then the virgin region the
   // bump allocator never reached — without this the serial allocator would
   // leak every untouched slot of the resized arena.
-  freeList_.insert(freeList_.end(), mainCtx_.freeChunk.begin(),
-                   mainCtx_.freeChunk.end());
+  for (uint32_t i : mainCtx_.freeChunk) pushFree(i);
   mainCtx_.freeChunk.clear();
   for (auto& c : workerCtxs_) {
-    freeList_.insert(freeList_.end(), c->freeChunk.begin(), c->freeChunk.end());
+    for (uint32_t i : c->freeChunk) pushFree(i);
     c->freeChunk.clear();
   }
   for (uint32_t i = nodeTop_.load(std::memory_order_relaxed);
        i < nodes_.size(); ++i)
-    freeList_.push_back(i);
+    pushFree(i);
 
   // Retire worker contexts (keep the main one and its warm cache). Their
   // lifetime tallies move to the retired accumulators so stats()/census()
@@ -318,13 +317,11 @@ uint32_t BddManager::allocSlotShared(ThreadCtx& tc) {
   }
   {
     std::lock_guard<std::mutex> g(freeMu_);
-    if (!freeList_.empty()) {
-      size_t take = std::min<size_t>(freeList_.size(), 128);
-      tc.freeChunk.assign(freeList_.end() - static_cast<ptrdiff_t>(take),
-                          freeList_.end());
-      freeList_.resize(freeList_.size() - take);
-      uint32_t idx = tc.freeChunk.back();
-      tc.freeChunk.pop_back();
+    if (freeHead_ != kNil) {
+      // Take a chunk of up to 128 slots: one now, the rest kept locally.
+      uint32_t idx = popFree();
+      for (int k = 1; k < 128 && freeHead_ != kNil; ++k)
+        tc.freeChunk.push_back(popFree());
       return idx;
     }
   }
@@ -338,7 +335,7 @@ void BddManager::retireSlotShared(ThreadCtx& tc, uint32_t idx) {
   // A candidate that lost its insertion race: reset the sentinel so a GC
   // sweep cannot double-free the slot, and recycle it thread-locally.
   Node& nd = nodes_[idx];
-  nd.var = kNil;
+  nd.var = kNoVar;
   nd.next = kNil;
   tc.freeChunk.push_back(idx);
 }
@@ -382,7 +379,7 @@ uint32_t BddManager::mkNodeShared(ThreadCtx& tc, BddVar var, uint32_t lo,
     }
     uint32_t idx = allocSlotShared(tc);
     Node& nd = nodes_[idx];
-    nd.var = var;
+    nd.var = static_cast<NodeVar>(var);
     nd.lo = lo;
     nd.hi = hi;
     nd.ref = 0;
@@ -396,7 +393,7 @@ uint32_t BddManager::mkNodeShared(ThreadCtx& tc, BddVar var, uint32_t lo,
         tc.sinceGrowthCheck = 0;
         size_t live = approxLive();
         if (live > uniqueTable_.size()) growUniqueShared(tc);
-        if (live > tc.cache.size() * 2) growCache(tc);
+        if (cacheDemand(tc) > tc.cache.size() * 2) growCache(tc);
       }
       return idx;
     }

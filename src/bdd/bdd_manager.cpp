@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <stdexcept>
 
 #include "obs/control.hpp"
@@ -37,6 +38,7 @@ BddManager::BddManager(uint32_t numVars)
       obsNodesCreated_(obs::counter("bdd.nodes.created")),
       obsGcRuns_(obs::counter("bdd.gc.runs")),
       obsGcReclaimed_(obs::counter("bdd.gc.reclaimed")),
+      obsGcMicros_(obs::counter("bdd.gc.micros")),
       obsReorderings_(obs::counter("bdd.reorder.count")),
       obsCacheKept_(obs::counter("bdd.cache.gc_kept")),
       obsCacheDropped_(obs::counter("bdd.cache.gc_dropped")),
@@ -48,8 +50,8 @@ BddManager::BddManager(uint32_t numVars)
   // level arithmetic starting at 2 as before complement edges). Slot 1 is
   // the single ONE terminal; FALSE is its complemented edge. Neither is in
   // the unique table; both carry permanent references.
-  nodes_.push_back({kTermLevel, 0, 0, kNil, kRefSaturated});
-  nodes_.push_back({kTermLevel, 1, 1, kNil, kRefSaturated});
+  nodes_.push_back({kNoVar, kRefSaturated, 0, 0, kNil});
+  nodes_.push_back({kNoVar, kRefSaturated, 1, 1, kNil});
 
   uniqueTable_.assign(1 << 12, kNil);
   uniqueMask_ = static_cast<uint32_t>(uniqueTable_.size() - 1);
@@ -69,6 +71,8 @@ BddManager::~BddManager() {
 
 BddVar BddManager::newVar() {
   assert(!sharedMode_ && "newVar during a shared phase is not supported");
+  if (perm_.size() >= kMaxVars)
+    throw std::length_error("BddManager: variable limit reached");
   BddVar v = static_cast<BddVar>(perm_.size());
   perm_.push_back(v);
   invPerm_.push_back(v);
@@ -123,15 +127,14 @@ uint32_t BddManager::mkNode(BddVar var, uint32_t lo, uint32_t hi) {
     if (nd.var == var && nd.lo == lo && nd.hi == hi) return n | outSign;
   }
   uint32_t idx;
-  if (!freeList_.empty()) {
-    idx = freeList_.back();
-    freeList_.pop_back();
-    nodes_[idx] = Node{var, lo, hi, kNil, 0};
+  if (freeHead_ != kNil) {
+    idx = popFree();
+    nodes_[idx] = Node{static_cast<NodeVar>(var), 0, lo, hi, kNil};
   } else {
     idx = static_cast<uint32_t>(nodes_.size());
     if ((idx & kComplBit) != 0)
       throw std::length_error("BddManager: node arena full");
-    nodes_.push_back(Node{var, lo, hi, kNil, 0});
+    nodes_.push_back(Node{static_cast<NodeVar>(var), 0, lo, hi, kNil});
   }
   nodes_[idx].next = uniqueTable_[bucket];
   uniqueTable_[bucket] = idx;
@@ -139,9 +142,9 @@ uint32_t BddManager::mkNode(BddVar var, uint32_t lo, uint32_t hi) {
   ++mainCtx_.created;
   if (uniqueCount_ > stats_.peakLiveNodes) stats_.peakLiveNodes = uniqueCount_;
   if (uniqueCount_ > uniqueTable_.size()) growUnique();
-  // Keep the operation cache proportional to the node count, or deep
+  // Keep the operation cache proportional to the nodes in use, or deep
   // recursions degenerate into exponential recomputation.
-  if (uniqueCount_ > mainCtx_.cache.size() * 2) growCache(mainCtx_);
+  if (cacheDemand(mainCtx_) > mainCtx_.cache.size() * 2) growCache(mainCtx_);
   return idx | outSign;
 }
 
@@ -233,20 +236,7 @@ void BddManager::maybeGcOrSift() {
     // sampler never reads manager structures concurrently. One relaxed load
     // when no profiler is running.
     if (obs::prof::censusRequested()) obs::prof::publishCensus(census());
-    if (nodes_.size() - freeList_.size() > gcThreshold_) {
-      size_t freed = gcImpl();
-      size_t live = nodes_.size() - freeList_.size();
-      if (freed < live / 3) {
-        gcThreshold_ = live * 2;
-        HSIS_LOG_DEBUG("bdd.gc", "sweep reclaimed little, threshold raised",
-                       {{"freed", freed},
-                        {"live", live},
-                        {"threshold", gcThreshold_}});
-      } else {
-        HSIS_LOG_DEBUG("bdd.gc", "sweep complete",
-                       {{"freed", freed}, {"live", live}});
-      }
-    }
+    if (gcDue()) gcImpl();
     return;
   }
   // Shared phase: both the census rendezvous and GC are deep stop-the-world
@@ -260,17 +250,39 @@ void BddManager::maybeGcOrSift() {
       if (obs::prof::censusRequested()) obs::prof::publishCensus(census());
     });
   }
-  if (approxLive() > gcThreshold_) {
+  if (gcDue()) {
     stwDeepRun(tc, [&] {
-      size_t live = approxLive();
-      if (live <= gcThreshold_) return;  // someone collected before us
-      size_t freed = gcImpl();
-      live = approxLive();
-      if (freed < live / 3) gcThreshold_ = live * 2;
-      HSIS_LOG_DEBUG("bdd.gc", "shared sweep complete",
-                     {{"freed", freed}, {"live", live}});
+      if (gcDue()) gcImpl();  // else someone collected before us
     });
   }
+}
+
+void BddManager::applyGcPolicy(size_t freed) {
+  // A collection costs O(arena + cache) whatever it frees, so the next one
+  // waits for a fixed budget of fresh nodes beyond the live set: each is
+  // paid back by at least kGcBudget reclaimed slots, not by whatever a
+  // threshold fixed at startup leaves above the live count. A sweep that
+  // still freed under a third of the live set waits for twice the live
+  // set instead, so large live sets are not rescanned for little return.
+  // The threshold only rises: the arena already holds the slots a higher
+  // one needs, and lowering it would only collect more often.
+  const size_t live = uniqueCount_;
+  gcLive_ = live;
+  gcThreshold_ = std::max({gcThreshold_, live + kGcBudget,
+                           freed < live / 3 ? 2 * live : 0});
+  // Between collections the caches grow only with the nodes a running
+  // operation holds (cacheDemand). Here they catch up with the live set,
+  // twice over up to one budget: room for the results fixpoint loops reuse
+  // on the live sets, which the keep-alive sweep carries over, beside the
+  // fresh ones of the next collection cycle.
+  const size_t want = live + std::min(live, kGcBudget);
+  auto fit = [&](ThreadCtx& tc) {
+    while (want > tc.cache.size() * 2) growCache(tc);
+  };
+  fit(mainCtx_);
+  for (auto& c : workerCtxs_) fit(*c);
+  HSIS_LOG_DEBUG("bdd.gc", "sweep complete",
+                 {{"freed", freed}, {"live", live}, {"threshold", gcThreshold_}});
 }
 
 void BddManager::flushObs(ThreadCtx& tc) {
@@ -318,15 +330,15 @@ const BddStats& BddManager::stats() const {
 std::vector<uint8_t> BddManager::markReachable() const {
   // Every node reachable from an externally referenced node survives.
   // Iterative DFS over the arena; child edges strip the complement bit.
-  // Free slots (var == kNil) are never roots, and children of live nodes
+  // Free slots (var == kNoVar) are never roots, and children of live nodes
   // are live, so the walk cannot enter one. In a shared phase the loop
-  // covers the resized arena too: virgin slots read var == kNil (their
+  // covers the resized arena too: virgin slots read var == kNoVar (their
   // NSDMI default) and are skipped.
   std::vector<uint8_t> marked(nodes_.size(), 0);
   marked[0] = marked[1] = 1;
   std::vector<uint32_t> stack;
   for (uint32_t i = 2; i < nodes_.size(); ++i) {
-    if (nodes_[i].var != kNil && nodes_[i].ref > 0 && !marked[i]) {
+    if (nodes_[i].var != kNoVar && nodes_[i].ref > 0 && !marked[i]) {
       stack.assign(1, i);
       while (!stack.empty()) {
         uint32_t n = stack.back();
@@ -349,32 +361,33 @@ void BddManager::cacheKeepAlive(ThreadCtx& tc,
   // for ternary ops the third operand. Entries whose nodes all survived are
   // left in place (their slot depends only on the key, which is unchanged);
   // the rest are dropped before their arena slots can be reused.
-  size_t kept = 0, dropped = 0;
-  // Every index a cache entry can mention is < nodes_.size() == the mask
-  // length: entries referencing dead nodes are dropped at the GC that
-  // freed them, so no entry outlives the arena coordinates it was keyed on.
-  auto alive = [&](uint32_t e) { return marked[eIdx(e)] != 0; };
+  //
+  // One pass with a single data-dependent branch (empty way or not): the
+  // four fields are masked to node indices and their mark bytes ANDed.
+  // Binary ops store 0 in c, Leq a boolean in the result; slots 0 and 1
+  // are always marked, so those fields read as alive. Permute packs a map
+  // id (not an edge) in b, which is replaced by the always-marked slot 1.
+  // Every index an entry mentions is < nodes_.size() == marked.size():
+  // entries referencing dead nodes are dropped at the GC that freed them,
+  // so no entry outlives the arena coordinates it was keyed on.
+  constexpr uint64_t kOpPermute = static_cast<uint64_t>(Op::Permute) << 32;
+  constexpr uint64_t kOpMask = uint64_t{0xFF} << 32;
+  const uint8_t* mk = marked.data();
+  size_t kept = 0, used = 0;
   for (CacheSet& s : tc.cache)
   for (CacheEntry& e : s.way) {
-    if (e.k1 == ~0ull && e.k2 == ~0ull) continue;
+    if (e.k1 == ~0ull) continue;  // empty: a real key never has a = ~0u
     uint32_t a = static_cast<uint32_t>(e.k1 >> 32);
     uint32_t b = static_cast<uint32_t>(e.k1);
     uint32_t c = static_cast<uint32_t>(e.k2);
-    Op op = static_cast<Op>(static_cast<uint8_t>(e.k2 >> 32));
-    bool ok = alive(a) && alive(e.result);
-    // Permute packs a map id (not an edge) in its second field; Leq packs
-    // a boolean in the result. Both are always "alive".
-    if (op != Op::Permute) ok = ok && alive(b);
-    ok = ok && alive(c);
-    if (ok) {
-      ++kept;
-    } else {
-      e = CacheEntry{};
-      ++dropped;
-    }
+    b = (e.k2 & kOpMask) == kOpPermute ? kOneEdge : b;
+    uint8_t ok = mk[eIdx(a)] & mk[eIdx(b)] & mk[eIdx(c)] & mk[eIdx(e.result)];
+    ++used;
+    kept += ok;
+    if (!ok) e = CacheEntry{};
   }
   obsCacheKept_.add(kept);
-  obsCacheDropped_.add(dropped);
+  obsCacheDropped_.add(used - kept);
 }
 
 size_t BddManager::gc() {
@@ -387,6 +400,8 @@ size_t BddManager::gc() {
 }
 
 size_t BddManager::gcImpl() {
+  // One clock reading pair per collection, none per operation.
+  const auto t0 = std::chrono::steady_clock::now();
   std::vector<uint8_t> marked = markReachable();
 
   // Sweep by rebuilding the unique table wholesale: clearing buckets and
@@ -396,13 +411,11 @@ size_t BddManager::gcImpl() {
   uniqueCount_ = 0;
   size_t freed = 0;
   for (uint32_t i = 2; i < nodes_.size(); ++i) {
-    if (nodes_[i].var == kNil) continue;  // already on the free list
+    if (nodes_[i].var == kNoVar) continue;  // already on the free list
     if (marked[i]) {
       uniqueInsert(i);
     } else {
-      nodes_[i].var = kNil;  // sentinel: slot is free (reorder scans rely on it)
-      nodes_[i].next = kNil;
-      freeList_.push_back(i);
+      pushFree(i);
       ++freed;
     }
   }
@@ -423,11 +436,16 @@ size_t BddManager::gcImpl() {
   // under the deep stop-the-world).
   cacheKeepAlive(mainCtx_, marked);
   for (auto& c : workerCtxs_) cacheKeepAlive(*c, marked);
+  applyGcPolicy(freed);
   ++stats_.gcRuns;
   stats_.liveNodes = uniqueCount_;
   stats_.allocatedNodes = nodes_.size();
   obsGcRuns_.add();
   obsGcReclaimed_.add(freed);
+  obsGcMicros_.add(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
   flushObs(ctx());
   return freed;
 }
@@ -444,7 +462,7 @@ obs::prof::BddCensus BddManager::census() const {
   obs::prof::BddCensus c;
   c.liveNodes = sharedMode_ ? approxLive() : uniqueCount_;
   c.allocatedNodes = nodes_.size() - 2;  // terminal + reserved slot excluded
-  c.freeNodes = freeList_.size();
+  c.freeNodes = freeCount_;
   c.uniqueBuckets = uniqueTable_.size();
   c.threadCaches = 1 + workerCtxs_.size();
   c.uniqueShards = sharedMode_ ? kNumShards : 1;
@@ -467,7 +485,7 @@ obs::prof::BddCensus BddManager::census() const {
 
   c.levelNodes.assign(perm_.size(), 0);
   for (uint32_t i = 2; i < nodes_.size(); ++i) {
-    if (nodes_[i].var != kNil) ++c.levelNodes[perm_[nodes_[i].var]];
+    if (nodes_[i].var != kNoVar) ++c.levelNodes[perm_[nodes_[i].var]];
   }
 
   // Dead = in the unique table but unreachable from any externally
@@ -475,7 +493,7 @@ obs::prof::BddCensus BddManager::census() const {
   // what the next sweep would reclaim (and 0 right after one).
   std::vector<uint8_t> marked = markReachable();
   for (uint32_t i = 2; i < nodes_.size(); ++i) {
-    if (nodes_[i].var != kNil && !marked[i]) ++c.deadNodes;
+    if (nodes_[i].var != kNoVar && !marked[i]) ++c.deadNodes;
   }
   return c;
 }

@@ -523,6 +523,7 @@ void BddManager::runParTask(ParTask& t) {
   if (tc.opDepth == 0) {
     enterSharedTask(tc);
     entered = true;
+    tc.opCreatedBase = tc.created;
   }
   ++tc.opDepth;
   try {

@@ -23,7 +23,7 @@ size_t BddManager::swapAdjacentLevels(uint32_t l) {
   // invariant; the high edge's complement bit propagates to its cofactors.
   size_t n = nodes_.size();
   for (uint32_t i = 2; i < n; ++i) {
-    if (nodes_[i].var != u) continue;  // free slots carry var == kNil
+    if (nodes_[i].var != u) continue;  // free slots carry var == kNoVar
     uint32_t lo = nodes_[i].lo, hi = nodes_[i].hi;
     assert(!eIsNeg(lo) && "canonical form: low edge must be regular");
     bool loDep = !isTerm(lo) && nodes_[lo].var == v;
@@ -42,7 +42,7 @@ size_t BddManager::swapAdjacentLevels(uint32_t l) {
     uint32_t n1 = mkNode(u, f01, f11);
     assert(n0 != n1 && "node did not actually depend on v");
     assert(!eIsNeg(n0) && "swap result low edge must stay regular");
-    nodes_[i].var = v;
+    nodes_[i].var = static_cast<NodeVar>(v);
     nodes_[i].lo = n0;
     nodes_[i].hi = n1;
     uniqueInsert(i);
@@ -82,7 +82,7 @@ void BddManager::siftImpl() {
   // the fattest levels have the most to gain.
   std::vector<size_t> levelSize(n, 0);
   for (uint32_t i = 2; i < nodes_.size(); ++i) {
-    if (nodes_[i].var != kNil && nodes_[i].var != kTermLevel)
+    if (nodes_[i].var != kNoVar)
       levelSize[perm_[nodes_[i].var]]++;
   }
   std::vector<BddVar> vars(n);

@@ -80,64 +80,6 @@ void Automaton::setBuchiAcceptance(const std::vector<std::string>& states) {
   addRabinPair({}, states);
 }
 
-std::vector<bool> Automaton::deadStates() const {
-  uint32_t n = numStates();
-  std::vector<bool> live(n, false);
-
-  // Adjacency (guards assumed satisfiable; identically-false guards would
-  // only make this analysis conservative in the safe direction is NOT true,
-  // so callers should not add 0-guards).
-  std::vector<std::vector<uint32_t>> adj(n);
-  for (const Edge& e : edges_) adj[e.from].push_back(e.to);
-
-  for (const RabinPair& pair : pairs_) {
-    std::vector<bool> isFin(n, false), isInf(n, false);
-    for (uint32_t s : pair.fin) isFin[s] = true;
-    for (uint32_t s : pair.inf) isInf[s] = true;
-
-    // Find states on a cycle within G\Fin that passes through an Inf state.
-    // Simple O(n^2) closure: within G\Fin compute reach sets.
-    std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-    for (uint32_t s = 0; s < n; ++s) {
-      if (isFin[s]) continue;
-      // BFS in G\Fin.
-      std::vector<uint32_t> stack{s};
-      while (!stack.empty()) {
-        uint32_t u = stack.back();
-        stack.pop_back();
-        for (uint32_t v : adj[u]) {
-          if (isFin[v] || reach[s][v]) continue;
-          reach[s][v] = true;
-          stack.push_back(v);
-        }
-      }
-    }
-    std::vector<bool> good(n, false);
-    for (uint32_t s = 0; s < n; ++s) {
-      if (isFin[s] || !isInf[s]) continue;
-      if (reach[s][s]) good[s] = true;  // Inf state on a Fin-free cycle
-    }
-    // Live for this pair: can reach a good state through the FULL graph.
-    std::vector<bool> pairLive = good;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const Edge& e : edges_) {
-        if (pairLive[e.to] && !pairLive[e.from]) {
-          pairLive[e.from] = true;
-          changed = true;
-        }
-      }
-    }
-    for (uint32_t s = 0; s < n; ++s)
-      if (pairLive[s]) live[s] = true;
-  }
-
-  std::vector<bool> dead(n, false);
-  for (uint32_t s = 0; s < n; ++s) dead[s] = !live[s];
-  return dead;
-}
-
 std::vector<std::string> Automaton::guardSignals() const {
   std::vector<std::string> sigs;
   for (const Edge& e : edges_) collectSignals(*e.guard, sigs);

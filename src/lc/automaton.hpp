@@ -52,10 +52,6 @@ class Automaton {
   };
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
 
-  /// States with no accepting continuation (pure graph analysis, assuming
-  /// all guards satisfiable). A run that reaches one of these is rejected.
-  [[nodiscard]] std::vector<bool> deadStates() const;
-
   /// Design signals read by the edge guards, in order of first use.
   [[nodiscard]] std::vector<std::string> guardSignals() const;
 

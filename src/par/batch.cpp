@@ -136,6 +136,12 @@ BatchReport checkBatch(Session& session,
   session.build();
   CtlChecker& primary = session.checker();
   (void)primary.reached();
+  // Collect first: each replica sizes its computed cache like the source's
+  // (growCacheToMatch), and a collection fits the source's cache to the
+  // live set about to be copied. Without it the source's cache reflects
+  // its last collection, before the reach, and every replica would grow
+  // its own later on its worker thread.
+  session.manager().gc();
   std::vector<std::unique_ptr<Replica>> replicas;
   uint64_t transferStart = nowMicros();
   replicas.reserve(static_cast<size_t>(workers));

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "blifmv/blifmv.hpp"
+#include "dead_states.hpp"
 #include "designs.hpp"
 #include "hsis/session.hpp"
 #include "lc/lc.hpp"
@@ -49,7 +50,7 @@ TEST(Automaton, Structure) {
 
 TEST(Automaton, DeadStates) {
   Automaton aut = figure2Automaton("x=1");
-  std::vector<bool> dead = aut.deadStates();
+  std::vector<bool> dead = deadStates(aut);
   EXPECT_FALSE(dead[0]);  // A can accept
   EXPECT_TRUE(dead[1]);   // B is the rejecting trap
   // Büchi acceptance on a two-state ping automaton: nothing is dead.
@@ -59,7 +60,7 @@ TEST(Automaton, DeadStates) {
   b.addEdge("p", "q", sigTrue());
   b.addEdge("q", "p", sigTrue());
   b.setBuchiAcceptance({"q"});
-  std::vector<bool> bd = b.deadStates();
+  std::vector<bool> bd = deadStates(b);
   EXPECT_FALSE(bd[0]);
   EXPECT_FALSE(bd[1]);
 }
@@ -636,8 +637,9 @@ TEST(LcSession, AbortMidCheckLeavesSessionReusable) {
   ASSERT_NE(prop, nullptr);
   (void)s.reachedStates();  // the design's fixpoint is cached first
 
-  // Pre-raised: lc.build has no safe point, so the abort lands in the
-  // product's reachability fixpoint, after the monitor is composed.
+  // Pre-raised: every BDD operation boundary is a safe point, so the abort
+  // lands at the first one inside lc.build, while the monitor latch is
+  // being added to the design (before lc.monitor opens).
   obs::TaskAbort slot;
   obs::bindTaskAbort(&slot);
   slot.request("test: abort inside a containment check");

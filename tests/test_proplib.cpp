@@ -2,6 +2,7 @@
 // is checked against designs where it should pass and where it should fail.
 #include <gtest/gtest.h>
 
+#include "dead_states.hpp"
 #include "hsis/environment.hpp"
 #include "proplib/proplib.hpp"
 
@@ -144,7 +145,7 @@ TEST(ProplibShapes, GeneratedAutomataAreWellFormed) {
       "c", {sigAtom("x"), sigAtom("y"), sigAtom("z")});
   EXPECT_EQ(c.aut.numStates(), 4u);  // 3 expects + bad
   // none of the generated automata have dead accepting structure
-  std::vector<bool> dead = c.aut.deadStates();
+  std::vector<bool> dead = deadStates(c.aut);
   EXPECT_FALSE(dead[0]);
   EXPECT_TRUE(dead[3]);  // bad is the trap
 }
