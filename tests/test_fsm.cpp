@@ -1,6 +1,7 @@
 // Tests for the symbolic FSM layer: construction, early quantification,
 // image computation, reachability, and trace generation.
 #include <gtest/gtest.h>
+#include <cstdint>
 
 #include "blifmv/blifmv.hpp"
 #include "fsm/fsm.hpp"
@@ -377,10 +378,13 @@ void expectScheduleCoversOnce(const Fsm& fsm, const TransitionRelation& tr,
   }
 }
 
+// gtest prints this parameter byte by byte into the test's ctest name, so
+// it holds no pointer: the name stays the same whatever the string layout
+// of the test binary.
 struct PinnedTr {
-  const char* model;
-  size_t clusters;
-  size_t nodes;
+  uint32_t clusters;
+  uint32_t nodes;
+  char model[16];
 };
 
 class TableOneSchedule : public ::testing::TestWithParam<PinnedTr> {};
@@ -404,10 +408,10 @@ TEST_P(TableOneSchedule, StepCubesQuantifyEachVariableOnce) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModels, TableOneSchedule,
-    ::testing::Values(PinnedTr{"philos", 1, 178}, PinnedTr{"pingpong", 1, 5},
-                      PinnedTr{"gigamax", 1, 127},
-                      PinnedTr{"scheduler", 1, 1363},
-                      PinnedTr{"dcnew", 1, 327}, PinnedTr{"2mdlc", 2, 56384}),
+    ::testing::Values(PinnedTr{1, 178, "philos"}, PinnedTr{1, 5, "pingpong"},
+                      PinnedTr{1, 127, "gigamax"},
+                      PinnedTr{1, 1363, "scheduler"},
+                      PinnedTr{1, 327, "dcnew"}, PinnedTr{2, 56384, "2mdlc"}),
     [](const ::testing::TestParamInfo<PinnedTr>& info) {
       return std::string(info.param.model);
     });
