@@ -1,7 +1,7 @@
-// Abort flag, phase stack, RSS probes, heartbeat reporter, resource
-// watchdog, and the shared CLI flag handling. Compiled identically in
-// enabled and HSIS_OBS_DISABLE builds: cancelling a runaway run is control
-// flow, not measurement (see control.hpp).
+// Abort flag, phase stack, RSS probes, the obs ticker with its heartbeat
+// and watchdog entries, and the shared CLI flag handling. Compiled
+// identically in enabled and HSIS_OBS_DISABLE builds: cancelling a runaway
+// run is control flow, not measurement (see control.hpp).
 #include "obs/control.hpp"
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <list>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -135,8 +136,6 @@ std::optional<AbortInfo> TaskAbort::info() const {
 
 void bindTaskAbort(TaskAbort* slot) { detail::t_taskAbort = slot; }
 
-TaskAbort* boundTaskAbort() { return detail::t_taskAbort; }
-
 // ----------------------------------------------------------- phase stack
 
 namespace {
@@ -161,30 +160,34 @@ PhaseStack& phaseStack() {
   return *ps;
 }
 
+/// Group the open spans by thread, sorted by thread id. Spans are strictly
+/// scoped per thread, so start order within a thread is nesting order.
+/// Caller holds ps.mu.
+std::vector<PhaseStackSnapshot> groupLocked(const PhaseStack& ps) {
+  std::vector<PhaseStackSnapshot> out;
+  for (const PhaseEntry& e : ps.active) {
+    auto it = std::find_if(out.begin(), out.end(), [&e](const auto& s) {
+      return s.threadId == e.threadId;
+    });
+    if (it == out.end()) it = out.insert(out.end(), {e.threadId, {}});
+    it->frames.push_back(e.name);
+  }
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.threadId < b.threadId;
+  });
+  return out;
+}
+
 /// Re-render every thread's live stack as `{"kind": "phase_stack", ...}`
 /// JSONL for the flight recorder's pre-serialized buffer. Caller holds
 /// ps.mu, so the rendered block is a consistent cut; publishing under the
 /// lock keeps the buffer ordered with the stack mutations.
 void publishPhaseLinesLocked(const PhaseStack& ps) {
-  // Same grouping as phaseStacks(): one line per thread, frames in start
-  // (== nesting) order, rendered in the folded flamegraph form.
-  std::vector<uint64_t> tids;
-  for (const PhaseEntry& e : ps.active) {
-    if (std::find(tids.begin(), tids.end(), e.threadId) == tids.end())
-      tids.push_back(e.threadId);
-  }
   std::string block;
-  for (uint64_t tid : tids) {
-    block += "{\"kind\": \"phase_stack\", \"tid\": " + std::to_string(tid) +
-             ", \"frames\": \"";
-    bool first = true;
-    for (const PhaseEntry& e : ps.active) {
-      if (e.threadId != tid) continue;
-      if (!first) block += ';';
-      first = false;
-      block += e.name;
-    }
-    block += "\"}\n";
+  for (const PhaseStackSnapshot& s : groupLocked(ps)) {
+    block += "{\"kind\": \"phase_stack\", \"tid\": " +
+             std::to_string(s.threadId) + ", \"frames\": \"" + s.folded() +
+             "\"}\n";
   }
   flight::detail::publishPhaseLines(block);
 }
@@ -212,6 +215,12 @@ void notePhaseEnd(uint64_t threadId, uint64_t spanId) {
   }
 }
 
+void publishPhaseStacks() {
+  PhaseStack& ps = phaseStack();
+  std::lock_guard<std::mutex> lock(ps.mu);
+  publishPhaseLinesLocked(ps);
+}
+
 }  // namespace detail
 
 std::string currentPhase() {
@@ -232,28 +241,7 @@ std::string PhaseStackSnapshot::folded() const {
 std::vector<PhaseStackSnapshot> phaseStacks() {
   PhaseStack& ps = phaseStack();
   std::lock_guard<std::mutex> lock(ps.mu);
-  // Group by thread, preserving the start order within each thread (spans
-  // are strictly scoped per thread, so start order == nesting order).
-  std::vector<PhaseStackSnapshot> out;
-  for (const PhaseEntry& e : ps.active) {
-    PhaseStackSnapshot* snap = nullptr;
-    for (PhaseStackSnapshot& s : out) {
-      if (s.threadId == e.threadId) {
-        snap = &s;
-        break;
-      }
-    }
-    if (snap == nullptr) {
-      out.push_back(PhaseStackSnapshot{e.threadId, {}});
-      snap = &out.back();
-    }
-    snap->frames.push_back(e.name);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const PhaseStackSnapshot& a, const PhaseStackSnapshot& b) {
-              return a.threadId < b.threadId;
-            });
-  return out;
+  return groupLocked(ps);
 }
 
 // --------------------------------------------------------- process memory
@@ -278,6 +266,113 @@ uint64_t procStatusKb(const char* key) {
 
 uint64_t currentRssKb() { return procStatusKb("VmRSS:"); }
 uint64_t peakRssKb() { return procStatusKb("VmHWM:"); }
+
+// ----------------------------------------------------------------- ticker
+
+namespace {
+
+struct TickEntry {
+  uint64_t id;
+  uint64_t dueNs;
+  detail::TickFn fn;
+};
+
+/// The one obs timer thread (see control.hpp). Entries live in a list, so
+/// the entry whose callback runs (with the lock dropped) stays put while
+/// others come and go. `cv` wakes the thread on a new entry or a stop, and
+/// wakes a cancelTick() waiting for the running callback to return.
+struct Ticker {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::list<TickEntry> entries;
+  uint64_t nextId = 1;
+  uint64_t runningId = 0;  ///< entry whose callback runs now; 0 = none
+  uint64_t gen = 0;        ///< bumped by stopTickerIfIdle; older threads exit
+  std::thread thread;
+};
+
+Ticker& ticker() {
+  static Ticker* t = new Ticker;  // leaked, see registry.cpp
+  return *t;
+}
+
+void runTicker(uint64_t gen) {
+  setThreadName("obs.ticker");
+  Ticker& t = ticker();
+  std::unique_lock<std::mutex> lock(t.mu);
+  while (gen == t.gen) {
+    auto next = std::min_element(t.entries.begin(), t.entries.end(),
+                                 [](const TickEntry& a, const TickEntry& b) {
+                                   return a.dueNs < b.dueNs;
+                                 });
+    const uint64_t now = WallTimer::nowNs();
+    if (next == t.entries.end()) {
+      t.cv.wait(lock);
+    } else if (now < next->dueNs) {
+      t.cv.wait_for(lock, std::chrono::nanoseconds(next->dueNs - now));
+    } else {
+      t.runningId = next->id;
+      lock.unlock();
+      uint64_t due = 0;  // a callback that throws is retired
+      try {
+        due = next->fn(now);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "obs.ticker: entry retired: %s\n", e.what());
+      }
+      lock.lock();
+      t.runningId = 0;
+      next->dueNs = due;
+      if (due == 0) t.entries.erase(next);
+      t.cv.notify_all();
+    }
+  }
+}
+
+/// Join the thread unless an entry is left (a per-request watchdog keeps
+/// it serving); the next scheduleTick() starts a new one.
+void stopTickerIfIdle() {
+  Ticker& t = ticker();
+  std::thread old;
+  {
+    std::lock_guard<std::mutex> lock(t.mu);
+    if (!t.entries.empty()) return;
+    ++t.gen;
+    old = std::move(t.thread);
+  }
+  t.cv.notify_all();
+  if (old.joinable()) old.join();
+}
+
+/// Watchdog RSS limits are read at this one fixed period.
+constexpr uint64_t kRssPeriodNs = 20'000'000;
+
+}  // namespace
+
+namespace detail {
+
+uint64_t scheduleTick(uint64_t dueNs, TickFn fn) {
+  Ticker& t = ticker();
+  std::lock_guard<std::mutex> lock(t.mu);
+  t.entries.push_back(TickEntry{t.nextId, dueNs, std::move(fn)});
+  if (!t.thread.joinable())
+    t.thread = std::thread([gen = t.gen] { runTicker(gen); });
+  t.cv.notify_all();
+  return t.nextId++;
+}
+
+uint64_t periodNs(uint64_t ms) {
+  return std::clamp<uint64_t>(ms, 1, 1'000'000'000'000) * 1'000'000;
+}
+
+void cancelTick(uint64_t id) {
+  if (id == 0) return;
+  Ticker& t = ticker();
+  std::unique_lock<std::mutex> lock(t.mu);
+  t.cv.wait(lock, [&] { return t.runningId != id; });
+  t.entries.remove_if([id](const TickEntry& e) { return e.id == id; });
+}
+
+}  // namespace detail
 
 // -------------------------------------------------------------- heartbeat
 
@@ -351,12 +446,10 @@ std::string HeartbeatRecord::toJsonl() const {
 }
 
 struct Heartbeat::Impl {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool stopRequested = false;
-  bool running = false;
-  std::thread worker;
-  HeartbeatOptions opts;
+  std::mutex mu;  ///< guards start/stop; the tick callback never takes it
+  uint64_t tick = 0;
+  HeartbeatSource source;
+  std::ofstream jsonl;
 };
 
 Heartbeat& Heartbeat::instance() {
@@ -372,64 +465,85 @@ Heartbeat::Impl& Heartbeat::impl() const {
 void Heartbeat::start(HeartbeatOptions options) {
   stop();
   Impl& im = impl();
-  {
-    std::lock_guard<std::mutex> lock(im.mu);
-    im.opts = std::move(options);
-    if (im.opts.intervalMs == 0) im.opts.intervalMs = 1;
-    im.stopRequested = false;
-    im.running = true;
+  std::lock_guard<std::mutex> lock(im.mu);
+  im.source = HeartbeatSource();
+  if (!options.jsonlPath.empty()) {
+    im.jsonl.open(options.jsonlPath, std::ios::app);
+    if (!im.jsonl.is_open())
+      std::fprintf(stderr, "heartbeat: cannot write %s\n",
+                   options.jsonlPath.c_str());
   }
-  im.worker = std::thread([&im] {
-    setThreadName("obs.heartbeat");
-    HeartbeatSource source;
-    std::ofstream jsonl;
-    if (!im.opts.jsonlPath.empty())
-      jsonl.open(im.opts.jsonlPath, std::ios::app);
-    std::unique_lock<std::mutex> lock(im.mu);
-    while (!im.cv.wait_for(lock, std::chrono::milliseconds(im.opts.intervalMs),
-                           [&im] { return im.stopRequested; })) {
-      lock.unlock();
-      HeartbeatRecord rec = source.next();
-      if (jsonl.is_open()) {
-        jsonl << rec.toJsonl() << '\n';
-        jsonl.flush();
-      } else {
-        std::fprintf(stderr, "%s\n", rec.toTableLine().c_str());
-      }
-      lock.lock();
-    }
-  });
+  const uint64_t intervalNs = detail::periodNs(options.intervalMs);
+  im.tick = detail::scheduleTick(
+      WallTimer::nowNs() + intervalNs, [&im, intervalNs](uint64_t now) {
+        HeartbeatRecord rec = im.source.next();
+        if (im.jsonl.is_open()) {
+          im.jsonl << rec.toJsonl() << '\n' << std::flush;
+        } else {
+          std::fprintf(stderr, "%s\n", rec.toTableLine().c_str());
+        }
+        return now + intervalNs;
+      });
 }
 
 void Heartbeat::stop() {
   Impl& im = impl();
-  {
-    std::lock_guard<std::mutex> lock(im.mu);
-    if (!im.running) return;
-    im.stopRequested = true;
-  }
-  im.cv.notify_all();
-  if (im.worker.joinable()) im.worker.join();
   std::lock_guard<std::mutex> lock(im.mu);
-  im.running = false;
+  detail::cancelTick(std::exchange(im.tick, 0));
+  im.jsonl = std::ofstream();
 }
 
 bool Heartbeat::running() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  return im.running;
+  return im.tick != 0;
 }
 
 // --------------------------------------------------------------- watchdog
 
 struct Watchdog::Impl {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool stopRequested = false;
-  bool running = false;
-  bool fired = false;
-  std::thread worker;
+  std::mutex mu;  ///< guards start/stop; the tick callback never takes it
+  uint64_t tick = 0;
+  std::atomic<bool> fired{false};
   WatchdogOptions opts;
+  uint64_t startNs = 0;
+  uint64_t wallDueNs = 0;
+
+  /// The earlier of the wall deadline and the next RSS read; 0 = neither.
+  [[nodiscard]] uint64_t nextDue(uint64_t now) const {
+    uint64_t due = opts.memLimitKb > 0 ? now + kRssPeriodNs : 0;
+    if (opts.wallLimitSeconds > 0 && (due == 0 || wallDueNs < due))
+      due = wallDueNs;
+    return due;
+  }
+
+  /// The tick callback. On a breach it raises the configured flag first
+  /// (a target slot cancels just that task, else the whole process
+  /// aborts), then records the breach and retires.
+  uint64_t check(uint64_t now) {
+    char msg[128] = "";
+    if (opts.wallLimitSeconds > 0 && now >= wallDueNs) {
+      std::snprintf(msg, sizeof msg,
+                    "wall-clock limit %gs exceeded (%.2fs elapsed)",
+                    opts.wallLimitSeconds,
+                    static_cast<double>(now - startNs) * 1e-9);
+    } else if (opts.memLimitKb > 0) {
+      uint64_t rss = opts.useCurrentRss ? currentRssKb() : peakRssKb();
+      if (rss > opts.memLimitKb)
+        std::snprintf(msg, sizeof msg, "memory limit %s exceeded (%s %s)",
+                      formatMb(opts.memLimitKb).c_str(),
+                      opts.useCurrentRss ? "RSS" : "peak RSS",
+                      formatMb(rss).c_str());
+    }
+    if (msg[0] == '\0') return nextDue(now);
+    if (opts.target != nullptr) {
+      opts.target->request(msg);
+    } else {
+      requestAbort(msg);
+    }
+    fired.store(true, std::memory_order_release);
+    return 0;
+  }
 };
 
 Watchdog::Watchdog() : impl_(std::make_unique<Impl>()) {}
@@ -444,87 +558,35 @@ Watchdog& Watchdog::instance() {
 }
 
 void Watchdog::start(WatchdogOptions options) {
-  stop();  // joins any previous arming — no state carries over
+  stop();  // fences any previous arming — no state carries over
   Impl& im = *impl_;
-  {
-    std::lock_guard<std::mutex> lock(im.mu);
-    im.opts = options;
-    if (im.opts.pollMs == 0) im.opts.pollMs = 1;
-    im.stopRequested = false;
-    im.fired = false;
-    im.running = true;
-  }
-  im.worker = std::thread([&im] {
-    setThreadName("obs.watchdog");
-    WallTimer timer;  // the budget clock starts at start()
-    auto breach = [&im](const char* msg) {
-      // Raise the configured flag first, then record the breach. A target
-      // slot cancels just that task; otherwise the whole process aborts.
-      if (im.opts.target != nullptr) {
-        im.opts.target->request(msg);
-      } else {
-        requestAbort(msg);
-      }
-      std::lock_guard<std::mutex> lock(im.mu);
-      im.fired = true;
-      im.running = false;
-    };
-    std::unique_lock<std::mutex> lock(im.mu);
-    while (!im.cv.wait_for(lock, std::chrono::milliseconds(im.opts.pollMs),
-                           [&im] { return im.stopRequested; })) {
-      const WatchdogOptions& o = im.opts;
-      lock.unlock();
-      double wall = timer.seconds();
-      if (o.wallLimitSeconds > 0 && wall > o.wallLimitSeconds) {
-        char msg[128];
-        std::snprintf(msg, sizeof msg,
-                      "wall-clock limit %gs exceeded (%.2fs elapsed)",
-                      o.wallLimitSeconds, wall);
-        breach(msg);
-        return;
-      }
-      if (o.memLimitKb > 0) {
-        uint64_t rss = o.useCurrentRss ? currentRssKb() : peakRssKb();
-        if (rss > o.memLimitKb) {
-          char msg[128];
-          std::snprintf(msg, sizeof msg, "memory limit %s exceeded (%s %s)",
-                        formatMb(o.memLimitKb).c_str(),
-                        o.useCurrentRss ? "RSS" : "peak RSS",
-                        formatMb(rss).c_str());
-          breach(msg);
-          return;
-        }
-      }
-      lock.lock();
-    }
-  });
+  std::lock_guard<std::mutex> lock(im.mu);
+  im.opts = options;
+  im.fired.store(false, std::memory_order_relaxed);
+  im.startNs = WallTimer::nowNs();
+  // Clamped to ~30 years so any limit is a deadline the ticker can wait for.
+  if (options.wallLimitSeconds > 0)
+    im.wallDueNs = im.startNs + static_cast<uint64_t>(std::min(
+                                    options.wallLimitSeconds * 1e9, 1e18));
+  if (const uint64_t due = im.nextDue(im.startNs); due != 0)
+    im.tick = detail::scheduleTick(
+        due, [&im](uint64_t now) { return im.check(now); });
 }
 
 void Watchdog::stop() {
   Impl& im = *impl_;
-  {
-    std::lock_guard<std::mutex> lock(im.mu);
-    im.stopRequested = true;
-  }
-  im.cv.notify_all();
-  // Join even when the worker already fired and parked (running == false
-  // but the thread object is still joinable) — the old early-return on
-  // !running left a fired watchdog's thread unjoined across re-arms.
-  if (im.worker.joinable()) im.worker.join();
   std::lock_guard<std::mutex> lock(im.mu);
-  im.running = false;
+  detail::cancelTick(std::exchange(im.tick, 0));
 }
 
 bool Watchdog::running() const {
   Impl& im = *impl_;
   std::lock_guard<std::mutex> lock(im.mu);
-  return im.running;
+  return im.tick != 0 && !im.fired.load(std::memory_order_acquire);
 }
 
 bool Watchdog::fired() const {
-  Impl& im = *impl_;
-  std::lock_guard<std::mutex> lock(im.mu);
-  return im.fired;
+  return impl_->fired.load(std::memory_order_acquire);
 }
 
 // -------------------------------------------------------------- CLI flags
@@ -602,7 +664,7 @@ ObsCliOptions stripObsCliFlags(int& argc, char** argv) {
 // scheme of per-artifact atexit registrations depended on LIFO registration
 // order across translation units — see control.hpp for the contract):
 //
-//   1. stop reporter threads   nothing mutates the registry mid-export
+//   1. stop the ticker         nothing mutates the registry mid-export
 //   2. profiler files          read the final census/sample state
 //   3. stats snapshot + trace  read the final registry/span state
 //   4. ledger record, disarm   records cost, so it goes last
@@ -695,12 +757,8 @@ void applyObsCliOptions(const ObsCliOptions& options) {
     ho.jsonlPath = options.heartbeatFile;
     Heartbeat::instance().start(ho);
   }
-  if (options.timeoutSeconds > 0 || options.memLimitMb > 0) {
-    WatchdogOptions wo;
-    wo.wallLimitSeconds = options.timeoutSeconds;
-    wo.memLimitKb = options.memLimitMb * 1024;
-    Watchdog::instance().start(wo);
-  }
+  Watchdog::instance().start({.wallLimitSeconds = options.timeoutSeconds,
+                              .memLimitKb = options.memLimitMb * 1024});
   if (options.profile) {
     const std::string base = options.profileBasePath.empty()
                                  ? std::string("hsis-prof")
@@ -729,6 +787,7 @@ void stopObsThreads() {
   Heartbeat::instance().stop();
   Watchdog::instance().stop();
   prof::Profiler::instance().stop();
+  stopTickerIfIdle();
 }
 
 // ------------------------------------------------------------ driver setup

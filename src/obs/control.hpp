@@ -5,25 +5,30 @@
 //    loops (BDD manager safe points, reachability, CTL fixpoints, the LC
 //    hull) poll `checkAbort()`; a breach unwinds via `AbortedError` so
 //    callers can still dump a valid stats snapshot with `"aborted"` set.
-//  - a RESOURCE WATCHDOG thread that trips the abort flag when a
-//    wall-clock or peak-RSS limit is exceeded.
-//  - a HEARTBEAT reporter thread that emits a compact one-line progress
-//    record (stderr table or JSONL) every N ms, with deltas, so a stuck
+//  - RESOURCE WATCHDOGS that trip the abort flag when a wall-clock or
+//    RSS limit is exceeded.
+//  - a HEARTBEAT reporter that emits a compact one-line progress record
+//    (stderr table or JSONL) every N ms, with deltas, so a stuck
 //    `fsm.reach` or `lc.hull` is visible while it runs.
 //  - shared `--heartbeat/--timeout-s/--mem-limit-mb/--stats-json` flag
 //    handling for every driver (bench drivers, hsis_cli, hsis_bench).
 //
+// One thread, the TICKER (`obs.ticker`), does all obs timing: the
+// heartbeat, the sampling profiler (obs/prof) and every Watchdog are
+// entries in its list of due times, and it sleeps until the earliest.
+//
 // Unlike the metrics/span instrumentation, everything here stays LIVE
 // under HSIS_OBS_DISABLE: aborting a runaway run is control flow, not
-// measurement. In a disabled build the heartbeat still ticks (wall time
-// and RSS are real; registry-derived fields read zero) and the watchdog
-// still aborts — only the breach *phase* is empty, because phase tracking
-// rides on the compiled-out spans.
+// measurement. In a disabled build the ticker still runs, the heartbeat
+// still ticks (wall time and RSS are real; registry-derived fields read
+// zero) and the watchdog still aborts — only the breach *phase* is empty,
+// because phase tracking rides on the compiled-out spans.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -91,7 +96,6 @@ extern thread_local TaskAbort* t_taskAbort;
 /// Safe points reached on this thread then observe slot aborts too. The
 /// slot must outlive the binding.
 void bindTaskAbort(TaskAbort* slot);
-[[nodiscard]] TaskAbort* boundTaskAbort();
 
 /// Hot-path query: a relaxed load of the process flag plus, when the
 /// calling thread has a bound task slot, one more relaxed load.
@@ -126,6 +130,8 @@ inline void checkAbort() {
 namespace detail {
 void notePhaseStart(uint64_t threadId, uint64_t spanId, std::string_view name);
 void notePhaseEnd(uint64_t threadId, uint64_t spanId);
+/// Re-publish the flight recorder's phase-stack lines (flight::dump).
+void publishPhaseStacks();
 }  // namespace detail
 
 /// Name of the innermost active phase span across all threads (the most
@@ -133,7 +139,7 @@ void notePhaseEnd(uint64_t threadId, uint64_t spanId);
 std::string currentPhase();
 
 /// One thread's open phase spans at a point in time, outermost first.
-/// `threadId` matches SpanSample::threadId (the tracer's hashed tid).
+/// `threadId` is currentThreadId() of that thread.
 struct PhaseStackSnapshot {
   uint64_t threadId = 0;
   std::vector<std::string> frames;
@@ -154,6 +160,24 @@ std::vector<PhaseStackSnapshot> phaseStacks();
 uint64_t currentRssKb();
 /// Peak resident set size in KiB (VmHWM; 0 where unavailable).
 uint64_t peakRssKb();
+
+// ----------------------------------------------------------------- ticker
+
+namespace detail {
+/// Runs on the ticker thread, no ticker lock held, with WallTimer::nowNs();
+/// returns the entry's next due time, or 0 to retire it. Callbacks run
+/// one at a time, so a slow one delays every other entry.
+using TickFn = std::function<uint64_t(uint64_t nowNs)>;
+/// Add an entry first due at `dueNs`; returns its id (never 0).
+uint64_t scheduleTick(uint64_t dueNs, TickFn fn);
+/// A period of `ms` milliseconds in ns, clamped to [1 ms, ~30 years] so a
+/// flag value can neither spin the ticker nor overflow a due time.
+uint64_t periodNs(uint64_t ms);
+/// Remove an entry (0 and retired ids are no-ops). Once it returns, the
+/// callback is not running and never runs again. Never call it from a
+/// callback, nor while holding a lock that the callback takes.
+void cancelTick(uint64_t id);
+}  // namespace detail
 
 // -------------------------------------------------------------- heartbeat
 
@@ -185,8 +209,8 @@ struct HeartbeatRecord {
 };
 
 /// Produces HeartbeatRecords with correct deltas between successive
-/// next() calls. Separate from the reporter thread so tests can drive
-/// ticks deterministically.
+/// next() calls. Separate from the ticker entry so tests can drive ticks
+/// deterministically.
 class HeartbeatSource {
  public:
   HeartbeatSource();
@@ -208,8 +232,9 @@ struct HeartbeatOptions {
   std::string jsonlPath;
 };
 
-/// The opt-in background reporter thread. start() is idempotent (restarts
-/// with the new options); stop() joins the thread.
+/// The opt-in reporter, one ticker entry. start() is idempotent (restarts
+/// with the new options); an unwritable jsonlPath prints `heartbeat:
+/// cannot write PATH` and falls back to stderr table lines.
 class Heartbeat {
  public:
   static Heartbeat& instance();
@@ -227,9 +252,8 @@ class Heartbeat {
 
 struct WatchdogOptions {
   double wallLimitSeconds = 0.0;  ///< 0 = no wall-clock limit
-  uint64_t memLimitKb = 0;        ///< RSS limit; 0 = none
-  uint64_t pollMs = 50;
-  /// Poll current RSS (VmRSS) instead of peak RSS (VmHWM). VmHWM is
+  uint64_t memLimitKb = 0;        ///< RSS limit; 0 = none, read every 20 ms
+  /// Read current RSS (VmRSS) instead of peak RSS (VmHWM). VmHWM is
   /// monotonic over the process lifetime, so a watchdog re-armed per
   /// request would trip forever once any earlier request peaked past the
   /// limit — per-request budgets want the current level.
@@ -239,9 +263,10 @@ struct WatchdogOptions {
   TaskAbort* target = nullptr;
 };
 
-/// Background thread that polls wall clock and RSS against the registered
-/// limits and raises the abort flag (process-wide or a TaskAbort slot) on
-/// breach, then parks. The wall clock starts at start().
+/// A ticker entry that raises the abort flag (process-wide or a TaskAbort
+/// slot) on a breach, then retires. The wall limit fires at its deadline,
+/// start() + limit; nothing polls it. Once stop() returns, the target may
+/// die. start() with neither limit set arms nothing.
 ///
 /// Watchdogs are re-armable: start() after a stop — or after a breach —
 /// begins a fresh countdown with no state carried over (fired() resets,
@@ -251,7 +276,7 @@ struct WatchdogOptions {
 class Watchdog {
  public:
   Watchdog();
-  ~Watchdog();  ///< stops (joins) a running watchdog
+  ~Watchdog();  ///< stops a running watchdog
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
@@ -313,7 +338,8 @@ ObsCliOptions stripObsCliFlags(int& argc, char** argv);
 /// options (names the calling thread "main" for trace exports) and
 /// register the exit exporters.
 void applyObsCliOptions(const ObsCliOptions& options);
-/// Stop (join) the heartbeat, watchdog, and profiler threads if running.
+/// Stop the heartbeat, the process watchdog and the profiler, then join
+/// the ticker thread if no other entry (a per-request watchdog) is left.
 void stopObsThreads();
 
 // ------------------------------------------------------------ driver setup
@@ -324,8 +350,8 @@ void stopObsThreads();
 // run-ledger record for this process, and registers the EXIT EXPORTERS,
 // which run exactly once, in this fixed order (see docs/observability.md):
 //
-//   1. stop the reporter threads (heartbeat, watchdog, sampling profiler)
-//      so nothing mutates the registry mid-export;
+//   1. stop the ticker entries (heartbeat, watchdog, sampling profiler)
+//      and the ticker thread, so nothing mutates the registry mid-export;
 //   2. profiler files (BASE.folded + BASE.census.jsonl) when --profile ran;
 //   3. the --stats-json snapshot + its .trace.json Chrome view (unless the
 //      driver owns that flag itself, e.g. hsis_bench's baseline);

@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <thread>
 
 #include "obs/control.hpp"
 #include "obs/jsonlite.hpp"
@@ -60,10 +59,6 @@ Level level() noexcept {
 // -------------------------------------------------------------- rendering
 
 namespace {
-
-uint64_t currentThreadId() {
-  return std::hash<std::thread::id>{}(std::this_thread::get_id());
-}
 
 /// Logger epoch: the first event's timestamp anchors the human sink's
 /// relative seconds.
@@ -573,15 +568,7 @@ bool dump(std::string_view reason) {
   if (!st.installed.load(std::memory_order_acquire)) return false;
   // Refresh the pre-rendered phase stacks from normal context so the dump
   // reflects "now" even if no span moved since the last publish.
-  if (kEnabled) {
-    std::string block;
-    for (const PhaseStackSnapshot& snap : phaseStacks()) {
-      block += "{\"kind\": \"phase_stack\", \"tid\": " +
-               std::to_string(snap.threadId) + ", \"frames\": \"" +
-               snap.folded() + "\"}\n";
-    }
-    if (!block.empty()) detail::publishPhaseLines(block);
-  }
+  obs::detail::publishPhaseStacks();
   std::string r(reason);
   writeDump(r.c_str());
   return true;

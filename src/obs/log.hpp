@@ -203,8 +203,8 @@ void uninstall();
 
 namespace detail {
 /// Publish a pre-rendered block of `{"kind": "phase_stack", ...}` JSONL
-/// lines (newline-terminated) for the signal path. Called from the phase
-/// bookkeeping in control.cpp whenever the recorder is installed.
+/// lines (newline-terminated) for the signal path. Rendered only by the
+/// phase bookkeeping in control.cpp.
 void publishPhaseLines(const std::string& lines);
 /// Same for the single `{"kind": "census", ...}` line (prof.cpp).
 void publishCensusLine(const std::string& line);

@@ -441,4 +441,9 @@ class WallTimer {
   uint64_t startNs_;
 };
 
+/// The calling thread's id as every obs record spells it: span samples,
+/// phase stacks, log events and trace contexts all join on this hash of
+/// std::thread::id. Live in both build modes.
+uint64_t currentThreadId();
+
 }  // namespace hsis::obs

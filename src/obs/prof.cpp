@@ -1,16 +1,14 @@
-// The sampling profiler: census rendezvous, the Sampler thread, folded
-// stack aggregation, and the hsis-prof-v1 JSONL export. See prof.hpp for
-// the design; the thread/ring mechanics mirror the heartbeat and tracer.
+// The sampling profiler: census rendezvous, the sampler's ticker entry,
+// folded stack aggregation, and the hsis-prof-v1 JSONL export. See
+// prof.hpp for the design.
 #include "obs/prof.hpp"
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "obs/control.hpp"
@@ -134,16 +132,12 @@ std::string ProfSample::toJsonl() const {
 
 struct Profiler::Impl {
   mutable std::mutex mu;
-  std::condition_variable cv;
-  bool stopRequested = false;
-  bool running = false;
-  std::thread worker;
+  uint64_t tick = 0;  ///< ticker entry; 0 = not sampling
   ProfOptions opts;
 
-  // Sample ring (oldest dropped past capacity) + folded-stack aggregate.
-  std::vector<ProfSample> ring;
-  size_t head = 0;
-  bool wrapped = false;
+  // Sample ring (oldest first, dropped past capacity) + folded-stack
+  // aggregate.
+  std::deque<ProfSample> ring;
   uint64_t taken = 0;
   uint64_t dropped = 0;
   std::map<std::string, uint64_t> foldedCounts;
@@ -158,6 +152,16 @@ struct Profiler::Impl {
 
   std::ofstream spill;
   bool spillHeaderWritten = false;
+
+  /// Drop every sample and aggregate and restart the clock. Caller holds mu.
+  void resetSamples() {
+    ring.clear();
+    taken = dropped = 0;
+    foldedCounts.clear();
+    startNs = WallTimer::nowNs();
+    lastCensusSeq = lastCacheLookups = lastCacheHits = 0;
+    lastGcRuns = lastReorderings = 0;
+  }
 };
 
 Profiler& Profiler::instance() {
@@ -170,16 +174,26 @@ Profiler::Impl& Profiler::impl() const {
   return *impl;
 }
 
-std::string Profiler::headerJson() const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
+namespace {
+
+/// The hsis-prof-v1 header line. Takes no lock: callers hold the
+/// profiler's.
+std::string renderHeader(const ProfOptions& opts) {
   std::string out;
   jsonlite::Writer w(out);
   w.beginObject().key("schema").value("hsis-prof-v1");
   w.key("kind").value("header").key("enabled").value(kEnabled);
-  w.key("interval_ms").value(im.opts.intervalMs);
-  w.key("ring_capacity").value(im.opts.ringCapacity).endObject();
+  w.key("interval_ms").value(opts.intervalMs);
+  w.key("ring_capacity").value(opts.ringCapacity).endObject();
   return out;
+}
+
+}  // namespace
+
+std::string Profiler::headerJson() const {
+  Impl& im = impl();
+  std::lock_guard<std::mutex> lock(im.mu);
+  return renderHeader(im.opts);
 }
 
 void Profiler::sampleOnce() {
@@ -230,118 +244,74 @@ void Profiler::sampleOnce() {
   if (im.spill.is_open()) {
     if (!im.spillHeaderWritten) {
       im.spillHeaderWritten = true;
-      std::string header = "{\"schema\": \"hsis-prof-v1\", \"kind\": \"header\"";
-      header += ", \"enabled\": ";
-      header += kEnabled ? "true" : "false";
-      header += ", \"interval_ms\": " + std::to_string(im.opts.intervalMs);
-      header +=
-          ", \"ring_capacity\": " + std::to_string(im.opts.ringCapacity);
-      header += "}";
-      im.spill << header << '\n';
+      im.spill << renderHeader(im.opts) << '\n';
     }
     im.spill << s.toJsonl() << '\n';
     im.spill.flush();
   }
 
-  if (im.ring.size() < im.opts.ringCapacity) {
-    im.ring.push_back(std::move(s));
-  } else {
-    im.ring[im.head] = std::move(s);
-    im.head = (im.head + 1) % im.opts.ringCapacity;
-    im.wrapped = true;
+  if (im.ring.size() >= im.opts.ringCapacity) {
+    im.ring.pop_front();
     ++im.dropped;
   }
+  im.ring.push_back(std::move(s));
 }
 
 void Profiler::start(ProfOptions options) {
-  if constexpr (!kEnabled) {
-    // Keep the options (header/export reflect them) but never sample.
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    im.opts = std::move(options);
-    return;
-  }
   stop();
   Impl& im = impl();
-  {
-    std::lock_guard<std::mutex> lock(im.mu);
-    im.opts = std::move(options);
-    if (im.opts.intervalMs == 0) im.opts.intervalMs = 1;
-    if (im.opts.ringCapacity == 0) im.opts.ringCapacity = 1;
-    im.stopRequested = false;
-    im.running = true;
-    im.ring.clear();
-    im.head = 0;
-    im.wrapped = false;
-    im.taken = 0;
-    im.dropped = 0;
-    im.foldedCounts.clear();
-    im.startNs = WallTimer::nowNs();
-    im.lastCensusSeq = 0;
-    im.lastCacheLookups = im.lastCacheHits = 0;
-    im.lastGcRuns = im.lastReorderings = 0;
-    im.spill = std::ofstream();
-    im.spillHeaderWritten = false;
-    if (!im.opts.jsonlPath.empty()) {
-      std::error_code ec;
-      std::filesystem::path p(im.opts.jsonlPath);
-      if (p.has_parent_path())
-        std::filesystem::create_directories(p.parent_path(), ec);
-      im.spill.open(im.opts.jsonlPath, std::ios::trunc);
-      if (!im.spill) {
-        std::fprintf(stderr, "prof: cannot write %s\n",
-                     im.opts.jsonlPath.c_str());
-        // Forget the path so the exit-time export falls back to writing
-        // the ring view instead of trusting a spill that never opened.
-        im.opts.jsonlPath.clear();
-      }
+  std::lock_guard<std::mutex> lock(im.mu);
+  im.opts = std::move(options);
+  if (im.opts.intervalMs == 0) im.opts.intervalMs = 1;
+  if (im.opts.ringCapacity == 0) im.opts.ringCapacity = 1;
+  im.resetSamples();
+  im.spill = std::ofstream();
+  im.spillHeaderWritten = false;
+  if (!im.opts.jsonlPath.empty()) {
+    std::error_code ec;
+    std::filesystem::path p(im.opts.jsonlPath);
+    if (p.has_parent_path())
+      std::filesystem::create_directories(p.parent_path(), ec);
+    im.spill.open(im.opts.jsonlPath, std::ios::trunc);
+    if (!im.spill) {
+      std::fprintf(stderr, "prof: cannot write %s\n",
+                   im.opts.jsonlPath.c_str());
+      // Forget the path so the exit-time export falls back to writing
+      // the ring view instead of trusting a spill that never opened.
+      im.opts.jsonlPath.clear();
     }
   }
-  im.worker = std::thread([this, &im] {
-    setThreadName("obs.prof");
-    std::unique_lock<std::mutex> lock(im.mu);
-    while (!im.cv.wait_for(lock, std::chrono::milliseconds(im.opts.intervalMs),
-                           [&im] { return im.stopRequested; })) {
-      lock.unlock();
-      sampleOnce();
-      lock.lock();
-    }
-  });
+  // A disabled build keeps the options (header/export reflect them) but
+  // never samples.
+  if (!kEnabled) return;
+  const uint64_t intervalNs = obs::detail::periodNs(im.opts.intervalMs);
+  im.tick = obs::detail::scheduleTick(
+      WallTimer::nowNs() + intervalNs, [this, intervalNs](uint64_t now) {
+        sampleOnce();
+        return now + intervalNs;
+      });
 }
 
 void Profiler::stop() {
   Impl& im = impl();
-  {
-    std::lock_guard<std::mutex> lock(im.mu);
-    if (!im.running) return;
-    im.stopRequested = true;
-  }
-  im.cv.notify_all();
-  if (im.worker.joinable()) im.worker.join();
-  std::lock_guard<std::mutex> lock(im.mu);
-  im.running = false;
-  if (im.spill.is_open()) im.spill.close();
+  std::unique_lock<std::mutex> lock(im.mu);
+  const uint64_t tick = std::exchange(im.tick, 0);
+  lock.unlock();  // the callback takes im.mu, so never cancel under it
+  obs::detail::cancelTick(tick);
+  lock.lock();
+  im.spill.close();
 }
 
 bool Profiler::running() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  return im.running;
+  return im.tick != 0;
 }
 
 void Profiler::clear() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  im.ring.clear();
-  im.head = 0;
-  im.wrapped = false;
-  im.taken = 0;
-  im.dropped = 0;
-  im.foldedCounts.clear();
-  im.startNs = WallTimer::nowNs();
-  im.lastCensusSeq = 0;
-  im.lastCacheLookups = im.lastCacheHits = 0;
-  im.lastGcRuns = im.lastReorderings = 0;
+  im.resetSamples();
 }
 
 uint64_t Profiler::sampleCount() const {
@@ -359,17 +329,7 @@ uint64_t Profiler::droppedSamples() const {
 std::vector<ProfSample> Profiler::samples() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  std::vector<ProfSample> out;
-  out.reserve(im.ring.size());
-  if (im.wrapped) {
-    out.insert(out.end(), im.ring.begin() + static_cast<long>(im.head),
-               im.ring.end());
-    out.insert(out.end(), im.ring.begin(),
-               im.ring.begin() + static_cast<long>(im.head));
-  } else {
-    out = im.ring;
-  }
-  return out;
+  return {im.ring.begin(), im.ring.end()};
 }
 
 std::string Profiler::foldedStacks() const {
@@ -391,31 +351,21 @@ std::string Profiler::censusJsonl() const {
   return out;
 }
 
-bool Profiler::writeFolded(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "prof: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << foldedStacks();
-  return true;
-}
-
-bool Profiler::writeCensusJsonl(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "prof: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << censusJsonl();
-  return true;
-}
-
 std::string Profiler::spillPath() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   return im.opts.jsonlPath;
 }
+
+namespace {
+
+void writeText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) std::fprintf(stderr, "prof: cannot write %s\n", path.c_str());
+  out << text;
+}
+
+}  // namespace
 
 void writeProfileFiles(const std::string& basePath) {
   if (basePath.empty()) return;
@@ -426,7 +376,7 @@ void writeProfileFiles(const std::string& basePath) {
   std::filesystem::path base(basePath);
   if (base.has_parent_path())
     std::filesystem::create_directories(base.parent_path(), ec);
-  p.writeFolded(basePath + ".folded");
+  writeText(basePath + ".folded", p.foldedStacks());
   const std::string censusPath = basePath + ".census.jsonl";
   // When the run spilled write-through to this same file it already holds
   // the complete series (possibly longer than the ring); rewriting from
@@ -434,7 +384,7 @@ void writeProfileFiles(const std::string& basePath) {
   // (disabled build, aborted before the first tick) is rewritten so the
   // file at least carries a parseable header line.
   const bool spillHoldsSeries = spill == censusPath && p.sampleCount() > 0;
-  if (!spillHoldsSeries) p.writeCensusJsonl(censusPath);
+  if (!spillHoldsSeries) writeText(censusPath, p.censusJsonl());
 }
 
 }  // namespace hsis::obs::prof

@@ -1,7 +1,8 @@
 // hsis::obs::prof — the in-process sampling profiler.
 //
-// A background Sampler thread wakes every `intervalMs` (default 10 ms) and
-// records one ProfSample:
+// The sampler is one entry on the obs ticker (obs/control), the thread
+// that also drives the heartbeat and the watchdogs. Every `intervalMs`
+// (default 10 ms) it records one ProfSample:
 //
 //  (a) the live per-thread phase stacks (obs/control) folded into
 //      `phaseA;phaseB;phaseC` frames — the aggregate over a run is the
@@ -12,7 +13,7 @@
 //      counts, dead-node fraction) plus the process RSS.
 //
 // The census is pulled through a cooperative rendezvous rather than by
-// touching manager internals from the sampler thread: the sampler raises a
+// touching manager internals from the ticker thread: the sampler raises a
 // request flag (one relaxed load to poll), and the manager publishes an
 // exact census at its next safe point — the same public-op boundary where
 // GC and abort checks already live — so no BDD data structure is ever read
@@ -23,7 +24,7 @@
 // `hsis-prof-v1`, header line first), so even a run killed by the watchdog
 // leaves a complete time series of *where* the time and the nodes went.
 //
-// Under HSIS_OBS_DISABLE the sampler never starts and every query returns
+// Under HSIS_OBS_DISABLE the sampler never schedules and every query returns
 // an empty (but valid) document; the BddCensus struct and the rendezvous
 // stay compiled so BddManager::census() remains usable as plain
 // introspection.
@@ -133,9 +134,9 @@ struct ProfOptions {
 };
 
 /// The background sampler. start() is idempotent (restarts with the new
-/// options and a cleared ring); stop() joins the thread and flushes the
-/// spill file. `sampleOnce()` is the exact per-tick body, public so tests
-/// drive deterministic ticks without a thread or a clock.
+/// options and a cleared ring); stop() fences its ticker entry and closes
+/// the spill file. `sampleOnce()` is the exact per-tick body, public so
+/// tests drive deterministic ticks without a ticker or a clock.
 class Profiler {
  public:
   static Profiler& instance();
@@ -146,7 +147,7 @@ class Profiler {
   /// Drop all samples and folded-stack aggregates (ring stays allocated).
   void clear();
 
-  /// Take one sample right now (also what the thread calls every tick).
+  /// Take one sample right now (also what the ticker calls every tick).
   void sampleOnce();
 
   [[nodiscard]] uint64_t sampleCount() const;  ///< lifetime, incl. dropped
@@ -160,11 +161,6 @@ class Profiler {
   [[nodiscard]] std::string headerJson() const;
   /// Header plus every ring sample as JSONL (for when no spill file ran).
   [[nodiscard]] std::string censusJsonl() const;
-
-  bool writeFolded(const std::string& path) const;
-  /// Writes header + ring samples. When a spill file was configured the
-  /// spill already holds the full series; this still writes the ring view.
-  bool writeCensusJsonl(const std::string& path) const;
   /// The configured spill path ("" when none). Lets writeProfileFiles
   /// avoid truncating a write-through spill with the shorter ring view.
   [[nodiscard]] std::string spillPath() const;

@@ -4,6 +4,7 @@
 #include "obs/obs.hpp"
 
 #include <chrono>
+#include <thread>
 
 #ifndef HSIS_OBS_DISABLE
 #include <algorithm>
@@ -19,6 +20,10 @@ uint64_t WallTimer::nowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+uint64_t currentThreadId() {
+  return std::hash<std::thread::id>{}(std::this_thread::get_id());
 }
 
 #ifndef HSIS_OBS_DISABLE

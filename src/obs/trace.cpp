@@ -6,9 +6,9 @@
 #ifndef HSIS_OBS_DISABLE
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "obs/control.hpp"
 #include "obs/tracectx.hpp"
@@ -27,10 +27,6 @@ struct ThreadStack {
 ThreadStack& threadStack() {
   thread_local ThreadStack ts;
   return ts;
-}
-
-uint64_t currentThreadId() {
-  return std::hash<std::thread::id>{}(std::this_thread::get_id());
 }
 
 struct ThreadNameTable {
@@ -64,10 +60,8 @@ std::vector<std::pair<uint64_t, std::string>> threadNames() {
 
 struct Tracer::Impl {
   mutable std::mutex mu;
-  std::vector<SpanSample> ring;
+  std::deque<SpanSample> ring;  ///< oldest first; the oldest drops when full
   size_t capacity = 8192;
-  size_t head = 0;  ///< next write position once the ring is full
-  bool wrapped = false;
   uint64_t dropped = 0;
 };
 
@@ -87,38 +81,23 @@ void Tracer::setCapacity(size_t n) {
   std::lock_guard<std::mutex> lock(im.mu);
   im.capacity = n == 0 ? 1 : n;
   im.ring.clear();
-  im.head = 0;
-  im.wrapped = false;
   im.dropped = 0;
 }
 
 void Tracer::emit(SpanSample&& s) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  if (im.ring.size() < im.capacity) {
-    im.ring.push_back(std::move(s));
-    return;
+  if (im.ring.size() == im.capacity) {
+    im.ring.pop_front();
+    ++im.dropped;
   }
-  im.ring[im.head] = std::move(s);
-  im.head = (im.head + 1) % im.capacity;
-  im.wrapped = true;
-  ++im.dropped;
+  im.ring.push_back(std::move(s));
 }
 
 std::vector<SpanSample> Tracer::completed() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  std::vector<SpanSample> out;
-  out.reserve(im.ring.size());
-  if (im.wrapped) {
-    // Oldest surviving entry sits at head.
-    out.insert(out.end(), im.ring.begin() + static_cast<long>(im.head),
-               im.ring.end());
-    out.insert(out.end(), im.ring.begin(),
-               im.ring.begin() + static_cast<long>(im.head));
-  } else {
-    out = im.ring;
-  }
+  std::vector<SpanSample> out(im.ring.begin(), im.ring.end());
   std::sort(out.begin(), out.end(),
             [](const SpanSample& a, const SpanSample& b) {
               return a.startNs != b.startNs ? a.startNs < b.startNs
@@ -137,8 +116,6 @@ void Tracer::clear() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   im.ring.clear();
-  im.head = 0;
-  im.wrapped = false;
   im.dropped = 0;
 }
 

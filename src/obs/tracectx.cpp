@@ -3,19 +3,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include <unistd.h>
+
+#include "obs/obs.hpp"
 
 namespace hsis::obs {
 
 namespace {
-
-// Mirrors trace.cpp's thread-id derivation so active-trace entries join
-// against SpanSample::threadId.
-uint64_t currentThreadId() {
-  return std::hash<std::thread::id>{}(std::this_thread::get_id());
-}
 
 // One slot per bound thread; the signal handler walks this table with
 // relaxed atomic loads only. tid == 0 marks an empty slot (the hash of a

@@ -178,18 +178,9 @@ BatchReport checkBatch(Session& session,
         size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= properties.size()) break;
         const PifProperty& p = properties[i];
-        std::optional<obs::Watchdog> wd;
-        if (options.propertyTimeoutSeconds > 0) {
-          wd.emplace();
-          // Poll at ~1/4 of the budget (clamped to [1ms, 50ms]) so budgets
-          // below the default 50ms poll can still fire close to on time.
-          uint64_t pollMs = static_cast<uint64_t>(
-              options.propertyTimeoutSeconds * 250.0);
-          pollMs = std::min<uint64_t>(50, std::max<uint64_t>(1, pollMs));
-          wd->start({.wallLimitSeconds = options.propertyTimeoutSeconds,
-                     .pollMs = pollMs,
-                     .target = &slot});
-        }
+        obs::Watchdog wd;  // no timeout arms nothing
+        wd.start({.wallLimitSeconds = options.propertyTimeoutSeconds,
+                  .target = &slot});
         uint64_t t0 = nowMicros();
         try {
           if (p.kind == PifProperty::Kind::Ctl) {
@@ -211,10 +202,12 @@ BatchReport checkBatch(Session& session,
           r.holds = false;
           r.notes.push_back("aborted: " + e.reason());
           abortedCount.fetch_add(1, std::memory_order_relaxed);
-          slot.clear();
         }
         out.workerBusyMicros[static_cast<size_t>(w)] += nowMicros() - t0;
-        if (wd.has_value()) wd->stop();
+        // Re-arm after the fence: a breach that landed after the check
+        // returned must not abort the next property.
+        wd.stop();
+        slot.clear();
       }
     } catch (...) {
       std::lock_guard<std::mutex> g(fatalMu);

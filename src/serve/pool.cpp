@@ -201,10 +201,9 @@ void SessionPool::runJob(Worker& worker, Job& job) {
   obs::WatchdogOptions wo;
   wo.wallLimitSeconds = req.budget.wallSeconds;
   wo.memLimitKb = req.budget.rssMb * 1024;
-  wo.pollMs = 20;
   wo.useCurrentRss = true;
   wo.target = &worker.slot;
-  if (wo.wallLimitSeconds > 0 || wo.memLimitKb > 0) worker.dog.start(wo);
+  worker.dog.start(wo);  // a budget of 0/0 arms nothing
 
   try {
     obs::WallTimer stageTimer;

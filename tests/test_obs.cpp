@@ -7,7 +7,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <thread>
@@ -17,6 +19,7 @@
 #include "obs/control.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/obs.hpp"
+#include "obs/prof.hpp"
 
 namespace hsis::obs {
 namespace {
@@ -584,6 +587,23 @@ TEST(ObsHeartbeat, ReporterThreadStartsAndStops) {
   std::remove(opts.jsonlPath.c_str());
 }
 
+TEST(ObsHeartbeat, UnwritableFileSaysSo) {
+  const std::string dir = ::testing::TempDir() + "hsis_hb_missing_dir";
+  std::filesystem::remove_all(dir);
+  Heartbeat& hb = Heartbeat::instance();
+  HeartbeatOptions opts;
+  opts.intervalMs = 60000;
+  opts.jsonlPath = dir + "/hb.jsonl";
+  ::testing::internal::CaptureStderr();
+  hb.start(opts);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(hb.running());  // still ticks, as stderr table lines
+  hb.stop();
+  EXPECT_NE(err.find("heartbeat: cannot write " + opts.jsonlPath),
+            std::string::npos)
+      << err;
+}
+
 // ------------------------------------------------------------- watchdog
 
 TEST(ObsWatchdog, TripsAbortOnTinyWallLimit) {
@@ -591,7 +611,6 @@ TEST(ObsWatchdog, TripsAbortOnTinyWallLimit) {
   Watchdog& wd = Watchdog::instance();
   WatchdogOptions opts;
   opts.wallLimitSeconds = 0.005;
-  opts.pollMs = 2;
   wd.start(opts);
   // The watchdog raises the cooperative flag; a polling loop then throws.
   bool threw = false;
@@ -619,7 +638,6 @@ TEST(ObsWatchdog, MemLimitUsesPeakRss) {
   Watchdog& wd = Watchdog::instance();
   WatchdogOptions opts;
   opts.memLimitKb = 1;  // any real process exceeds 1 KiB instantly
-  opts.pollMs = 2;
   wd.start(opts);
   bool tripped = false;
   for (int i = 0; i < 2000 && !tripped; ++i) {
@@ -641,7 +659,6 @@ TEST(ObsWatchdog, ArmFireRearmCycle) {
   Watchdog wd;  // own instance; the process singleton stays untouched
   WatchdogOptions opts;
   opts.wallLimitSeconds = 0.005;
-  opts.pollMs = 2;
 
   // Arm 1: fire.
   wd.start(opts);
@@ -671,6 +688,52 @@ TEST(ObsWatchdog, ArmFireRearmCycle) {
   EXPECT_TRUE(wd.fired());
   wd.stop();
   clearAbort();
+}
+
+TEST(ObsWatchdog, StopFencesTheTarget) {
+  // The par::checkBatch pattern: the breach target lives on the worker's
+  // stack and dies right after stop(). A ~0 limit and a varying gap make
+  // the breach race the stop; a callback that outlived stop() would touch
+  // a dead slot or entry, which the ASan and TSan builds report.
+  Watchdog wd;
+  for (int i = 0; i < 200; ++i) {
+    TaskAbort slot;
+    wd.start({.wallLimitSeconds = 1e-9, .target = &slot});
+    if (i % 3 == 1) std::this_thread::yield();
+    if (i % 3 == 2)
+      std::this_thread::sleep_for(std::chrono::microseconds(i % 50));
+    wd.stop();
+    EXPECT_EQ(slot.requested(), wd.fired());  // breached wholly or not at all
+  }
+  EXPECT_FALSE(abortRequested());
+}
+
+size_t osThreadCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST(ObsTicker, OneThreadForEveryTimer) {
+  // The heartbeat, the profiler, the process watchdog and every own
+  // Watchdog are entries on one ticker thread, so arming all of them adds
+  // at most that thread (none if it already runs).
+  const size_t before = osThreadCount();
+  Heartbeat::instance().start({.intervalMs = 60000});
+  prof::Profiler::instance().start({.intervalMs = 60000});
+  Watchdog::instance().start({.wallLimitSeconds = 60.0});
+  std::array<Watchdog, 8> dogs;
+  for (Watchdog& dog : dogs) dog.start({.wallLimitSeconds = 60.0});
+  EXPECT_LE(osThreadCount(), before + 1);
+  for (Watchdog& dog : dogs) EXPECT_TRUE(dog.running());
+  for (Watchdog& dog : dogs) dog.stop();
+  Watchdog::instance().stop();
+  prof::Profiler::instance().stop();
+  prof::Profiler::instance().clear();
+  Heartbeat::instance().stop();
+  EXPECT_FALSE(abortRequested());
 }
 
 TEST(ObsTaskAbort, SlotOnlyAffectsBoundThread) {
@@ -712,7 +775,6 @@ TEST(ObsTaskAbort, WatchdogTargetRaisesSlotNotProcessFlag) {
   Watchdog wd;
   WatchdogOptions opts;
   opts.wallLimitSeconds = 0.005;
-  opts.pollMs = 2;
   opts.target = &slot;
   wd.start(opts);
   for (int i = 0; i < 2000 && !slot.requested(); ++i)
