@@ -165,7 +165,6 @@ class BddManager {
   [[nodiscard]] Bdd bddZero();
 
   [[nodiscard]] uint32_t level(BddVar v) const { return perm_[v]; }
-  [[nodiscard]] BddVar varAtLevel(uint32_t l) const { return invPerm_[l]; }
   /// The current order as a level -> variable sequence (a copy; feed it to
   /// another manager's setOrder to replicate this manager's order).
   [[nodiscard]] std::vector<BddVar> varOrder() const { return invPerm_; }
@@ -241,7 +240,6 @@ class BddManager {
   void sift();
   /// Reorder so the given variables sit at the top in the given sequence.
   void setOrder(const std::vector<BddVar>& order);
-  void setMaxGrowth(double g) { maxGrowth_ = g; }
 
   // ---- shared (multi-threaded) phase ----
 
@@ -671,7 +669,6 @@ class BddManager {
   size_t swapAdjacentLevels(uint32_t l);
   void siftImpl();
   void setOrderImpl(const std::vector<BddVar>& order);
-  size_t uniqueSize() const { return uniqueCount_; }
   Bdd makeHandle(uint32_t idx);
 
   // structural-walk scratch: a per-manager visit-stamp array so nodeCount

@@ -43,10 +43,6 @@ Bdd McDebugSession::stateCube(const std::vector<int8_t>& s) const {
   return fsm.stateFromValues(fsm.decodeState(s));
 }
 
-bool McDebugSession::truthAt(const CtlRef& f, const Bdd& cube) {
-  return !(checker_->states(f) & cube).isZero();
-}
-
 std::string McDebugSession::describe() const {
   std::ostringstream os;
   os << "at state [" << checker_->fsm().formatState(state_) << "]: "

@@ -63,8 +63,6 @@ class McDebugSession {
   };
 
   void computeChoices();
-  /// Truth of f at a concrete state under fair semantics.
-  bool truthAt(const CtlRef& f, const Bdd& stateCube);
   Bdd stateCube(const std::vector<int8_t>& s) const;
 
   CtlChecker* checker_;

@@ -42,10 +42,6 @@ void Environment::readPif(const std::string& text) {
   addFairness(file.fairness);
 }
 
-void Environment::addProperty(PifProperty property) {
-  properties_.push_back(std::move(property));
-}
-
 void Environment::addFairness(const FairnessSpec& fairness) {
   session_.addFairness(fairness);  // fairness affects the CTL semantics
 }

@@ -51,7 +51,6 @@ class Environment {
   void readBlifMv(const std::string& text);
   /// Read properties and fairness constraints (cumulative).
   void readPif(const std::string& text);
-  void addProperty(PifProperty property);
   void addFairness(const FairnessSpec& fairness);
 
   // ---- build ----

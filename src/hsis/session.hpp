@@ -83,7 +83,6 @@ class Session {
   void unload();
   /// True when a design is loaded and its symbolic machine is built.
   [[nodiscard]] bool resident() const { return fsm_ != nullptr; }
-  [[nodiscard]] bool designLoaded() const { return !design_.models.empty(); }
   /// Digest of the loaded source ("" when none).
   [[nodiscard]] const std::string& digest() const { return digest_; }
 

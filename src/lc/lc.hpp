@@ -132,11 +132,7 @@ class LcChecker {
   /// The fair hull within `within` (⊆ domain()): approximation of states on
   /// fair (counterexample) paths, iterated to convergence.
   Bdd fairHull(const Bdd& within);
-  [[nodiscard]] const std::vector<Bdd>& buchiSets() const { return buchiSets_; }
   [[nodiscard]] const std::vector<Bdd>& edgeSets() const { return edgeSets_; }
-  [[nodiscard]] const std::vector<std::pair<Bdd, Bdd>>& streettPairs() const {
-    return streett_;
-  }
 
  private:
   void buildProduct(Fsm& design, const TransitionRelation& designTr,

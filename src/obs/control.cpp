@@ -1,7 +1,7 @@
-// Abort flag, phase stack, RSS probes, the obs ticker with its heartbeat
-// and watchdog entries, and the shared CLI flag handling. Compiled
-// identically in enabled and HSIS_OBS_DISABLE builds: cancelling a runaway
-// run is control flow, not measurement (see control.hpp).
+// Abort flag, RSS probes, the obs ticker with its heartbeat and watchdog
+// entries, and the shared CLI flag handling. Compiled identically in
+// enabled and HSIS_OBS_DISABLE builds: cancelling a runaway run is control
+// flow, not measurement (see control.hpp).
 #include "obs/control.hpp"
 
 #include <algorithm>
@@ -108,11 +108,19 @@ thread_local TaskAbort* t_taskAbort = nullptr;
 }  // namespace detail
 
 void TaskAbort::request(std::string_view reason, std::string_view phase) {
+  // The default phase is what the bound thread runs: the newest span of
+  // the process may belong to a neighbouring worker.
+  std::string where(phase);
+  if (phase.empty()) {
+    const uint64_t bound = boundThread_.load(std::memory_order_relaxed);
+    for (const PhaseStackSnapshot& s : phaseStacks())
+      if (s.threadId == bound) where = s.frames.back();
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (flag_.load(std::memory_order_relaxed)) return;  // first request wins
     reason_ = std::string(reason);
-    phase_ = phase.empty() ? currentPhase() : std::string(phase);
+    phase_ = std::move(where);
     flag_.store(true, std::memory_order_release);
   }
   if (flight::installed()) {
@@ -134,114 +142,10 @@ std::optional<AbortInfo> TaskAbort::info() const {
   return AbortInfo{reason_, phase_};
 }
 
-void bindTaskAbort(TaskAbort* slot) { detail::t_taskAbort = slot; }
-
-// ----------------------------------------------------------- phase stack
-
-namespace {
-
-struct PhaseEntry {
-  uint64_t threadId;
-  uint64_t spanId;
-  std::string name;
-};
-
-struct PhaseStack {
-  std::mutex mu;
-  // All open spans process-wide in start order (so per-thread frames fall
-  // out in nesting order). The back entry is "the most recently started
-  // still-open phase", which is the right answer for watchdog/heartbeat
-  // reporting; the per-thread grouping is what the sampling profiler folds.
-  std::vector<PhaseEntry> active;
-};
-
-PhaseStack& phaseStack() {
-  static PhaseStack* ps = new PhaseStack;  // leaked, see registry.cpp
-  return *ps;
-}
-
-/// Group the open spans by thread, sorted by thread id. Spans are strictly
-/// scoped per thread, so start order within a thread is nesting order.
-/// Caller holds ps.mu.
-std::vector<PhaseStackSnapshot> groupLocked(const PhaseStack& ps) {
-  std::vector<PhaseStackSnapshot> out;
-  for (const PhaseEntry& e : ps.active) {
-    auto it = std::find_if(out.begin(), out.end(), [&e](const auto& s) {
-      return s.threadId == e.threadId;
-    });
-    if (it == out.end()) it = out.insert(out.end(), {e.threadId, {}});
-    it->frames.push_back(e.name);
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.threadId < b.threadId;
-  });
-  return out;
-}
-
-/// Re-render every thread's live stack as `{"kind": "phase_stack", ...}`
-/// JSONL for the flight recorder's pre-serialized buffer. Caller holds
-/// ps.mu, so the rendered block is a consistent cut; publishing under the
-/// lock keeps the buffer ordered with the stack mutations.
-void publishPhaseLinesLocked(const PhaseStack& ps) {
-  std::string block;
-  for (const PhaseStackSnapshot& s : groupLocked(ps)) {
-    block += "{\"kind\": \"phase_stack\", \"tid\": " +
-             std::to_string(s.threadId) + ", \"frames\": \"" + s.folded() +
-             "\"}\n";
-  }
-  flight::detail::publishPhaseLines(block);
-}
-
-}  // namespace
-
-namespace detail {
-
-void notePhaseStart(uint64_t threadId, uint64_t spanId, std::string_view name) {
-  PhaseStack& ps = phaseStack();
-  std::lock_guard<std::mutex> lock(ps.mu);
-  ps.active.push_back(PhaseEntry{threadId, spanId, std::string(name)});
-  if (flight::detail::wantsPublish()) publishPhaseLinesLocked(ps);
-}
-
-void notePhaseEnd(uint64_t threadId, uint64_t spanId) {
-  PhaseStack& ps = phaseStack();
-  std::lock_guard<std::mutex> lock(ps.mu);
-  for (size_t i = ps.active.size(); i-- > 0;) {
-    if (ps.active[i].threadId == threadId && ps.active[i].spanId == spanId) {
-      ps.active.erase(ps.active.begin() + static_cast<long>(i));
-      if (flight::detail::wantsPublish()) publishPhaseLinesLocked(ps);
-      return;
-    }
-  }
-}
-
-void publishPhaseStacks() {
-  PhaseStack& ps = phaseStack();
-  std::lock_guard<std::mutex> lock(ps.mu);
-  publishPhaseLinesLocked(ps);
-}
-
-}  // namespace detail
-
-std::string currentPhase() {
-  PhaseStack& ps = phaseStack();
-  std::lock_guard<std::mutex> lock(ps.mu);
-  return ps.active.empty() ? std::string() : ps.active.back().name;
-}
-
-std::string PhaseStackSnapshot::folded() const {
-  std::string out;
-  for (size_t i = 0; i < frames.size(); ++i) {
-    if (i != 0) out += ';';
-    out += frames[i];
-  }
-  return out;
-}
-
-std::vector<PhaseStackSnapshot> phaseStacks() {
-  PhaseStack& ps = phaseStack();
-  std::lock_guard<std::mutex> lock(ps.mu);
-  return groupLocked(ps);
+void bindTaskAbort(TaskAbort* slot) {
+  if (slot != nullptr)
+    slot->boundThread_.store(currentThreadId(), std::memory_order_relaxed);
+  detail::t_taskAbort = slot;
 }
 
 // --------------------------------------------------------- process memory

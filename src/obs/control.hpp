@@ -69,7 +69,8 @@ class AbortedError : public std::runtime_error {
 /// clear() re-arms the slot for the next request.
 class TaskAbort {
  public:
-  /// Raise this slot's flag. First request wins until clear().
+  /// Raise this slot's flag. First request wins until clear(). `phase`
+  /// defaults to the innermost open span of the thread that bound it last.
   void request(std::string_view reason, std::string_view phase = {});
   /// Lower the flag and forget the stored reason (between requests).
   void clear();
@@ -81,7 +82,9 @@ class TaskAbort {
   [[nodiscard]] std::optional<AbortInfo> info() const;
 
  private:
+  friend void bindTaskAbort(TaskAbort* slot);
   std::atomic<bool> flag_{false};
+  std::atomic<uint64_t> boundThread_{0};  ///< currentThreadId(); 0 = never
   mutable std::mutex mu_;
   std::string reason_;
   std::string phase_;
@@ -106,7 +109,7 @@ inline bool abortRequested() noexcept {
 }
 
 /// Raise the flag. First request wins; later ones are ignored. `phase`
-/// defaults to the currently active phase span.
+/// defaults to currentPhase(), as the flag stops every thread.
 void requestAbort(std::string_view reason, std::string_view phase = {});
 /// Lower the flag and forget the stored reason (tests, per-case resets).
 void clearAbort();
@@ -123,19 +126,13 @@ inline void checkAbort() {
 
 // ----------------------------------------------------------- phase stack
 //
-// A live view of the active phase spans, kept per thread so the watchdog,
-// heartbeat, and sampling profiler can say *what* each thread was running.
-// Fed by Span construction/destruction; empty under HSIS_OBS_DISABLE.
+// What each thread is running, for the watchdog, heartbeat, profiler and
+// flight recorder. Each thread's open spans live on its own stack
+// (obs/trace.cpp), which is in a registry while the thread lives; these
+// readers walk the registry. Empty under HSIS_OBS_DISABLE.
 
-namespace detail {
-void notePhaseStart(uint64_t threadId, uint64_t spanId, std::string_view name);
-void notePhaseEnd(uint64_t threadId, uint64_t spanId);
-/// Re-publish the flight recorder's phase-stack lines (flight::dump).
-void publishPhaseStacks();
-}  // namespace detail
-
-/// Name of the innermost active phase span across all threads (the most
-/// recently started still-open one), or "" if none.
+/// Name of the innermost open span with the highest span id across all
+/// threads (the most recently started still-open one), or "" if none.
 std::string currentPhase();
 
 /// One thread's open phase spans at a point in time, outermost first.

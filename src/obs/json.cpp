@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
-#include <sstream>
 #include <unordered_map>
 
 #include "obs/control.hpp"
@@ -252,43 +250,6 @@ std::string toChromeTrace(const Snapshot& snap) {
   }
   out += "\n]\n";
   return out;
-}
-
-std::string toTable(const Snapshot& snap) {
-  std::ostringstream os;
-  os << "== metrics ==\n";
-  for (const MetricSample& m : snap.metrics) {
-    if (m.kind == MetricSample::Kind::Histogram) {
-      os << "  " << m.name << "  count=" << m.count << " sum=" << m.sum;
-      if (m.count != 0) {
-        os << " mean=" << (double)m.sum / (double)m.count << " p50=" << m.p50
-           << " p90=" << m.p90 << " p99=" << m.p99 << " max=" << m.max;
-      }
-      os << "\n";
-      for (const auto& [low, cnt] : m.buckets) {
-        os << "    >= " << low << ": " << cnt << "\n";
-      }
-    } else {
-      os << "  " << m.name << " = " << m.value << "\n";
-    }
-  }
-  os << "== spans ==";
-  if (snap.droppedSpans != 0) os << " (" << snap.droppedSpans << " dropped)";
-  os << "\n";
-  auto tree = buildTree(snap);
-  // Depth-first through the reconstructed tree, indenting per level.
-  std::function<void(int64_t, int)> walk = [&](int64_t parent, int depth) {
-    auto it = tree.find(parent);
-    if (it == tree.end()) return;
-    for (size_t idx : it->second) {
-      const SpanSample& s = snap.spans[idx];
-      os << "  " << std::string(static_cast<size_t>(depth) * 2, ' ')
-         << s.name << "  " << formatMs(s.durationNs) << " ms\n";
-      walk(static_cast<int64_t>(s.id), depth + 1);
-    }
-  };
-  walk(-1, 0);
-  return os.str();
 }
 
 std::string snapshotJson() { return toJson(snapshot()); }

@@ -296,8 +296,10 @@ namespace {
 
 /// Double-buffered pre-rendered block: writers render into the inactive
 /// half (serialized by pubMu; publish never runs in signal context) and
-/// flip; the signal handler reads whichever half is published.
-/// `active == -1` means never published.
+/// flip; the signal handler reads whichever half is published. A dump
+/// from normal context holds pubMu instead, since two publishes during
+/// its write would rewrite the half it reads. `active == -1` means never
+/// published.
 struct PreRendered {
   static constexpr size_t kCap = 16384;
   char buf[2][kCap];
@@ -305,8 +307,12 @@ struct PreRendered {
   std::atomic<int> active{-1};
   std::mutex pubMu;
 
-  void publish(const std::string& s) {
+  /// Render and swap in under one lock, so concurrent publishers land in
+  /// the order they rendered.
+  template <typename Render>
+  void publish(Render&& render) {
     std::lock_guard<std::mutex> lock(pubMu);
+    const std::string s = render();
     int cur = active.load(std::memory_order_relaxed);
     int next = cur == 0 ? 1 : 0;
     size_t n = s.size() < kCap ? s.size() : 0;  // oversized -> drop, stay valid
@@ -568,8 +574,9 @@ bool dump(std::string_view reason) {
   if (!st.installed.load(std::memory_order_acquire)) return false;
   // Refresh the pre-rendered phase stacks from normal context so the dump
   // reflects "now" even if no span moved since the last publish.
-  obs::detail::publishPhaseStacks();
+  detail::publishPhaseStacks();
   std::string r(reason);
+  std::scoped_lock lock(st.phases.pubMu, st.census.pubMu);
   writeDump(r.c_str());
   return true;
 }
@@ -586,15 +593,21 @@ void uninstall() {
 
 namespace detail {
 
-void publishPhaseLines(const std::string& lines) {
-  state().phases.publish(lines);
+void publishPhaseStacks() {
+  state().phases.publish([] {
+    std::string block;
+    for (const PhaseStackSnapshot& s : phaseStacks()) {
+      block += "{\"kind\": \"phase_stack\", \"tid\": " +
+               std::to_string(s.threadId) + ", \"frames\": \"" +
+               s.folded() + "\"}\n";
+    }
+    return block;
+  });
 }
 
 void publishCensusLine(const std::string& line) {
-  state().census.publish(line);
+  state().census.publish([&line] { return line; });
 }
-
-bool wantsPublish() noexcept { return installed(); }
 
 }  // namespace detail
 

@@ -31,7 +31,7 @@
 //                  crash reason / signal and the current RSS, formatted by
 //                  a tiny signal-safe integer writer;
 //   phase_stack    re-rendered into a double buffer on every span
-//                  start/end while the recorder is installed (control.cpp);
+//                  start/end while the recorder is installed (trace.cpp);
 //   census         re-rendered on every BddCensus publication (prof.cpp);
 //   event lines    the logger ring, newest-overwrites-oldest.
 //
@@ -187,6 +187,7 @@ namespace hsis::obs::flight {
 /// auto-installs at load time in any binary linking hsis_obs (CI uses
 /// this to collect dumps from crashed unit tests).
 void install(const std::string& dir, const std::string& driver = "");
+/// One relaxed load; also gates the re-render work at the publish sites.
 [[nodiscard]] bool installed() noexcept;
 /// The dump path this process would write ("" before install).
 [[nodiscard]] std::string dumpPath();
@@ -202,14 +203,12 @@ bool dump(std::string_view reason);
 void uninstall();
 
 namespace detail {
-/// Publish a pre-rendered block of `{"kind": "phase_stack", ...}` JSONL
-/// lines (newline-terminated) for the signal path. Rendered only by the
-/// phase bookkeeping in control.cpp.
-void publishPhaseLines(const std::string& lines);
+/// Re-render obs::phaseStacks() as `{"kind": "phase_stack", ...}` JSONL
+/// lines for the signal path, under the publish lock, so the block last
+/// published is never older than the last span change.
+void publishPhaseStacks();
 /// Same for the single `{"kind": "census", ...}` line (prof.cpp).
 void publishCensusLine(const std::string& line);
-/// One relaxed load; gates the re-render work at the publish sites.
-[[nodiscard]] bool wantsPublish() noexcept;
 }  // namespace detail
 
 }  // namespace hsis::obs::flight

@@ -1,7 +1,7 @@
 // hsis::obs — the observability subsystem: a process-wide metrics registry
 // (named counters, gauges, log2-bucketed histograms), a phase tracer
 // producing nested timed spans, and snapshot/export APIs (JSON, Chrome
-// trace, human-readable table).
+// trace).
 //
 // Design notes:
 //  - The hot path is a single relaxed atomic RMW per event: metric objects
@@ -111,9 +111,6 @@ std::string toJson(const Snapshot& snap);
 
 /// chrome://tracing / Perfetto compatible event array.
 std::string toChromeTrace(const Snapshot& snap);
-
-/// Human-readable table (metrics sorted by name, span tree indented).
-std::string toTable(const Snapshot& snap);
 
 /// Convenience: toJson(snapshot()).
 std::string snapshotJson();

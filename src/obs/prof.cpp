@@ -4,7 +4,6 @@
 #include "obs/prof.hpp"
 
 #include <cstdio>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -15,6 +14,7 @@
 #include "obs/jsonlite.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
+#include "obs/ring.hpp"
 
 namespace hsis::obs::prof {
 
@@ -54,7 +54,7 @@ void publishCensus(BddCensus c) {
   c.tNs = WallTimer::nowNs();
   // Keep the flight recorder's pre-serialized census current: a crash
   // between publications then still reports the latest BDD heap shape.
-  if (flight::detail::wantsPublish()) {
+  if (flight::installed()) {
     std::string line;
     jsonlite::Writer w(line);
     w.beginObject().key("kind").value("census").key("seq").value(c.seq);
@@ -135,11 +135,9 @@ struct Profiler::Impl {
   uint64_t tick = 0;  ///< ticker entry; 0 = not sampling
   ProfOptions opts;
 
-  // Sample ring (oldest first, dropped past capacity) + folded-stack
-  // aggregate.
-  std::deque<ProfSample> ring;
+  // Sample ring + folded-stack aggregate.
+  DropOldestRing<ProfSample> ring{ProfOptions{}.ringCapacity};
   uint64_t taken = 0;
-  uint64_t dropped = 0;
   std::map<std::string, uint64_t> foldedCounts;
 
   // Per-tick state.
@@ -155,8 +153,8 @@ struct Profiler::Impl {
 
   /// Drop every sample and aggregate and restart the clock. Caller holds mu.
   void resetSamples() {
-    ring.clear();
-    taken = dropped = 0;
+    ring.reset(opts.ringCapacity);
+    taken = 0;
     foldedCounts.clear();
     startNs = WallTimer::nowNs();
     lastCensusSeq = lastCacheLookups = lastCacheHits = 0;
@@ -201,19 +199,15 @@ void Profiler::sampleOnce() {
   Impl& im = impl();
 
   // Gather outside the lock: phaseStacks/latestCensus take their own.
-  std::vector<PhaseStackSnapshot> stacks = phaseStacks();
-  std::optional<BddCensus> census = latestCensus();
+  ProfSample s;
+  for (const PhaseStackSnapshot& st : phaseStacks())
+    s.folded.push_back(st.folded());
+  s.census = latestCensus();
   // Ask for a fresh census for the *next* tick; the engine answers at its
   // next safe point, so each sample carries the latest one available.
   requestCensus();
-
-  ProfSample s;
   s.tNs = WallTimer::nowNs();
   s.rssKb = currentRssKb();
-  for (const PhaseStackSnapshot& st : stacks) {
-    if (!st.frames.empty()) s.folded.push_back(st.folded());
-  }
-  s.census = std::move(census);
 
   std::lock_guard<std::mutex> lock(im.mu);
   s.seq = im.taken++;
@@ -250,11 +244,7 @@ void Profiler::sampleOnce() {
     im.spill.flush();
   }
 
-  if (im.ring.size() >= im.opts.ringCapacity) {
-    im.ring.pop_front();
-    ++im.dropped;
-  }
-  im.ring.push_back(std::move(s));
+  im.ring.push(std::move(s));
 }
 
 void Profiler::start(ProfOptions options) {
@@ -323,13 +313,13 @@ uint64_t Profiler::sampleCount() const {
 uint64_t Profiler::droppedSamples() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  return im.dropped;
+  return im.ring.dropped;
 }
 
 std::vector<ProfSample> Profiler::samples() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  return {im.ring.begin(), im.ring.end()};
+  return {im.ring.items.begin(), im.ring.items.end()};
 }
 
 std::string Profiler::foldedStacks() const {
