@@ -262,7 +262,7 @@ int main(int argc, char** argv) try {
       // Concrete differential pass, capped so huge designs degrade to
       // symbolic-only instead of enumerating forever.
       co.simMaxStates = 5000;
-      hsis::cov::Report rep = env.coverage(std::move(co));
+      hsis::cov::Report rep = env.coverage(co);
       if (rep.enabled) {
         std::printf(
             "coverage: %.1f%% of state space, latch values %llu/%llu, "

@@ -218,6 +218,10 @@ class BddManager {
   /// when f depends on more than `nvars` variables (the density recursion
   /// is level-independent, so a too-small space would silently undercount).
   double satCount(const Bdd& f, uint32_t nvars);
+  /// satCount(f, nvars) of every root in one walk: one density memo and
+  /// one support check (the roots' joint support must fit in `nvars`).
+  /// Each count equals the single-root call bit for bit.
+  std::vector<double> satCounts(std::span<const Bdd> fs, uint32_t nvars);
   /// satCount over an explicit variable set: the assignment space is
   /// exactly `vars` (each variable at most once). Throws
   /// std::invalid_argument when support(f) is not a subset of `vars`.
@@ -639,9 +643,11 @@ class BddManager {
   uint32_t permuteRec(uint32_t f, const std::vector<BddVar>& map, uint32_t mapId);
   bool leqRec(uint32_t f, uint32_t g);
   void supportRec(uint32_t f, std::vector<bool>& seen, std::vector<bool>& inSupp);
-  /// Shared satCount core: the memoized density of `rootEdge`, marking
-  /// every support variable in `inSupp` (sized numVars()) along the way.
-  double satDensity(uint32_t rootEdge, std::vector<char>& inSupp);
+  /// Shared satCount core: the density of each root under one memo,
+  /// marking every support variable in `inSupp` (sized numVars()) along
+  /// the way.
+  std::vector<double> satDensities(std::span<const Bdd> roots,
+                                   std::vector<char>& inSupp);
   /// Conjunction of literals over `vars`: variable v is positive unless
   /// `phase` is non-empty and phase[v] == 0. One mkNode per distinct
   /// variable, deepest level first (cube and cubeFromAssignment).

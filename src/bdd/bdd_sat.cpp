@@ -65,18 +65,21 @@ Bdd BddManager::cubeOf(std::vector<BddVar> vars,
   return makeHandle(e);
 }
 
-double BddManager::satDensity(uint32_t rootEdge, std::vector<char>& inSupp) {
-  // The satisfying-assignment *density* of the function: the fraction of
-  // all assignments (over any space covering the support) that satisfy it.
+std::vector<double> BddManager::satDensities(std::span<const Bdd> roots,
+                                             std::vector<char>& inSupp) {
+  // The satisfying-assignment *density* of each root: the fraction of all
+  // assignments (over any space covering the support) that satisfy it.
   // Level-independent — each node contributes 0.5*(lo + hi) regardless of
   // how many levels its children skip — which is why the caller must check
   // that the requested space actually covers the support. Memoized per
   // *edge*: a complemented edge pushes its sign onto the children
   // (¬ITE(v,h,l) = ITE(v,¬h,¬l)), so densities are only ever added and
   // halved. Reading 1 - d instead cancels catastrophically once d is close
-  // to 1 (a small set under a complement edge). Support variables are
-  // marked as a side effect, giving the caller the validity check for free
-  // (same walk).
+  // to 1 (a small set under a complement edge). An edge's density is a
+  // pure function of the edge, so one memo serves every root and each
+  // result is bit-for-bit what a walk of that root alone returns. Support
+  // variables are marked as a side effect, giving the caller the validity
+  // check for free (same walk).
   std::unordered_map<uint32_t, double> memo;
   auto rec = [&](auto&& self, uint32_t e) -> double {
     uint32_t n = eIdx(e);
@@ -89,12 +92,20 @@ double BddManager::satDensity(uint32_t rootEdge, std::vector<char>& inSupp) {
     memo.emplace(e, d);
     return d;
   };
-  return rec(rec, rootEdge);
+  std::vector<double> out;
+  out.reserve(roots.size());
+  for (const Bdd& f : roots) out.push_back(rec(rec, f.index()));
+  return out;
 }
 
 double BddManager::satCount(const Bdd& f, uint32_t nvars) {
+  return satCounts(std::span<const Bdd>(&f, 1), nvars)[0];
+}
+
+std::vector<double> BddManager::satCounts(std::span<const Bdd> fs,
+                                          uint32_t nvars) {
   std::vector<char> inSupp(numVars(), 0);
-  double density = satDensity(f.index(), inSupp);
+  std::vector<double> counts = satDensities(fs, inSupp);
   uint32_t suppSize = 0;
   for (char c : inSupp) suppSize += c != 0 ? 1u : 0u;
   if (suppSize > nvars)
@@ -104,7 +115,8 @@ double BddManager::satCount(const Bdd& f, uint32_t nvars) {
         std::to_string(nvars) + "-variable space requested");
   // ldexp, not pow: exact scaling by a power of two up to the full double
   // exponent range (pow accumulates rounding above 2^53-ish inputs).
-  return std::ldexp(density, static_cast<int>(nvars));
+  for (double& c : counts) c = std::ldexp(c, static_cast<int>(nvars));
+  return counts;
 }
 
 double BddManager::satCount(const Bdd& f, std::span<const BddVar> vars) {
@@ -118,7 +130,7 @@ double BddManager::satCount(const Bdd& f, std::span<const BddVar> vars) {
     allowed[v] = 1;
   }
   std::vector<char> inSupp(numVars(), 0);
-  double density = satDensity(f.index(), inSupp);
+  double density = satDensities(std::span<const Bdd>(&f, 1), inSupp)[0];
   for (BddVar v = 0; v < numVars(); ++v) {
     if (inSupp[v] != 0 && allowed[v] == 0)
       throw std::invalid_argument(

@@ -65,26 +65,32 @@ const jl::Value& need(const jl::Object& obj, const std::string& key) {
   return *v;
 }
 
+template <std::integral T>
+T integer(const jl::Object& obj, const std::string& key) {
+  return jl::integer<T>(need(obj, key), kSchema, key);
+}
+
 std::vector<SignalInfo> parseSignals(const jl::Value& v) {
   std::vector<SignalInfo> sigs;
   for (const jl::Value& sv : v.array()) {
     const jl::Object& so = sv.object();
     SignalInfo s;
     s.name = need(so, "name").str();
-    s.domain = static_cast<uint32_t>(need(so, "domain").number());
-    s.bits = static_cast<uint32_t>(need(so, "bits").number());
+    s.domain = integer<uint32_t>(so, "domain");
+    s.bits = integer<uint32_t>(so, "bits");
     for (const jl::Value& nv : need(so, "values").array())
       s.valueNames.push_back(nv.str());
-    s.sourceLine = static_cast<int>(need(so, "line").number());
+    s.sourceLine = integer<int>(so, "line");
     sigs.push_back(std::move(s));
   }
   return sigs;
 }
 
-std::vector<uint32_t> parseValues(const jl::Value& v) {
+std::vector<uint32_t> parseValues(const jl::Object& step,
+                                  const std::string& key) {
   std::vector<uint32_t> vals;
-  for (const jl::Value& nv : v.array())
-    vals.push_back(static_cast<uint32_t>(nv.number()));
+  for (const jl::Value& nv : need(step, key).array())
+    vals.push_back(jl::integer<uint32_t>(nv, kSchema, key));
   return vals;
 }
 
@@ -114,14 +120,14 @@ Artifact parseJson(const std::string& text) {
   a.propertyDigest = need(prop, "digest").str();
   a.replay = need(obj, "replay").str();
   a.replayNote = need(obj, "replay_note").str();
-  a.cycleStart = static_cast<int>(need(obj, "cycle_start").number());
+  a.cycleStart = integer<int>(obj, "cycle_start");
   a.latches = parseSignals(need(obj, "latches"));
   a.inputs = parseSignals(need(obj, "inputs"));
   for (const jl::Value& sv : need(obj, "steps").array()) {
     const jl::Object& so = sv.object();
     Step step;
-    step.latchValues = parseValues(need(so, "latches"));
-    step.inputValues = parseValues(need(so, "inputs"));
+    step.latchValues = parseValues(so, "latches");
+    step.inputValues = parseValues(so, "inputs");
     if (step.latchValues.size() != a.latches.size())
       throw std::runtime_error("hsis-cex-v1: step width != latch count");
     a.steps.push_back(std::move(step));

@@ -308,7 +308,8 @@ bool evalConcrete(const SigExpr& e, const Fsm& fsm,
 }  // namespace
 
 Report analyze(const Fsm& fsm, const TransitionRelation& tr,
-               const Bdd& reached, const Options& opts) {
+               const Bdd& reached, std::span<const Bdd> onionRings,
+               const Options& opts) {
   Report rep;
   rep.design = fsm.name();
   if (!coverageEnabled()) return rep;  // valid-empty, enabled == false
@@ -342,11 +343,12 @@ Report analyze(const Fsm& fsm, const TransitionRelation& tr,
     rep.latches.push_back(std::move(occ));
   }
 
-  // Frontier time series (recorded during the fixpoint, passed in).
+  // Frontier time series: the state count of each onion ring.
+  std::vector<double> newStates = mgr.satCounts(onionRings, fsm.stateBits());
   double cumulative = 0.0;
-  for (size_t d = 0; d < opts.frontierNewStates.size(); ++d) {
-    cumulative += opts.frontierNewStates[d];
-    rep.frontier.push_back({d, opts.frontierNewStates[d], cumulative});
+  for (size_t d = 0; d < newStates.size(); ++d) {
+    cumulative += newStates[d];
+    rep.frontier.push_back({d, newStates[d], cumulative});
   }
   if (!rep.frontier.empty()) rep.depth = rep.frontier.size() - 1;
 

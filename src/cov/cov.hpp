@@ -4,8 +4,8 @@
 //  1. Structural coverage — per-latch value occupancy (which domain values
 //     each latch ever takes in the reached set), the reachable fraction of
 //     the full state space via BDD sat-counting, and the per-depth
-//     new-state frontier series recorded by ReachOptions::
-//     recordFrontierStates.
+//     new-state frontier series, counted from the fixpoint's onion rings
+//     when a report is built (reachability itself counts no states).
 //  2. Coverpoints and bins — named SigExpr predicates over latches and
 //     inputs, evaluated symbolically against the reached BDD and (for
 //     state-only bins) concretely by exhaustive simulator enumeration, with
@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -149,15 +150,16 @@ struct Options {
   /// enumeration exhausted the reachable set.
   size_t simMaxStates = 0;
   uint64_t simSeed = 1;
-  /// Per-depth new-state series from the reachability fixpoint
-  /// (ReachResult::frontierStates / CtlChecker::frontierNewStates).
-  std::vector<double> frontierNewStates;
 };
 
 /// Analyze coverage of the reached state set (a BDD over present-state
 /// variables, as produced by reachableStates or CtlChecker::reached).
+/// `onionRings` are that fixpoint's rings (ReachResult::onionRings,
+/// CtlChecker::onionRings): frontier[d].newStates is the state count of
+/// ring d, all rings counted in one walk. No rings, no frontier series.
 Report analyze(const Fsm& fsm, const TransitionRelation& tr,
-               const Bdd& reached, const Options& opts = {});
+               const Bdd& reached, std::span<const Bdd> onionRings,
+               const Options& opts = {});
 
 // ---- reporting ----
 

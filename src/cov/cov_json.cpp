@@ -97,6 +97,15 @@ const jl::Value& need(const jl::Object& obj, const std::string& key) {
   return *v;
 }
 
+double real(const jl::Object& obj, const std::string& key) {
+  return jl::number(need(obj, key), "hsis-cov-v1", key);
+}
+
+template <std::integral T>
+T integer(const jl::Object& obj, const std::string& key) {
+  return jl::integer<T>(need(obj, key), "hsis-cov-v1", key);
+}
+
 }  // namespace
 
 Report parseReportJson(const std::string& text) {
@@ -111,23 +120,22 @@ Report parseReportJson(const std::string& text) {
   Report r;
   r.enabled = need(obj, "enabled").boolean();
   r.design = need(obj, "design").str();
-  r.reachableStates = need(obj, "reachable_states").number();
-  r.stateSpace = need(obj, "state_space").number();
-  r.depth = static_cast<size_t>(need(obj, "depth").number());
+  r.reachableStates = real(obj, "reachable_states");
+  r.stateSpace = real(obj, "state_space");
+  r.depth = integer<size_t>(obj, "depth");
   const jl::Object& values = need(obj, "values").object();
-  r.valuesReached = static_cast<uint64_t>(need(values, "reached").number());
-  r.valuesTotal = static_cast<uint64_t>(need(values, "total").number());
+  r.valuesReached = integer<uint64_t>(values, "reached");
+  r.valuesTotal = integer<uint64_t>(values, "total");
   const jl::Object& bins = need(obj, "bins").object();
-  r.binsHit = static_cast<uint64_t>(need(bins, "hit").number());
-  r.binsTotal = static_cast<uint64_t>(need(bins, "total").number());
+  r.binsHit = integer<uint64_t>(bins, "hit");
+  r.binsTotal = integer<uint64_t>(bins, "total");
 
   for (const jl::Value& lv : need(obj, "latches").array()) {
     const jl::Object& lo = lv.object();
     LatchOccupancy occ;
     occ.latch = need(lo, "name").str();
-    occ.domain = static_cast<uint32_t>(need(lo, "domain").number());
-    occ.reachedValues =
-        static_cast<uint32_t>(need(lo, "reached_values").number());
+    occ.domain = integer<uint32_t>(lo, "domain");
+    occ.reachedValues = integer<uint32_t>(lo, "reached_values");
     for (const jl::Value& vv : need(lo, "values").array()) {
       const jl::Object& vo = vv.object();
       occ.valueNames.push_back(need(vo, "name").str());
@@ -139,9 +147,9 @@ Report parseReportJson(const std::string& text) {
   for (const jl::Value& fv : need(obj, "frontier").array()) {
     const jl::Object& fo = fv.object();
     FrontierPoint fp;
-    fp.depth = static_cast<size_t>(need(fo, "depth").number());
-    fp.newStates = need(fo, "new_states").number();
-    fp.totalStates = need(fo, "total_states").number();
+    fp.depth = integer<size_t>(fo, "depth");
+    fp.newStates = real(fo, "new_states");
+    fp.totalStates = real(fo, "total_states");
     r.frontier.push_back(fp);
   }
 
@@ -149,24 +157,25 @@ Report parseReportJson(const std::string& text) {
     const jl::Object& po = pv.object();
     PointResult pr;
     pr.name = need(po, "name").str();
-    pr.binsHit = static_cast<size_t>(need(po, "bins_hit").number());
+    pr.binsHit = integer<size_t>(po, "bins_hit");
     for (const jl::Value& bv : need(po, "bins").array()) {
       const jl::Object& bo = bv.object();
       BinResult br;
       br.name = need(bo, "name").str();
       br.expr = need(bo, "expr").str();
       br.symbolicHit = need(bo, "hit").boolean();
-      br.symbolicStates = need(bo, "states").number();
+      br.symbolicStates = real(bo, "states");
       br.simEvaluable = need(bo, "sim_evaluable").boolean();
-      const jl::Value& sh = need(bo, "sim_hits");
-      br.simHits = sh.isNull() ? -1 : static_cast<int64_t>(sh.number());
+      br.simHits = need(bo, "sim_hits").isNull()
+                       ? -1
+                       : integer<int64_t>(bo, "sim_hits");
       pr.bins.push_back(std::move(br));
     }
     r.points.push_back(std::move(pr));
   }
 
   const jl::Object& sim = need(obj, "sim").object();
-  r.simStates = static_cast<uint64_t>(need(sim, "states").number());
+  r.simStates = integer<uint64_t>(sim, "states");
   r.simExhaustive = need(sim, "exhaustive").boolean();
   r.simAgrees = need(sim, "agrees").boolean();
   return r;

@@ -1,6 +1,5 @@
 #include "ctl/mc.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/control.hpp"
@@ -14,22 +13,15 @@ CtlChecker::CtlChecker(const Fsm& fsm, const TransitionRelation& tr,
     : fsm_(&fsm), tr_(&tr), fair_(std::move(fairnessConstraints)), opts_(options) {
   if (fair_.empty()) fair_.push_back(fsm.mgr().bddOne());
   activeTr_ = tr_;
-  // Coverage's frontier series folds to a no-op in disabled builds and
-  // under the HSIS_COV_DISABLE runtime toggle.
-  opts_.recordFrontierStates = opts_.recordFrontierStates && obs::kEnabled &&
-                               std::getenv("HSIS_COV_DISABLE") == nullptr;
 }
 
 const Bdd& CtlChecker::reached() {
   if (reached_.isNull()) {
     obs::Span span("ctl.reach");
     ReachOptions ro;
-    // Invariants are answered from the rings (checkInvariantEarly).
-    ro.keepOnionRings = opts_.wantTrace || opts_.earlyFailureDetection;
-    ro.recordFrontierStates = opts_.recordFrontierStates;
+    ro.keepOnionRings = true;
     ReachResult r = reachableStates(*tr_, fsm_->initialStates(), ro);
-    adoptReachability(std::move(r.reached), std::move(r.onionRings),
-                      std::move(r.frontierStates), r.depth);
+    adoptReachability(std::move(r.reached), std::move(r.onionRings), r.depth);
   }
   return reached_;
 }
@@ -40,21 +32,17 @@ const TransitionRelation& CtlChecker::activeTr() {
 }
 
 void CtlChecker::seedReachability(Bdd reached, std::vector<Bdd> onionRings,
-                                  std::vector<double> frontierStates,
                                   size_t steps) {
   if (!reached_.isNull())
     throw std::logic_error(
         "CtlChecker::seedReachability: reachability already computed");
-  adoptReachability(std::move(reached), std::move(onionRings),
-                    std::move(frontierStates), steps);
+  adoptReachability(std::move(reached), std::move(onionRings), steps);
 }
 
 void CtlChecker::adoptReachability(Bdd reached, std::vector<Bdd> onionRings,
-                                   std::vector<double> frontierStates,
                                    size_t steps) {
   reached_ = std::move(reached);
   onionRings_ = std::move(onionRings);
-  frontierStates_ = std::move(frontierStates);
   stats_.reachabilitySteps = steps;
   if (opts_.useReachedDontCares) {
     minimizedTr_ = tr_->minimized(reached_);
@@ -185,23 +173,22 @@ McResult CtlChecker::checkInvariantEarly(const CtlRef& formula) {
   Bdd p = evalPropositional(formula->left);
   Bdd notP = !p;
 
-  std::vector<Bdd> partialRings;
+  ReachResult rr;
   const std::vector<Bdd>* rings = &onionRings_;
   if (reached_.isNull()) {
     ReachOptions ro;
-    ro.recordFrontierStates = opts_.recordFrontierStates;
+    ro.keepOnionRings = true;
     ro.watch = [&](const Bdd& frontier, size_t) {
-      partialRings.push_back(frontier);
       return !(frontier & notP).isZero();
     };
-    ReachResult rr = reachableStates(*tr_, fsm_->initialStates(), ro);
+    rr = reachableStates(*tr_, fsm_->initialStates(), ro);
     if (rr.stoppedEarly) {
       stats_.reachabilitySteps = rr.depth;
-      rings = &partialRings;
+      rings = &rr.onionRings;
     } else {
       // The EFD run computed the full reachable set; keep it.
-      adoptReachability(std::move(rr.reached), std::move(partialRings),
-                        std::move(rr.frontierStates), rr.depth);
+      adoptReachability(std::move(rr.reached), std::move(rr.onionRings),
+                        rr.depth);
     }
   }
   res.stats = stats_;

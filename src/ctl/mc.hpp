@@ -23,13 +23,6 @@ struct McOptions {
   bool earlyFailureDetection = true;
   /// Generate a counterexample/witness trace when available.
   bool wantTrace = true;
-  /// Record per-depth new-state counts during the reachability fixpoint
-  /// (the hsis_cov frontier time series, ReachOptions::
-  /// recordFrontierStates). The constructor downgrades this to false under
-  /// HSIS_OBS_DISABLE or when HSIS_COV_DISABLE is set in the environment —
-  /// the latter is the runtime A/B toggle the EXPERIMENTS.md overhead
-  /// measurement flips.
-  bool recordFrontierStates = true;
 };
 
 struct McStats {
@@ -76,17 +69,13 @@ class CtlChecker {
   /// minimization included. Must be called before any check on this
   /// instance; throws std::logic_error once reachability exists.
   void seedReachability(Bdd reached, std::vector<Bdd> onionRings,
-                        std::vector<double> frontierStates, size_t steps);
-  /// Onion rings of the reachability fixpoint (kept when traces or early
-  /// failure detection are on). Exposed so a batch scheduler can replicate checker state.
+                        size_t steps);
+  /// Onion rings of the reachability fixpoint: rings[d] holds the states
+  /// first reached at depth d. Always kept, because invariant traces,
+  /// coverage's frontier series and the batch replicas read them. Empty
+  /// before reached() ran.
   [[nodiscard]] const std::vector<Bdd>& onionRings() const {
     return onionRings_;
-  }
-  /// New-state count per reachability depth (frontierStates of the reach
-  /// fixpoint). Empty before reached() ran, or when frontier recording is
-  /// off (HSIS_OBS_DISABLE / HSIS_COV_DISABLE).
-  [[nodiscard]] const std::vector<double>& frontierNewStates() const {
-    return frontierStates_;
   }
   [[nodiscard]] const McStats& lastStats() const { return stats_; }
   [[nodiscard]] const Fsm& fsm() const { return *fsm_; }
@@ -113,7 +102,7 @@ class CtlChecker {
   Bdd statesRec(const CtlFormula& f);
   McResult checkInvariantEarly(const CtlRef& formula);
   void adoptReachability(Bdd reached, std::vector<Bdd> onionRings,
-                         std::vector<double> frontierStates, size_t steps);
+                         size_t steps);
 
   const Fsm* fsm_;
   const TransitionRelation* tr_;
@@ -124,7 +113,6 @@ class CtlChecker {
   const TransitionRelation* activeTr_ = nullptr;
   Bdd reached_;
   std::vector<Bdd> onionRings_;
-  std::vector<double> frontierStates_;
   Bdd fairStates_;
   bool fairStatesComputed_ = false;
   McStats stats_;

@@ -212,19 +212,10 @@ ReachResult reachableStates(const TransitionRelation& tr, const Bdd& init,
   static obs::Counter& iterations = obs::counter("fsm.reach.iterations");
   static obs::Histogram& frontierNodes =
       obs::histogram("fsm.reach.frontier.nodes");
-  static obs::Histogram& reachedNodes =
-      obs::histogram("fsm.reach.reached.nodes");
-  static obs::Histogram& frontierStatesHist =
-      obs::histogram("fsm.reach.frontier.states");
   ReachResult res;
   res.reached = init;
   Bdd frontier = init;
   if (opts.keepOnionRings) res.onionRings.push_back(init);
-  if (opts.recordFrontierStates) {
-    double states = tr.fsm().countStates(init);
-    res.frontierStates.push_back(states);
-    frontierStatesHist.record(static_cast<uint64_t>(states));
-  }
   if (opts.watch && opts.watch(init, 0)) {
     res.stoppedEarly = true;
     return res;
@@ -244,14 +235,8 @@ ReachResult reachableStates(const TransitionRelation& tr, const Bdd& init,
     frontier = next & !res.reached;
     if (frontier.isZero()) break;
     res.reached |= frontier;
-    reachedNodes.record(res.reached.nodeCount());
     ++res.depth;
     if (opts.keepOnionRings) res.onionRings.push_back(frontier);
-    if (opts.recordFrontierStates) {
-      double states = tr.fsm().countStates(frontier);
-      res.frontierStates.push_back(states);
-      frontierStatesHist.record(static_cast<uint64_t>(states));
-    }
     if (opts.watch && opts.watch(frontier, res.depth)) {
       res.stoppedEarly = true;
       break;

@@ -83,26 +83,20 @@ class TransitionRelation {
 
 /// Breadth-first reachability.
 struct ReachOptions {
+  /// Keep ReachResult::onionRings. CtlChecker always does: its invariant
+  /// traces and coverage's frontier series read them. Reaches that need
+  /// only the reached set leave this off.
   bool keepOnionRings = false;
   /// Called after each frontier step with the newly reached states and the
   /// step index; return true to stop early (early failure detection).
   std::function<bool(const Bdd& frontier, size_t depth)> watch;
   /// If nonzero, stop after this many steps (bounded reachability).
   size_t maxSteps = 0;
-  /// Record per-depth *state* counts of each frontier (the hsis_cov
-  /// frontier time series): frontierStates[d] = states first reached at
-  /// depth d, via Fsm::countStates. One extra linear walk per step, the
-  /// same order of cost as the frontier node counts already recorded;
-  /// off by default so bounded/early-exit callers pay nothing.
-  bool recordFrontierStates = false;
 };
 
 struct ReachResult {
   Bdd reached;
   std::vector<Bdd> onionRings;  ///< rings[d] = states first reached at depth d
-  /// New-state count per depth (recordFrontierStates); sums to the total
-  /// reachable state count when the fixpoint ran to completion.
-  std::vector<double> frontierStates;
   size_t depth = 0;
   bool stoppedEarly = false;
 };

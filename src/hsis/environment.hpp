@@ -84,8 +84,8 @@ class Environment {
   /// Reachable state count (computed on demand).
   double reachedStates();
   /// Coverage analysis of the reachable states (hsis_cov; see cov/cov.hpp).
-  cov::Report coverage(cov::Options options = {}) {
-    return session_.coverage(std::move(options));
+  cov::Report coverage(const cov::Options& options = {}) {
+    return session_.coverage(options);
   }
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   /// Full observability snapshot as JSON (hsis-obs-v1): the metrics

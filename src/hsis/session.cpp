@@ -242,12 +242,10 @@ double Session::reachedStates() {
   return states;
 }
 
-cov::Report Session::coverage(cov::Options options) {
+cov::Report Session::coverage(const cov::Options& options) {
   CtlChecker& mc = checker();
   const Bdd& reached = mc.reached();  // cached fixpoint
-  if (options.frontierNewStates.empty())
-    options.frontierNewStates = mc.frontierNewStates();
-  return cov::analyze(*fsm_, *tr_, reached, options);
+  return cov::analyze(*fsm_, *tr_, reached, mc.onionRings(), options);
 }
 
 BugReport Session::checkCtl(const std::string& name, const CtlRef& formula) {

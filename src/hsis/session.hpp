@@ -143,9 +143,10 @@ class Session {
   /// Reachable state count (computed on demand, cached in the checker).
   double reachedStates();
   /// Coverage analysis of the reachable state set (hsis_cov). Reuses the
-  /// checker's cached fixpoint and its frontier series; returns a
-  /// valid-empty disabled report under HSIS_OBS_DISABLE/HSIS_COV_DISABLE.
-  cov::Report coverage(cov::Options options = {});
+  /// checker's cached fixpoint and reads its frontier series off the
+  /// checker's onion rings; returns a valid-empty disabled report under
+  /// HSIS_OBS_DISABLE/HSIS_COV_DISABLE.
+  cov::Report coverage(const cov::Options& options = {});
   [[nodiscard]] size_t linesVerilog() const { return linesVerilog_; }
   [[nodiscard]] size_t linesBlifMv() const { return linesBlifMv_; }
   [[nodiscard]] const std::vector<std::string>& notes() const {

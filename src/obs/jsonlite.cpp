@@ -197,6 +197,18 @@ const Value* find(const Object& obj, const std::string& key) {
   return it == obj.end() ? nullptr : &it->second;
 }
 
+void fieldError(std::string_view schema, std::string_view field,
+                std::string_view what) {
+  std::string msg(schema);
+  msg.append(": field '").append(field).append("' ").append(what);
+  throw std::runtime_error(msg);
+}
+
+double number(const Value& v, std::string_view schema, std::string_view field) {
+  if (!v.isNumber()) fieldError(schema, field, "is not a number");
+  return v.number();
+}
+
 void appendQuoted(std::string& out, std::string_view s) {
   out += '"';
   size_t clean = 0;  // start of the pending run of verbatim bytes

@@ -6,8 +6,10 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -59,6 +61,33 @@ Value parse(std::string_view text);
 
 /// Object member lookup that returns nullptr instead of throwing.
 const Value* find(const Object& obj, const std::string& key);
+
+/// Throws std::runtime_error("<schema>: field '<field>' <what>").
+[[noreturn]] void fieldError(std::string_view schema, std::string_view field,
+                             std::string_view what);
+
+/// `v` as a number; a fieldError when it is not one.
+double number(const Value& v, std::string_view schema, std::string_view field);
+
+/// `v` as a T: a number with no fractional part inside T's range, else a
+/// fieldError. Read every integer of a file through this, so no input
+/// reaches an undefined float-to-integer conversion.
+template <std::integral T>
+  requires(!std::same_as<T, bool>)
+T integer(const Value& v, std::string_view schema, std::string_view field) {
+  // Both bounds are 0 or ±2^digits, exact as doubles: [lo, hi) is what T
+  // holds.
+  constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+  constexpr double hi =
+      static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+  double d = number(v, schema, field);
+  if (!(d >= lo && d < hi && d == std::trunc(d)))
+    fieldError(schema, field,
+               "is not an integer in [" +
+                   std::to_string(std::numeric_limits<T>::min()) + ", " +
+                   std::to_string(std::numeric_limits<T>::max()) + "]");
+  return static_cast<T>(d);
+}
 
 /// Append `s` as a quoted JSON string: `"` `\` LF CR TAB as two-character
 /// escapes, every other byte below 0x20 as \u00xx, all else verbatim (UTF-8

@@ -23,6 +23,8 @@
 
 namespace hsis::obs::ledger {
 
+constexpr std::string_view kSchema = "hsis-ledger-v1";
+
 // ---------------------------------------------------------------- identity
 
 std::string runId() {
@@ -60,7 +62,7 @@ std::string toJsonl(const Record& r) {
   std::string out;
   out.reserve(320);
   jsonlite::Writer w(out);
-  w.beginObject().key("schema").value("hsis-ledger-v1");
+  w.beginObject().key("schema").value(kSchema);
   w.key("run_id").value(r.runId).key("time").value(r.time);
   w.key("driver").value(r.driver).key("subject").value(r.subject);
   w.key("result").value(r.result).key("detail").value(r.detail);
@@ -149,19 +151,14 @@ bool append(const std::string& path, const Record& record) {
 
 namespace {
 
-bool parseLine(std::string_view line, Record& r) {
+/// False for a foreign line; throws on a torn or malformed one.
+bool readLine(std::string_view line, Record& r) {
   namespace jl = jsonlite;
-  jl::Value root;
-  try {
-    root = jl::parse(line);
-  } catch (const std::exception&) {
-    return false;
-  }
+  jl::Value root = jl::parse(line);
   if (!root.isObject()) return false;
   const jl::Object& o = root.object();
   const jl::Value* schema = jl::find(o, "schema");
-  if (schema == nullptr || !schema->isString() ||
-      schema->str() != "hsis-ledger-v1")
+  if (schema == nullptr || !schema->isString() || schema->str() != kSchema)
     return false;
   auto str = [&](const char* key, std::string& dst) {
     if (const jl::Value* v = jl::find(o, key); v != nullptr && v->isString())
@@ -182,24 +179,24 @@ bool parseLine(std::string_view line, Record& r) {
       v != nullptr && v->isObject()) {
     // jsonlite objects are key-sorted maps; stage-name keys happen to sort
     // usefully, but consumers must not rely on pipeline order here.
-    for (const auto& [name, val] : v->object()) {
-      if (val.isNumber())
-        r.stages.emplace_back(name, static_cast<uint64_t>(val.number()));
-    }
+    for (const auto& [name, val] : v->object())
+      r.stages.emplace_back(name, jl::integer<uint64_t>(val, kSchema, name));
   }
   if (const jl::Value* v = jl::find(o, "coverage");
       v != nullptr && v->isObject()) {
     const jl::Object& cov = v->object();
     r.hasCoverage = true;
-    auto num = [&](const char* key) -> double {
+    auto count = [&](const char* key) -> uint64_t {
       const jl::Value* f = jl::find(cov, key);
-      return f != nullptr && f->isNumber() ? f->number() : 0.0;
+      return f == nullptr ? 0 : jl::integer<uint64_t>(*f, kSchema, key);
     };
-    r.covStateFraction = num("state_fraction");
-    r.covValuesReached = static_cast<uint64_t>(num("values_reached"));
-    r.covValuesTotal = static_cast<uint64_t>(num("values_total"));
-    r.covBinsHit = static_cast<uint64_t>(num("bins_hit"));
-    r.covBinsTotal = static_cast<uint64_t>(num("bins_total"));
+    if (const jl::Value* f = jl::find(cov, "state_fraction");
+        f != nullptr && f->isNumber())
+      r.covStateFraction = f->number();
+    r.covValuesReached = count("values_reached");
+    r.covValuesTotal = count("values_total");
+    r.covBinsHit = count("bins_hit");
+    r.covBinsTotal = count("bins_total");
   }
   if (const jl::Value* v = jl::find(o, "cex"); v != nullptr && v->isObject()) {
     const jl::Object& cex = v->object();
@@ -212,13 +209,20 @@ bool parseLine(std::string_view line, Record& r) {
   }
   if (const jl::Value* v = jl::find(o, "wall_s"); v != nullptr && v->isNumber())
     r.wallSeconds = v->number();
-  if (const jl::Value* v = jl::find(o, "peak_rss_kb");
-      v != nullptr && v->isNumber())
-    r.peakRssKb = static_cast<uint64_t>(v->number());
+  if (const jl::Value* v = jl::find(o, "peak_rss_kb"); v != nullptr)
+    r.peakRssKb = jl::integer<uint64_t>(*v, kSchema, "peak_rss_kb");
   if (const jl::Value* v = jl::find(o, "obs_enabled");
       v != nullptr && !v->isNull())
     r.obsEnabled = v->boolean();
   return true;
+}
+
+bool parseLine(std::string_view line, Record& r) {
+  try {
+    return readLine(line, r);
+  } catch (const std::exception&) {
+    return false;
+  }
 }
 
 }  // namespace

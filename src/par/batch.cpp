@@ -42,7 +42,6 @@ struct Replica {
   // checker so no worker reruns the reachability fixpoint.
   Bdd reached;
   std::vector<Bdd> onionRings;
-  std::vector<double> frontierStates;
   size_t reachSteps = 0;
   /// Built on the worker thread (don't-care minimization of the seeded
   /// reached set runs there, concurrently across replicas).
@@ -77,7 +76,6 @@ std::unique_ptr<Replica> buildReplica(Session& session, CtlChecker& primary,
   }
   rep->reached = tx.copy(primary.reached());
   rep->onionRings = tx.copy(primary.onionRings());
-  rep->frontierStates = primary.frontierNewStates();
   rep->reachSteps = primary.lastStats().reachabilitySteps;
   transferredNodes += tx.copiedNodes();
   return rep;
@@ -92,9 +90,8 @@ void finishReplica(Replica& rep, const Session::Options& opts) {
   mo.wantTrace = opts.wantTraces;
   rep.checker = std::make_unique<CtlChecker>(*rep.fsm, *rep.tr,
                                              rep.fairSets, mo);
-  rep.checker->seedReachability(
-      std::move(rep.reached), std::move(rep.onionRings),
-      std::move(rep.frontierStates), rep.reachSteps);
+  rep.checker->seedReachability(std::move(rep.reached),
+                                std::move(rep.onionRings), rep.reachSteps);
 }
 
 }  // namespace

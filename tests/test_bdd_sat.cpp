@@ -93,6 +93,12 @@ TEST(BddSatCount, RandomizedOracle) {
     std::vector<BddVar> all(n);
     for (uint32_t v = 0; v < n; ++v) all[v] = v;
     EXPECT_DOUBLE_EQ(m.satCount(f, std::span<const BddVar>(all)), expected);
+    // One shared walk returns each root's own count, bit for bit.
+    std::vector<Bdd> roots{f, !f, f & m.bddVar(v0)};
+    std::vector<double> counts = m.satCounts(roots, n);
+    ASSERT_EQ(counts.size(), roots.size());
+    for (size_t i = 0; i < roots.size(); ++i)
+      EXPECT_EQ(counts[i], m.satCount(roots[i], n)) << "trial " << trial;
   }
 }
 
@@ -117,6 +123,10 @@ TEST(BddSatCount, ThrowsWhenSpaceTooSmall) {
   EXPECT_THROW(m.satCount(!f, 2), std::invalid_argument);
   EXPECT_DOUBLE_EQ(m.satCount(f, 3), 1.0);
   EXPECT_DOUBLE_EQ(m.satCount(f, 8), 32.0);
+  // Several roots: their joint support must fit.
+  std::vector<Bdd> roots{m.bddVar(0), m.bddVar(5)};
+  EXPECT_THROW(m.satCounts(roots, 1), std::invalid_argument);
+  EXPECT_EQ(m.satCounts(roots, 2), (std::vector<double>{2.0, 2.0}));
 }
 
 TEST(BddSatCount, SpanOverloadValidation) {

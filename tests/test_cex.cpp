@@ -145,6 +145,37 @@ TEST_F(CexFixture, ParseRejectsMalformedDocuments) {
   cex::Artifact a = failingArtifact("AG t=0");
   a.steps[0].latchValues.pop_back();
   EXPECT_THROW(cex::parseJson(cex::toJson(a)), std::runtime_error);
+
+  // A number read from the file is checked before it is converted: a
+  // string, a fraction or an out-of-range value names its field.
+  const std::string good = cex::toJson(failingArtifact("AG t=0"));
+  auto tampered = [&](const std::string& key, const std::string& value,
+                      const std::string& after = "") {
+    std::string doc = good;
+    size_t at = doc.find("\"" + key + "\": ", doc.find(after));
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "no '" << key << "' to tamper with";
+      return doc;
+    }
+    at += key.size() + 4;
+    return doc.replace(at, doc.find_first_of(",]}", at) - at, value);
+  };
+  auto rejects = [](const std::string& doc, const std::string& key) {
+    try {
+      (void)cex::parseJson(doc);
+      ADD_FAILURE() << "accepted a bad '" << key << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("hsis-cex-v1: field '" + key, 0),
+                0u)
+          << e.what();
+    }
+  };
+  rejects(tampered("domain", "1e300"), "domain");
+  rejects(tampered("bits", "-1"), "bits");
+  rejects(tampered("line", "1e10"), "line");
+  rejects(tampered("cycle_start", "0.5"), "cycle_start");
+  // The first value of the first step: "latches": [0, ...] -> ["0", ...].
+  rejects(tampered("latches", "[\"0\"", "\"steps\""), "latches");
 }
 
 TEST_F(CexFixture, VcdExportsSignalsAndUnrollsLasso) {

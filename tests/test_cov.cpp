@@ -7,7 +7,7 @@
 
 #include "blifmv/blifmv.hpp"
 #include "cov/cov.hpp"
-#include "ctl/mc.hpp"
+#include "hsis/session.hpp"
 #include "obs/obs.hpp"
 
 namespace hsis {
@@ -42,7 +42,7 @@ struct CovFixture : ::testing::Test {
     fsm = std::make_unique<Fsm>(mgr, flat);
     tr = TransitionRelation::monolithic(*fsm);
     ReachOptions ro;
-    ro.recordFrontierStates = true;
+    ro.keepOnionRings = true;
     reach = reachableStates(*tr, fsm->initialStates(), ro);
   }
   BddManager mgr;
@@ -54,9 +54,7 @@ struct CovFixture : ::testing::Test {
 
 TEST_F(CovFixture, StructuralOccupancy) {
   if (!cov::coverageEnabled()) GTEST_SKIP() << "coverage disabled";
-  cov::Options opts;
-  opts.frontierNewStates = reach.frontierStates;
-  cov::Report rep = cov::analyze(*fsm, *tr, reach.reached, opts);
+  cov::Report rep = cov::analyze(*fsm, *tr, reach.reached, reach.onionRings);
   EXPECT_TRUE(rep.enabled);
   EXPECT_EQ(rep.design, "covm");
   EXPECT_DOUBLE_EQ(rep.stateSpace, 8.0);
@@ -81,7 +79,7 @@ TEST_F(CovFixture, StructuralOccupancy) {
 
 TEST_F(CovFixture, DefaultCoverpointsAndSymbolicCounts) {
   if (!cov::coverageEnabled()) GTEST_SKIP() << "coverage disabled";
-  cov::Report rep = cov::analyze(*fsm, *tr, reach.reached);
+  cov::Report rep = cov::analyze(*fsm, *tr, reach.reached, reach.onionRings);
   EXPECT_EQ(rep.binsTotal, 6u);
   EXPECT_EQ(rep.binsHit, 5u);
   const cov::PointResult* sp = nullptr;
@@ -102,7 +100,8 @@ TEST_F(CovFixture, DifferentialSimAgreesWithSymbolic) {
   if (!cov::coverageEnabled()) GTEST_SKIP() << "coverage disabled";
   cov::Options opts;
   opts.simMaxStates = 100;
-  cov::Report rep = cov::analyze(*fsm, *tr, reach.reached, opts);
+  cov::Report rep =
+      cov::analyze(*fsm, *tr, reach.reached, reach.onionRings, opts);
   EXPECT_EQ(rep.simStates, 6u);
   EXPECT_TRUE(rep.simExhaustive);
   EXPECT_TRUE(rep.simAgrees);
@@ -124,7 +123,8 @@ TEST_F(CovFixture, InputReferencingBinIsSymbolicOnly) {
   p.bins.push_back({"stateonly", parseSigExpr("t=1")});
   opts.points.push_back(p);
   opts.simMaxStates = 100;
-  cov::Report rep = cov::analyze(*fsm, *tr, reach.reached, opts);
+  cov::Report rep =
+      cov::analyze(*fsm, *tr, reach.reached, reach.onionRings, opts);
   ASSERT_EQ(rep.points.size(), 1u);
   const cov::BinResult& toggling = rep.points[0].bins[0];
   EXPECT_FALSE(toggling.simEvaluable);
@@ -141,11 +141,9 @@ TEST_F(CovFixture, InputReferencingBinIsSymbolicOnly) {
 
 TEST_F(CovFixture, FrontierSeriesSumsToReachable) {
   if (!cov::coverageEnabled()) GTEST_SKIP() << "coverage disabled";
-  ASSERT_FALSE(reach.frontierStates.empty());
-  cov::Options opts;
-  opts.frontierNewStates = reach.frontierStates;
-  cov::Report rep = cov::analyze(*fsm, *tr, reach.reached, opts);
-  ASSERT_EQ(rep.frontier.size(), reach.frontierStates.size());
+  ASSERT_FALSE(reach.onionRings.empty());
+  cov::Report rep = cov::analyze(*fsm, *tr, reach.reached, reach.onionRings);
+  ASSERT_EQ(rep.frontier.size(), reach.onionRings.size());
   EXPECT_EQ(rep.depth, rep.frontier.size() - 1);
   double sum = 0.0;
   double prevTotal = 0.0;
@@ -160,12 +158,19 @@ TEST_F(CovFixture, FrontierSeriesSumsToReachable) {
 
 TEST_F(CovFixture, CheckerRecordsFrontierSeries) {
   if (!cov::coverageEnabled()) GTEST_SKIP() << "coverage disabled";
-  CtlChecker mc(*fsm, *tr);
-  EXPECT_TRUE(mc.frontierNewStates().empty());  // nothing before reached()
-  (void)mc.reached();
+  // Session::coverage reads the series off its checker's onion rings.
+  Session session;
+  session.load({Session::DesignSource::Kind::BlifMv, kCovModel, ""});
+  cov::Report rep = session.coverage();
+  const std::vector<Bdd>& rings = session.checker().onionRings();
+  ASSERT_EQ(rep.frontier.size(), rings.size());
   double sum = 0.0;
-  for (double d : mc.frontierNewStates()) sum += d;
-  EXPECT_DOUBLE_EQ(sum, fsm->countStates(mc.reached()));
+  for (size_t d = 0; d < rings.size(); ++d) {
+    EXPECT_EQ(rep.frontier[d].newStates, session.fsm().countStates(rings[d]));
+    sum += rep.frontier[d].newStates;
+  }
+  EXPECT_DOUBLE_EQ(sum, rep.reachableStates);
+  EXPECT_DOUBLE_EQ(sum, session.reachedStates());
 }
 
 TEST_F(CovFixture, CoverSpecLanguage) {
@@ -205,7 +210,8 @@ TEST_F(CovFixture, SpecDrivenAnalysis) {
   opts.points = cov::parseCoverSpec(
       "coverpoint phases { bin wrap = s=2; bin never = s=3; }", *fsm);
   opts.simMaxStates = 100;
-  cov::Report rep = cov::analyze(*fsm, *tr, reach.reached, opts);
+  cov::Report rep =
+      cov::analyze(*fsm, *tr, reach.reached, reach.onionRings, opts);
   EXPECT_EQ(rep.binsTotal, 2u);
   EXPECT_EQ(rep.binsHit, 1u);
   EXPECT_TRUE(rep.simAgrees);
@@ -216,7 +222,7 @@ TEST_F(CovFixture, SpecDrivenAnalysis) {
 TEST_F(CovFixture, DisabledEnvVarYieldsValidEmptyReport) {
   ::setenv("HSIS_COV_DISABLE", "1", 1);
   EXPECT_FALSE(cov::coverageEnabled());
-  cov::Report rep = cov::analyze(*fsm, *tr, reach.reached);
+  cov::Report rep = cov::analyze(*fsm, *tr, reach.reached, reach.onionRings);
   ::unsetenv("HSIS_COV_DISABLE");
   EXPECT_FALSE(rep.enabled);
   EXPECT_EQ(rep.design, "covm");
@@ -309,6 +315,36 @@ TEST(CovJson, RejectsWrongSchema) {
   EXPECT_THROW(cov::parseReportJson("not json"), std::runtime_error);
   EXPECT_THROW(cov::parseReportJson("{\"schema\": \"hsis-cov-v1\"}"),
                std::runtime_error);  // missing fields
+
+  // A number read from the file is checked before it is converted: a
+  // string, a fraction or an out-of-range value names its field.
+  const std::string good = cov::reportToJson(sampleReport());
+  auto tampered = [&](const std::string& key, const std::string& value,
+                      const std::string& after = "") {
+    std::string doc = good;
+    size_t at = doc.find("\"" + key + "\": ", doc.find(after));
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "no '" << key << "' to tamper with";
+      return doc;
+    }
+    at += key.size() + 4;
+    return doc.replace(at, doc.find_first_of(",]}", at) - at, value);
+  };
+  auto rejects = [](const std::string& doc, const std::string& key) {
+    try {
+      (void)cov::parseReportJson(doc);
+      ADD_FAILURE() << "accepted a bad '" << key << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("hsis-cov-v1: field '" + key, 0),
+                0u)
+          << e.what();
+    }
+  };
+  rejects(tampered("domain", "1e300"), "domain");
+  rejects(tampered("depth", "\"3\""), "depth");
+  rejects(tampered("depth", "-1", "\"frontier\""), "depth");
+  rejects(tampered("reached_values", "2.5"), "reached_values");
+  rejects(tampered("reachable_states", "\"6\""), "reachable_states");
 }
 
 TEST(CovRender, MarkdownTablesAndThresholdGate) {

@@ -181,11 +181,14 @@ TEST(LedgerParse, SkipsTornAndForeignLines) {
   text += "\n";
   text += "{\"schema\": \"some-other-v1\"}\n";  // wrong schema
   text += "not json at all\n";
+  // Integers that no uint64_t holds: a negative size, a fraction.
+  text += "{\"schema\": \"hsis-ledger-v1\", \"peak_rss_kb\": -1}\n";
+  text += "{\"schema\": \"hsis-ledger-v1\", \"stages\": {\"tr\": 0.5}}\n";
   text += toJsonl(r) + "\n";
   size_t skipped = 0;
   std::vector<Record> out = parse(text, &skipped);
   EXPECT_EQ(out.size(), 2u);
-  EXPECT_EQ(skipped, 3u);
+  EXPECT_EQ(skipped, 5u);
 }
 
 // ------------------------------------------------------------------ paths

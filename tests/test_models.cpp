@@ -4,7 +4,9 @@
 
 #include <string>
 
+#include "designs.hpp"
 #include "hsis/environment.hpp"
+#include "hsis/session.hpp"
 #include "models/models.hpp"
 
 namespace hsis {
@@ -133,23 +135,6 @@ TEST(Models, Table1Shape) {
   EXPECT_GT(schedulerStates, maxOtherStates);
 }
 
-/// scheduler with `n` cells: the bundled design's cell module under a
-/// generated ring. Exactly one token circulates and each cell is idle or
-/// running with a timer in 0..3, so n * 5^n states are reachable.
-std::string schedulerRing(int n) {
-  std::string cell(models::find("scheduler")->verilog);
-  cell = cell.substr(cell.find("module cell"));
-  std::string v = "module scheduler;\n  wire clk;\n";
-  for (int i = 0; i < n; ++i)
-    v += "  wire s" + std::to_string(i) + ", b" + std::to_string(i) + ";\n";
-  for (int i = 0; i < n; ++i) {
-    v += i == 0 ? "  cell #(.HASTOKEN(1)) c0(" : "  cell c" + std::to_string(i) + "(";
-    v += "s" + std::to_string((i + n - 1) % n) + ", s" + std::to_string(i) +
-         ", b" + std::to_string(i) + ");\n";
-  }
-  return v + "endmodule\n\n" + cell;
-}
-
 TEST(Models, ReachedStateCountsAreExact) {
   // The reached sets are small functions under complement edges; a density
   // count that read those edges as 1 - d drifted (2mdlc) or cancelled to 0
@@ -166,9 +151,51 @@ TEST(Models, ReachedStateCountsAreExact) {
   for (int n : {10, 24, 40}) {
     double expected = n;
     for (int i = 0; i < n; ++i) expected *= 5;
-    EXPECT_NEAR(reached(schedulerRing(n), "scheduler"), expected,
-                expected * 1e-12)
+    EXPECT_NEAR(reached(perfbench::scheduler(n, false).verilog, "scheduler"),
+                expected, expected * 1e-12)
         << "scheduler-" << n;
+  }
+}
+
+struct BddSizes {
+  size_t reachedNodes = 0;
+  size_t rings = 0;
+  size_t trClusters = 0;
+  size_t trNodes = 0;
+};
+
+BddSizes bddSizes(const perfbench::Design& d) {
+  Session s;
+  s.load({Session::DesignSource::Kind::Verilog, d.verilog, d.top});
+  CtlChecker& mc = s.checker();
+  return {mc.reached().nodeCount(), mc.onionRings().size(),
+          s.tr().clusterCount(), s.tr().totalNodes()};
+}
+
+TEST(Models, ParameterizedFamiliesHaveClosedFormBddSizes) {
+  // Exact sizes under the default order and clustering: a change to the
+  // variable order, the cluster schedule or cube building shows here and
+  // names the N where it broke, not as timing noise.
+  for (size_t n : {8, 16, 24, 32, 40, 56}) {
+    BddSizes b = bddSizes(perfbench::scheduler(static_cast<int>(n), false));
+    EXPECT_EQ(b.reachedNodes, 10 * n - 5) << "scheduler-" << n;
+    EXPECT_EQ(b.rings, 2 * n + 4) << "scheduler-" << n;
+    // One cluster up to N = 32; from N = 40 the TR splits in two.
+    if (n <= 32) {
+      EXPECT_EQ(b.trClusters, 1u) << "scheduler-" << n;
+      EXPECT_EQ(b.trNodes, 162 * n - 257) << "scheduler-" << n;
+    } else {
+      EXPECT_EQ(b.trClusters, 2u) << "scheduler-" << n;
+      EXPECT_EQ(b.trNodes, n == 40 ? 5855u : 7583u) << "scheduler-" << n;
+    }
+  }
+  const size_t philosTr[][2] = {{1, 88}, {1, 178}, {2, 6332}, {2, 7904}};
+  for (size_t n = 3; n <= 6; ++n) {
+    BddSizes b = bddSizes(perfbench::philos(static_cast<int>(n), false));
+    EXPECT_EQ(b.reachedNodes, 6 * n - 7) << "philos-" << n;
+    EXPECT_EQ(b.rings, 4u) << "philos-" << n;
+    EXPECT_EQ(b.trClusters, philosTr[n - 3][0]) << "philos-" << n;
+    EXPECT_EQ(b.trNodes, philosTr[n - 3][1]) << "philos-" << n;
   }
 }
 
