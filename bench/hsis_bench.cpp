@@ -27,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include <thread>
-
 #include "bench_schema.hpp"
 #include "hsis/environment.hpp"
 #include "hsis/session.hpp"
@@ -37,7 +35,6 @@
 #include "obs/control.hpp"
 #include "obs/version.hpp"
 #include "par/batch.hpp"
-#include "par/fj.hpp"
 #include "vl2mv/vl2mv.hpp"
 
 namespace {
@@ -297,15 +294,14 @@ std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
       }
     });
   } else if (suite == "parallel") {
-    // The multi-core engine, both grains, swept over a thread count list
-    // (1, 2, 4, ... up to --threads). t1/j1 rows are the serial anchors a
+    // The property batch of one design fanned out onto k replica-owning
+    // workers (exactly hsis_cli --jobs k), swept over a thread count list
+    // (1, 2, 4, ... up to --threads). j1 rows are the serial anchors a
     // sweep is read against.
     std::vector<int> ks{1};
     for (int k = 2; k <= maxThreads; k *= 2) ks.push_back(k);
     if (ks.back() != maxThreads) ks.push_back(maxThreads);
 
-    // Coarse grain: the property batch of one design fanned out onto k
-    // replica-owning workers (exactly hsis_cli --jobs k).
     for (const char* name : {"philos", "gigamax"}) {
       const auto* model = hsis::models::find(name);
       for (int k : ks) {
@@ -324,53 +320,6 @@ std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
                                           {.jobs = k});
             });
       }
-    }
-
-    // Fine grain, shared table: k threads hammer one manager concurrently
-    // (lock-free unique-table inserts, per-thread caches).
-    for (int k : ks) {
-      add("parallel/shared-apply/t" + std::to_string(k), [k] {
-        hsis::BddManager m(24);
-        std::mt19937 rng(7);
-        std::vector<hsis::Bdd> fs, gs;
-        for (int i = 0; i < 8; ++i) {
-          fs.push_back(randomFunction(m, rng, 24, 24));
-          gs.push_back(randomFunction(m, rng, 24, 24));
-        }
-        hsis::Bdd cube = m.bddOne();
-        for (hsis::BddVar v = 0; v < 24; v += 2) cube &= m.bddVar(v);
-        m.beginShared();
-        std::vector<std::thread> threads;
-        for (int t = 0; t < k; ++t) {
-          threads.emplace_back([&, t] {
-            for (int i = 0; i < 16; ++i)
-              (void)m.andExists(fs[(t + i) % 8], gs[(t * 3 + i) % 8], cube);
-          });
-        }
-        for (auto& th : threads) th.join();
-        m.endShared();
-      });
-    }
-
-    // Fine grain, fork-join apply: one big ite split on cofactor
-    // subproblems across k threads total (caller + k-1 pool workers).
-    for (int k : ks) {
-      add("parallel/fj-ite/t" + std::to_string(k), [k] {
-        hsis::BddManager m(32);
-        std::mt19937 rng(5);
-        hsis::Bdd f = randomFunction(m, rng, 32, 48);
-        hsis::Bdd g = randomFunction(m, rng, 32, 48);
-        hsis::Bdd h = randomFunction(m, rng, 32, 48);
-        hsis::par::ForkJoin fj(k - 1);
-        m.beginShared();
-        m.setParallel(&fj, 512, 4);
-        for (int i = 0; i < 8; ++i) {
-          (void)m.ite(f, g, h);
-          m.clearCaches();
-        }
-        m.setParallel(nullptr);
-        m.endShared();
-      });
     }
   }
   return cases;

@@ -23,41 +23,18 @@
 //  - Variable order is a permutation `perm` (variable id -> level) so that
 //    dynamic reordering (sifting) never invalidates node indices.
 //
-// Concurrency (HermesBDD-style, see DESIGN.md "Parallel engine"):
-//  - A manager is single-threaded by default; the serial paths pay nothing
-//    for the machinery below beyond a predicted-false branch.
-//  - beginShared()/endShared() bracket a *shared phase* during which any
-//    number of threads may run operations concurrently on this manager:
-//      * the unique table is CAS-inserted (one acquire/release point per
-//        bucket head; the 64 segment counters track occupancy per shard),
-//      * every thread owns a private computed cache and free-slot chunk
-//        (a ThreadCtx, attached lazily on first use),
-//      * the node arena never reallocates: beginShared reserves capacity
-//        up front and growth is a resize-in-place under a shallow
-//        stop-the-world, so raw Node pointers and handle refcounts stay
-//        valid at all times,
-//      * structure mutations (arena/table growth: *shallow*; GC, sifting,
-//        census: *deep*) quiesce workers through the engine-wide safe-point
-//        protocol generalized from the PR 3 census rendezvous: workers poll
-//        one relaxed flag per cache lookup / node creation and park there,
-//      * reference counts flip to std::atomic_ref CAS loops (saturating).
-//  - setParallel() additionally enables the fine-grained fork-join apply:
-//    and/ite/andExists split on cofactor subproblems onto a ForkJoin task
-//    deque above a node-count cutoff; below it recursion stays serial.
+// Concurrency: a manager is single-threaded. Its operations, and every
+// copy or destruction of its handles (plain reference counts), must come
+// from one thread at a time. Parallel checks use replicas instead:
+// par::checkBatch gives each worker its own manager and copies the design
+// into it with BddTransfer, so workers never share BDD state.
 #pragma once
 
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -68,9 +45,6 @@ namespace hsis {
 
 class BddManager;
 class BddTransfer;
-namespace par {
-class ForkJoin;
-}
 
 using BddVar = uint32_t;
 
@@ -239,38 +213,15 @@ class BddManager {
 
   /// Sifting: move each variable through the order, keep the best position.
   /// Handles and cached results remain valid (swaps preserve node
-  /// functions in place). In a shared phase this quiesces every worker
-  /// through a deep stop-the-world before touching the table.
+  /// functions in place).
   void sift();
   /// Reorder so the given variables sit at the top in the given sequence.
   void setOrder(const std::vector<BddVar>& order);
 
-  // ---- shared (multi-threaded) phase ----
-
-  /// Enter shared mode: until endShared(), any thread may run operations on
-  /// this manager concurrently. `maxNodes` bounds the arena for the whole
-  /// phase (the arena is reserved up front and never reallocates, so raw
-  /// node storage stays put while lock-free readers are active); exceeding
-  /// it throws std::length_error. Must be called with no operation active.
-  void beginShared(size_t maxNodes = size_t(1) << 22);
-  /// Leave shared mode. All worker threads must have finished (joined);
-  /// their caches are dropped, their tallies flushed, and the free lists
-  /// consolidated. The manager is single-threaded again afterwards.
-  void endShared();
-  [[nodiscard]] bool sharedMode() const { return sharedMode_; }
-  /// Enable the fine-grained fork-join parallel apply inside a shared
-  /// phase: and/ite/andExists subproblems above `cutoffNodes` (operand
-  /// size) split on their top-variable cofactors onto `fj` until
-  /// `splitDepth` levels deep. Pass nullptr to disable.
-  void setParallel(par::ForkJoin* fj, size_t cutoffNodes = 2048,
-                   int splitDepth = 3);
-
   // ---- memory ----
 
   size_t gc();
-  [[nodiscard]] size_t liveNodeCount() const {
-    return sharedMode_ ? approxLive() : uniqueCount_;
-  }
+  [[nodiscard]] size_t liveNodeCount() const { return uniqueCount_; }
   /// Point-in-time statistics (live/allocated refreshed on each call).
   [[nodiscard]] const BddStats& stats() const;
   /// Exact population census: live nodes per level, unique-table and
@@ -278,14 +229,13 @@ class BddManager {
   /// mark-and-sweep would reclaim right now. O(arena + cache) scan — meant
   /// for the sampling profiler's rendezvous (at most one per tick) and for
   /// tests, not for hot paths. Must be called at a point where no operation
-  /// is mid-recursion: any public-API boundary in serial mode, or under the
-  /// deep stop-the-world in a shared phase (maybeGcOrSift arranges both).
+  /// is mid-recursion, i.e. at a public-API boundary (maybeGcOrSift).
   [[nodiscard]] obs::prof::BddCensus census() const;
   void clearCaches();
   /// Grow the computed cache to at least `source`'s set count. The cache
   /// otherwise grows only with this manager's own live nodes, seen at its
   /// collections, so a copy filled by BddTransfer would start at the
-  /// default size while the source's has grown. Serial mode only.
+  /// default size while the source's has grown.
   void growCacheToMatch(const BddManager& source);
 
   // ---- io ----
@@ -309,9 +259,6 @@ class BddManager {
   static constexpr uint32_t kMaxVars = kNoVar;
 
   struct Node {
-    // NSDMI defaults make a value-initialized slot read as *free*
-    // (var == kNoVar): the shared-phase arena is resized ahead of the bump
-    // allocator, and every scan recognizes untouched slots by the sentinel.
     NodeVar var = kNoVar;
     uint16_t ref = 0;         ///< external reference count (saturating)
     uint32_t lo = 0, hi = 0;  ///< child edges; `lo` is always a regular edge
@@ -345,33 +292,6 @@ class BddManager {
     uint64_t gen = 0;
   };
 
-  /// Per-thread operation state. In serial mode there is exactly one (the
-  /// main context); a shared phase attaches one per participating thread,
-  /// lazily, on first use. The computed cache is *private to the thread* —
-  /// the HermesBDD recipe — so lookups and inserts never synchronize.
-  struct ThreadCtx {
-    std::vector<CacheSet> cache;  ///< 2-way sets; capacity = size() * 2 entries
-    uint32_t cacheMask = 0;       ///< set count - 1 (set count is a power of 2)
-    uint64_t cacheGen = 0;  ///< bumped whenever slot numbering changes
-
-    /// Private chunk of free arena slots (refilled from the global free
-    /// list under freeMu_, or carved from the bump pointer).
-    std::vector<uint32_t> freeChunk;
-
-    // Plain per-thread tallies; flushObs batches them into the shared
-    // relaxed-atomic registry counters once per outermost operation.
-    uint64_t cacheLookups = 0, cacheHits = 0, created = 0;
-    uint64_t cacheAged = 0;  ///< age-steered victim choices (2-way cache)
-    uint64_t flushedLookups = 0, flushedHits = 0, flushedCreated = 0;
-    uint64_t flushedAged = 0;
-
-    int opDepth = 0;        ///< >0 while a public op is active on this thread
-    uint64_t opCreatedBase = 0;  ///< `created` when the outermost op began
-    bool inside = false;    ///< currently counted in sharedInsideOps_
-    bool stwCoordinator = false;  ///< owns the current stop-the-world
-    uint32_t sinceGrowthCheck = 0;
-  };
-
   // ---- edges ----
   static constexpr uint32_t kComplBit = 0x80000000u;
   static constexpr uint32_t kOneEdge = 1u;
@@ -392,61 +312,38 @@ class BddManager {
 
   // node layer
   uint32_t mkNode(BddVar var, uint32_t lo, uint32_t hi);
-  uint32_t mkNodeShared(ThreadCtx& tc, BddVar var, uint32_t lo, uint32_t hi);
-  uint32_t allocSlotShared(ThreadCtx& tc);
-  void retireSlotShared(ThreadCtx& tc, uint32_t idx);
   void uniqueInsert(uint32_t n);
   void uniqueRemove(uint32_t n);
   void growUnique();
-  void growCache(ThreadCtx& tc);
+  void growCache();
   void maybeGcOrSift();
-  /// The collection trigger, for the serial and the shared-phase path.
-  [[nodiscard]] bool gcDue() const { return liveNodeCount() > gcThreshold_; }
-  /// The collection policy, applied after every sweep (serial or shared,
-  /// triggered or explicit) that freed `freed` slots: sets the node count
-  /// at which the next collection is due and fits the computed caches to
-  /// the live set.
+  [[nodiscard]] bool gcDue() const { return uniqueCount_ > gcThreshold_; }
+  /// The collection policy, applied after every sweep (triggered or
+  /// explicit) that freed `freed` slots: sets the node count at which the
+  /// next collection is due and fits the computed cache to the live set.
   void applyGcPolicy(size_t freed);
-  /// Nodes `tc`'s computed cache is sized for: the live count at the last
+  /// Nodes the computed cache is sized for: the live count at the last
   /// collection plus the nodes the running operation has created. Garbage
   /// left by finished operations, which the next collection frees, does
   /// not count.
-  [[nodiscard]] size_t cacheDemand(const ThreadCtx& tc) const {
-    return gcLive_ + static_cast<size_t>(tc.created - tc.opCreatedBase);
+  [[nodiscard]] size_t cacheDemand() const {
+    return gcLive_ + static_cast<size_t>(created_ - opCreatedBase_);
   }
   void incRef(uint32_t e) {
     uint16_t& r = nodes_[eIdx(e)].ref;
-    if (!sharedMode_) [[likely]] {
-      if (r != kRefSaturated) ++r;
-      return;
-    }
-    std::atomic_ref<uint16_t> ar(r);
-    uint16_t cur = ar.load(std::memory_order_relaxed);
-    while (cur != kRefSaturated &&
-           !ar.compare_exchange_weak(cur, static_cast<uint16_t>(cur + 1),
-                                     std::memory_order_relaxed)) {
-    }
+    if (r != kRefSaturated) ++r;
   }
   void decRef(uint32_t e) {
     uint16_t& r = nodes_[eIdx(e)].ref;
-    if (!sharedMode_) [[likely]] {
-      assert(r > 0);
-      if (r != kRefSaturated) --r;
-      return;
-    }
-    std::atomic_ref<uint16_t> ar(r);
-    uint16_t cur = ar.load(std::memory_order_relaxed);
-    while (cur != kRefSaturated &&
-           !ar.compare_exchange_weak(cur, static_cast<uint16_t>(cur - 1),
-                                     std::memory_order_relaxed)) {
-    }
+    assert(r > 0);
+    if (r != kRefSaturated) --r;
   }
   [[nodiscard]] bool isTerm(uint32_t e) const { return eIdx(e) <= 1; }
   [[nodiscard]] uint32_t nodeLevel(uint32_t e) const {
     return isTerm(e) ? kTermLevel : perm_[nodes_[eIdx(e)].var];
   }
 
-  // GC internals. markReachable runs the shared mark DFS (every node
+  // GC internals. markReachable runs the one mark DFS (every node
   // reachable from an externally referenced one, terminals always marked)
   // used by gc(), census(), and the cache keep-alive sweep. Free arena
   // slots are recognized by their var == kNoVar sentinel — no separate
@@ -454,103 +351,30 @@ class BddManager {
   // keep-alive loops read it per node/entry.
   [[nodiscard]] std::vector<uint8_t> markReachable() const;
   /// Drop computed-cache entries that mention a dead node; keep the rest.
-  /// Sweeps one thread's cache; gc() applies it to every attached context.
-  void cacheKeepAlive(ThreadCtx& tc, const std::vector<uint8_t>& marked);
-  /// The sweep itself; callers guarantee quiescence (serial mode, or the
-  /// deep stop-the-world / coordinator role in a shared phase).
-  size_t gcImpl();
+  void cacheKeepAlive(const std::vector<uint8_t>& marked);
 
-  /// Push the plain per-thread tallies (lookups, hits, nodes created,
-  /// age-steered evictions) into the shared registry metrics — one batch of
-  /// relaxed atomic adds per outermost operation; the recursive workers
-  /// themselves never touch an atomic. Gauges (unique size/peak) are
-  /// updated here only in serial mode; a shared phase refreshes them at
-  /// stop-the-world points instead.
-  void flushObs(ThreadCtx& tc);
-
-  // ---- shared-phase engine (bdd_concurrent.cpp) ----
-
-  /// The calling thread's context: the main context in serial mode, the
-  /// lazily attached per-thread one in a shared phase.
-  ThreadCtx& ctx() {
-    if (!sharedMode_) [[likely]] return mainCtx_;
-    return sharedCtx();
-  }
-  [[nodiscard]] const ThreadCtx& ctx() const {
-    return const_cast<BddManager*>(this)->ctx();
-  }
-  ThreadCtx& sharedCtx();
-  ThreadCtx& attachThreadCtx();
-
-  /// Op-boundary gate: counts the thread into sharedInsideOps_, parking
-  /// first while any stop-the-world (shallow or deep) is pending.
-  void enterSharedOp(ThreadCtx& tc);
-  void leaveSharedOp(ThreadCtx& tc);
-  /// Mid-op variant for fork-join task execution: the forking thread is
-  /// already inside and holds the join, so tasks gate on the *shallow*
-  /// flag only — parking them on a deep request would deadlock the joiner
-  /// the deep coordinator is waiting on.
-  void enterSharedTask(ThreadCtx& tc);
-
-  /// Polled at every cache lookup and node creation (one relaxed load when
-  /// idle). When a shallow stop-the-world is pending the thread steps out
-  /// of sharedInsideOps_, parks, and steps back in — mid-recursion state
-  /// (raw edges) stays valid because shallow mutations never move or free
-  /// a node.
-  void sharedSafePoint(ThreadCtx& tc) {
-    if (!stwShallow_.load(std::memory_order_relaxed)) return;
-    sharedSafePointSlow(tc);
-  }
-  void sharedSafePointSlow(ThreadCtx& tc);
-
-  /// Run `fn` as the shallow stop-the-world coordinator (in-op mutations:
-  /// arena or unique-table growth). Returns false when the election was
-  /// lost — the winner is doing equivalent work; re-check and retry.
-  bool stwShallowRun(ThreadCtx& tc, const std::function<void()>& fn);
-  /// Run `fn` as the deep stop-the-world coordinator (op-boundary
-  /// mutations: GC, sifting, census). Returns false when the election was
-  /// lost. Must be called with tc.opDepth == 0.
-  bool stwDeepRun(ThreadCtx& tc, const std::function<void()>& fn);
-
-  void growUniqueShared(ThreadCtx& tc);
-  /// Arena growth needs no stop-the-world: the backing store was reserved
-  /// at beginShared, so resize-in-place touches only fresh slots and the
-  /// vector's end marker — which no concurrent reader looks at (they index
-  /// through the data pointer, bounded by arenaLimit_). growMu_ serializes
-  /// growers against each other.
-  void growArenaShared(uint32_t needIdx);
-
-  [[nodiscard]] size_t approxLive() const;
-  [[nodiscard]] size_t arenaEnd() const {
-    return sharedMode_ ? nodeTop_.load(std::memory_order_relaxed)
-                       : nodes_.size();
-  }
+  /// Push the plain tallies (lookups, hits, nodes created, age-steered
+  /// evictions) and the unique-table gauges into the registry metrics —
+  /// one batch of relaxed atomic adds per outermost operation; the
+  /// recursive workers themselves never touch an atomic.
+  void flushObs();
 
   /// RAII guard for a public operation: GC stays deferred while the
   /// recursion holds raw node indices, and the registry metrics are
-  /// flushed exactly once when the outermost operation completes. In a
-  /// shared phase the outermost entry/exit also gates on the stop-the-world
-  /// flags (unless this thread *is* the coordinator).
+  /// flushed exactly once when the outermost operation completes.
   class ScopedOp {
    public:
-    explicit ScopedOp(BddManager* m) : m_(m), tc_(m->ctx()) {
-      if (tc_.opDepth++ == 0) {
-        tc_.opCreatedBase = tc_.created;
-        if (m_->sharedMode_ && !tc_.stwCoordinator) m_->enterSharedOp(tc_);
-      }
+    explicit ScopedOp(BddManager* m) : m_(m) {
+      if (m_->opDepth_++ == 0) m_->opCreatedBase_ = m_->created_;
     }
     ~ScopedOp() {
-      if (--tc_.opDepth == 0) {
-        m_->flushObs(tc_);
-        if (m_->sharedMode_ && !tc_.stwCoordinator) m_->leaveSharedOp(tc_);
-      }
+      if (--m_->opDepth_ == 0) m_->flushObs();
     }
     ScopedOp(const ScopedOp&) = delete;
     ScopedOp& operator=(const ScopedOp&) = delete;
 
    private:
     BddManager* m_;
-    ThreadCtx& tc_;
   };
 
   // cache layer
@@ -567,38 +391,35 @@ class BddManager {
   }
   /// 2-way set-associative probe with an age (reference) bit: a hit marks
   /// the entry recently used; the insert victimizes the un-aged way (see
-  /// cacheInsert). Thread-private, so no synchronization anywhere here.
+  /// cacheInsert).
   bool cacheLookup(Op op, uint32_t a, uint32_t b, uint32_t c, uint32_t& out,
                    CacheProbe& probe) {
-    ThreadCtx& tc = ctx();
-    if (sharedMode_) sharedSafePoint(tc);
-    ++tc.cacheLookups;
+    ++cacheLookups_;
     probe.k1 = (static_cast<uint64_t>(a) << 32) | b;
     probe.k2 = (static_cast<uint64_t>(static_cast<uint8_t>(op)) << 32) | c;
-    probe.slot = cacheSlotOf(probe.k1, probe.k2, tc.cacheMask);
-    probe.gen = tc.cacheGen;
-    CacheEntry* set = tc.cache[probe.slot].way;
+    probe.slot = cacheSlotOf(probe.k1, probe.k2, cacheMask_);
+    probe.gen = cacheGen_;
+    CacheEntry* set = cache_[probe.slot].way;
     for (int w = 0; w < 2; ++w) {
       if (set[w].k1 == probe.k1 && (set[w].k2 & ~kCacheAgeBit) == probe.k2) {
         // Conditional store: repeat hits on an already-aged entry stay
         // read-only on the line.
         if ((set[w].k2 & kCacheAgeBit) == 0) set[w].k2 |= kCacheAgeBit;
         out = set[w].result;
-        ++tc.cacheHits;
+        ++cacheHits_;
         return true;
       }
     }
     return false;
   }
   void cacheInsert(const CacheProbe& probe, uint32_t res) {
-    ThreadCtx& tc = ctx();
     uint32_t slot = probe.slot;
-    if (probe.gen != tc.cacheGen) {
+    if (probe.gen != cacheGen_) {
       // The cache was grown between the lookup and this insert (a mkNode in
       // the recursion in between); the slot numbering changed, rehash once.
-      slot = cacheSlotOf(probe.k1, probe.k2, tc.cacheMask);
+      slot = cacheSlotOf(probe.k1, probe.k2, cacheMask_);
     }
-    CacheEntry* set = tc.cache[slot].way;
+    CacheEntry* set = cache_[slot].way;
     int way = -1;
     for (int w = 0; w < 2; ++w) {
       // Reuse a way holding the same key or an empty one outright.
@@ -617,7 +438,7 @@ class BddManager {
       bool a1 = (set[1].k2 & kCacheAgeBit) != 0;
       if (a0 != a1) {
         way = a0 ? 1 : 0;
-        ++tc.cacheAged;
+        ++cacheAged_;
       } else {
         if (a0) {
           set[0].k2 &= ~kCacheAgeBit;
@@ -653,35 +474,13 @@ class BddManager {
   /// variable, deepest level first (cube and cubeFromAssignment).
   Bdd cubeOf(std::vector<BddVar> vars, std::span<const int8_t> phase);
 
-  // fork-join parallel apply (bdd_ops.cpp). The *Par workers mirror their
-  // serial kernels but split the two cofactor subproblems across the task
-  // deque while `depth < parSplitDepth_` and the operands look larger than
-  // parCutoff_; below that they fall straight through to the serial kernel.
-  struct ParTask;
-  [[nodiscard]] bool parEnabled() const {
-    return sharedMode_ && fj_ != nullptr;
-  }
-  /// True when the combined operand size clearly exceeds the cutoff (walk
-  /// aborted at the cap — approximate by design, never touches shared
-  /// scratch).
-  bool biggerThanCutoff(std::initializer_list<uint32_t> roots) const;
-  uint32_t andPar(uint32_t f, uint32_t g, int depth);
-  uint32_t itePar(uint32_t f, uint32_t g, uint32_t h, int depth);
-  uint32_t andExistsPar(uint32_t f, uint32_t g, uint32_t cube, int depth);
-  void runParTask(ParTask& t);
-  void joinParTask(ParTask& t);
-
   // reordering internals
   size_t swapAdjacentLevels(uint32_t l);
-  void siftImpl();
-  void setOrderImpl(const std::vector<BddVar>& order);
   Bdd makeHandle(uint32_t idx);
 
   // structural-walk scratch: a per-manager visit-stamp array so nodeCount
   // and sharedNodeCount run without hashing or per-call clearing. A walk
   // bumps the epoch; a node is visited iff its stamp equals the epoch.
-  // Not safe for concurrent walks: shared-phase callers serialize on
-  // visitMu_ (the count queries are off the hot path).
   [[nodiscard]] uint32_t beginVisit() const;
   size_t countFrom(std::vector<uint32_t>& stack, uint32_t epoch) const;
 
@@ -710,16 +509,23 @@ class BddManager {
   std::vector<uint32_t> perm_;     ///< var -> level
   std::vector<BddVar> invPerm_;    ///< level -> var
 
-  /// The main thread context, inline in the manager so the serial hot path
-  /// (every cacheLookup/cacheInsert goes through ctx()) touches the same
-  /// cache lines as the rest of the manager — no extra heap indirection.
-  /// Shared-phase worker contexts live in workerCtxs_ instead.
-  ThreadCtx mainCtx_;
+  // computed cache
+  std::vector<CacheSet> cache_;  ///< 2-way sets; capacity = size() * 2 entries
+  uint32_t cacheMask_ = 0;       ///< set count - 1 (set count is a power of 2)
+  uint64_t cacheGen_ = 0;  ///< bumped whenever slot numbering changes
 
-  /// Registered permute maps. A deque for reference stability: in a shared
-  /// phase one thread can register a new map (under permMu_) while others
-  /// still hold references to previously registered ones.
-  std::deque<std::vector<BddVar>> permMaps_;
+  // Plain tallies; flushObs batches them into the registry counters once
+  // per outermost operation.
+  uint64_t cacheLookups_ = 0, cacheHits_ = 0, created_ = 0;
+  uint64_t cacheAged_ = 0;  ///< age-steered victim choices (2-way cache)
+  uint64_t flushedLookups_ = 0, flushedHits_ = 0, flushedCreated_ = 0;
+  uint64_t flushedAged_ = 0;
+
+  int opDepth_ = 0;             ///< >0 while a public op is active
+  uint64_t opCreatedBase_ = 0;  ///< created_ when the outermost op began
+
+  /// Registered permute maps; a map's index is its computed-cache key.
+  std::vector<std::vector<BddVar>> permMaps_;
 
   /// Fresh nodes a collection waits for beyond the live set (and the
   /// first threshold): the one constant of the collection policy.
@@ -729,61 +535,13 @@ class BddManager {
   double maxGrowth_ = 1.2;
 
   mutable BddStats stats_;
-  // Tallies of thread contexts dropped at endShared (so lifetime totals in
-  // stats()/census() survive worker teardown).
-  uint64_t retiredLookups_ = 0, retiredHits_ = 0, retiredCreated_ = 0;
-  uint64_t retiredAged_ = 0;
 
   mutable std::vector<uint32_t> visitStamp_;  ///< nodeCount walk scratch
   mutable uint32_t visitEpoch_ = 0;
-  mutable std::mutex visitMu_;  ///< guards the walk scratch in a shared phase
-
-  // ---- shared-phase state ----
-  bool sharedMode_ = false;
-  uint64_t sharedEpoch_ = 0;  ///< bumped per beginShared (invalidates TLS)
-  size_t sharedCapacity_ = 0;
-  std::atomic<uint32_t> nodeTop_{0};     ///< bump allocator (shared phase)
-  std::atomic<uint32_t> arenaLimit_{0};  ///< nodes_.size() while shared
-
-  /// Unique-table occupancy, segmented: insert counters striped over 64
-  /// cache-line-padded shards (shard = bucket & 63) so concurrent inserts
-  /// never contend on one counter. approxLive() = uniqueCount_ + Σ shards;
-  /// gc/endShared fold them back into the exact count.
-  struct alignas(64) ShardCount {
-    std::atomic<int64_t> n{0};
-  };
-  static constexpr uint32_t kNumShards = 64;
-  std::unique_ptr<ShardCount[]> shardCounts_;
-
-  /// Threads currently executing an operation (outermost ScopedOp or a
-  /// fork-join task). Gated at entry by both stop-the-world flags; a deep
-  /// coordinator waits for it to reach zero.
-  std::atomic<int> sharedInsideOps_{0};
-  /// In-op threads parked at a safe point while a shallow stop-the-world is
-  /// pending. They stay counted in sharedInsideOps_ (their recursion state
-  /// is live); the shallow coordinator waits for
-  /// parkedShallow_ >= insideOps - (coordinator inside ? 1 : 0).
-  std::atomic<int> parkedShallow_{0};
-  std::atomic<bool> stwShallow_{false};
-  std::atomic<bool> stwDeep_{false};
-  std::mutex parkMu_;
-  std::condition_variable parkCv_;
-  std::mutex freeMu_;   ///< global free-list chunk handout
-  std::mutex growMu_;   ///< arena resize-in-place serialization
-  std::mutex permMu_;   ///< permMaps_ registration
-  mutable std::mutex ctxMu_;  ///< thread-context registry
-
-  /// Shared-phase worker contexts (lazily attached; mainCtx_ is separate).
-  std::vector<std::unique_ptr<ThreadCtx>> workerCtxs_;
-  std::unordered_map<std::thread::id, ThreadCtx*> ctxByThread_;
-
-  par::ForkJoin* fj_ = nullptr;
-  size_t parCutoff_ = 2048;
-  int parSplitDepth_ = 3;
 
   // Registry-backed observability (process-wide totals across managers).
   // References are resolved once at construction; the recursive workers
-  // bump plain per-thread tallies and flushObs() batches them into these
+  // bump plain tallies and flushObs() batches them into these
   // shared metrics once per outermost operation.
   obs::Counter& obsCacheLookups_;
   obs::Counter& obsCacheHits_;

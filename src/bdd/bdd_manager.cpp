@@ -1,9 +1,6 @@
 // Node arena, unique table, computed cache, reference counting, and
-// mark-and-sweep garbage collection with a cache keep-alive sweep.
-//
-// The shared-phase machinery (thread contexts, CAS insertion, the
-// stop-the-world protocol) lives in bdd_concurrent.cpp; this file is the
-// serial core plus the structural passes (GC, census) that both modes share.
+// mark-and-sweep garbage collection with a cache keep-alive sweep, and the
+// structural passes (GC, census) that run at public-API boundaries.
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
@@ -57,20 +54,15 @@ BddManager::BddManager(uint32_t numVars)
   uniqueMask_ = static_cast<uint32_t>(uniqueTable_.size() - 1);
   obsUniqueBuckets_.set(static_cast<int64_t>(uniqueTable_.size()));
 
-  mainCtx_.cache.assign(size_t{1} << 13, CacheSet{});  // 2^14 entries
-  mainCtx_.cacheMask = static_cast<uint32_t>(mainCtx_.cache.size() - 1);
+  cache_.assign(size_t{1} << 13, CacheSet{});  // 2^14 entries
+  cacheMask_ = static_cast<uint32_t>(cache_.size() - 1);
 
   for (uint32_t i = 0; i < numVars; ++i) newVar();
 }
 
-BddManager::~BddManager() {
-  assert(!sharedMode_ && "destroying a BddManager while in a shared phase");
-  flushObs(mainCtx_);
-  for (auto& c : workerCtxs_) flushObs(*c);
-}
+BddManager::~BddManager() { flushObs(); }
 
 BddVar BddManager::newVar() {
-  assert(!sharedMode_ && "newVar during a shared phase is not supported");
   if (perm_.size() >= kMaxVars)
     throw std::length_error("BddManager: variable limit reached");
   BddVar v = static_cast<BddVar>(perm_.size());
@@ -120,7 +112,6 @@ uint32_t BddManager::mkNode(BddVar var, uint32_t lo, uint32_t hi) {
     lo = eNot(lo);
     hi = eNot(hi);
   }
-  if (sharedMode_) return mkNodeShared(ctx(), var, lo, hi) | outSign;
   uint32_t bucket = uniqueBucketOf(var, lo, hi, uniqueMask_);
   for (uint32_t n = uniqueTable_[bucket]; n != kNil; n = nodes_[n].next) {
     const Node& nd = nodes_[n];
@@ -139,30 +130,27 @@ uint32_t BddManager::mkNode(BddVar var, uint32_t lo, uint32_t hi) {
   nodes_[idx].next = uniqueTable_[bucket];
   uniqueTable_[bucket] = idx;
   ++uniqueCount_;
-  ++mainCtx_.created;
+  ++created_;
   if (uniqueCount_ > stats_.peakLiveNodes) stats_.peakLiveNodes = uniqueCount_;
   if (uniqueCount_ > uniqueTable_.size()) growUnique();
   // Keep the operation cache proportional to the nodes in use, or deep
   // recursions degenerate into exponential recomputation.
-  if (cacheDemand(mainCtx_) > mainCtx_.cache.size() * 2) growCache(mainCtx_);
+  if (cacheDemand() > cache_.size() * 2) growCache();
   return idx | outSign;
 }
 
-void BddManager::growCache(ThreadCtx& tc) {
-  // The cache is private to `tc`, so growth needs no coordination even in a
-  // shared phase — only the owner's outstanding probes are invalidated, and
-  // they rehash via the generation check.
-  std::vector<CacheSet> old = std::move(tc.cache);
-  tc.cache.assign(old.size() * 2, CacheSet{});
-  tc.cacheMask = static_cast<uint32_t>(tc.cache.size() - 1);
-  ++tc.cacheGen;  // slot numbering changed: outstanding probes must rehash
+void BddManager::growCache() {
+  std::vector<CacheSet> old = std::move(cache_);
+  cache_.assign(old.size() * 2, CacheSet{});
+  cacheMask_ = static_cast<uint32_t>(cache_.size() - 1);
+  ++cacheGen_;  // slot numbering changed: outstanding probes must rehash
   for (const CacheSet& s : old) {
     for (const CacheEntry& e : s.way) {
       if (e.k1 == ~0ull && e.k2 == ~0ull) continue;
       // Re-inserted entries land in way 0 of their new set; collisions
       // during the rebuild fall back to the normal 2-way replacement.
-      uint32_t slot = cacheSlotOf(e.k1, e.k2 & ~kCacheAgeBit, tc.cacheMask);
-      CacheEntry* set = tc.cache[slot].way;
+      uint32_t slot = cacheSlotOf(e.k1, e.k2 & ~kCacheAgeBit, cacheMask_);
+      CacheEntry* set = cache_[slot].way;
       if (set[0].k1 == ~0ull && set[0].k2 == ~0ull) {
         set[0] = e;
       } else {
@@ -173,8 +161,7 @@ void BddManager::growCache(ThreadCtx& tc) {
 }
 
 void BddManager::growCacheToMatch(const BddManager& source) {
-  while (mainCtx_.cache.size() < source.mainCtx_.cache.size())
-    growCache(mainCtx_);
+  while (cache_.size() < source.cache_.size()) growCache();
 }
 
 void BddManager::uniqueInsert(uint32_t n) {
@@ -224,37 +211,17 @@ void BddManager::growUnique() {
 }
 
 void BddManager::maybeGcOrSift() {
-  ThreadCtx& tc = ctx();
-  if (tc.opDepth > 0) return;
+  if (opDepth_ > 0) return;
   // Cooperative cancellation point: we are at a public-op boundary with no
   // raw node indices live on any recursion stack, so unwinding here cannot
   // corrupt manager state.
   obs::checkAbort();
-  if (!sharedMode_) {
-    // Census rendezvous with the sampling profiler: it raised a flag from
-    // its own thread; we answer here, where nothing is mid-mutation, so the
-    // sampler never reads manager structures concurrently. One relaxed load
-    // when no profiler is running.
-    if (obs::prof::censusRequested()) obs::prof::publishCensus(census());
-    if (gcDue()) gcImpl();
-    return;
-  }
-  // Shared phase: both the census rendezvous and GC are deep stop-the-world
-  // events — any one worker at an op boundary can win the election and run
-  // them; losers just continue (the winner is doing the work, and a new op
-  // entry parks until it finishes). The coordinator itself must skip these
-  // triggers or gc() inside sift() would try to elect twice.
-  if (tc.stwCoordinator) return;
-  if (obs::prof::censusRequested()) {
-    stwDeepRun(tc, [&] {
-      if (obs::prof::censusRequested()) obs::prof::publishCensus(census());
-    });
-  }
-  if (gcDue()) {
-    stwDeepRun(tc, [&] {
-      if (gcDue()) gcImpl();  // else someone collected before us
-    });
-  }
+  // Census rendezvous with the sampling profiler: it raised a flag from
+  // its own thread; we answer here, where nothing is mid-mutation, so the
+  // sampler never reads manager structures concurrently. One relaxed load
+  // when no profiler is running.
+  if (obs::prof::censusRequested()) obs::prof::publishCensus(census());
+  if (gcDue()) gc();
 }
 
 void BddManager::applyGcPolicy(size_t freed) {
@@ -270,58 +237,38 @@ void BddManager::applyGcPolicy(size_t freed) {
   gcLive_ = live;
   gcThreshold_ = std::max({gcThreshold_, live + kGcBudget,
                            freed < live / 3 ? 2 * live : 0});
-  // Between collections the caches grow only with the nodes a running
-  // operation holds (cacheDemand). Here they catch up with the live set,
+  // Between collections the cache grows only with the nodes a running
+  // operation holds (cacheDemand). Here it catches up with the live set,
   // twice over up to one budget: room for the results fixpoint loops reuse
   // on the live sets, which the keep-alive sweep carries over, beside the
   // fresh ones of the next collection cycle.
   const size_t want = live + std::min(live, kGcBudget);
-  auto fit = [&](ThreadCtx& tc) {
-    while (want > tc.cache.size() * 2) growCache(tc);
-  };
-  fit(mainCtx_);
-  for (auto& c : workerCtxs_) fit(*c);
+  while (want > cache_.size() * 2) growCache();
   HSIS_LOG_DEBUG("bdd.gc", "sweep complete",
                  {{"freed", freed}, {"live", live}, {"threshold", gcThreshold_}});
 }
 
-void BddManager::flushObs(ThreadCtx& tc) {
-  // Satellite of the threading work: these adds land on relaxed atomics in
-  // the obs registry, so a flush racing another thread's flush (or a reader
-  // snapshotting the registry) is race-free by construction.
-  obsCacheLookups_.add(tc.cacheLookups - tc.flushedLookups);
-  tc.flushedLookups = tc.cacheLookups;
-  obsCacheHits_.add(tc.cacheHits - tc.flushedHits);
-  tc.flushedHits = tc.cacheHits;
-  obsCacheAged_.add(tc.cacheAged - tc.flushedAged);
-  tc.flushedAged = tc.cacheAged;
-  obsNodesCreated_.add(tc.created - tc.flushedCreated);
-  tc.flushedCreated = tc.created;
-  if (!sharedMode_) {
-    // Structure gauges describe shared state; in a shared phase they are
-    // refreshed at stop-the-world points (gc, growth, endShared) instead of
-    // on every worker's op exit.
-    obsUniqueSize_.set(static_cast<int64_t>(uniqueCount_));
-    obsUniquePeak_.updateMax(static_cast<int64_t>(stats_.peakLiveNodes));
-  }
+void BddManager::flushObs() {
+  // These adds land on relaxed atomics in the obs registry, so managers on
+  // different threads (batch replicas) flush into it race-free, and a
+  // reader can snapshot the registry at any time.
+  obsCacheLookups_.add(cacheLookups_ - flushedLookups_);
+  flushedLookups_ = cacheLookups_;
+  obsCacheHits_.add(cacheHits_ - flushedHits_);
+  flushedHits_ = cacheHits_;
+  obsCacheAged_.add(cacheAged_ - flushedAged_);
+  flushedAged_ = cacheAged_;
+  obsNodesCreated_.add(created_ - flushedCreated_);
+  flushedCreated_ = created_;
+  obsUniqueSize_.set(static_cast<int64_t>(uniqueCount_));
+  obsUniquePeak_.updateMax(static_cast<int64_t>(stats_.peakLiveNodes));
 }
 
 const BddStats& BddManager::stats() const {
-  stats_.liveNodes = sharedMode_ ? approxLive() : uniqueCount_;
-  stats_.allocatedNodes = arenaEnd();
-  uint64_t lookups = retiredLookups_, hits = retiredHits_;
-  {
-    std::unique_lock<std::mutex> lock(ctxMu_, std::defer_lock);
-    if (sharedMode_) lock.lock();
-    lookups += mainCtx_.cacheLookups;
-    hits += mainCtx_.cacheHits;
-    for (const auto& c : workerCtxs_) {
-      lookups += c->cacheLookups;
-      hits += c->cacheHits;
-    }
-  }
-  stats_.cacheLookups = lookups;
-  stats_.cacheHits = hits;
+  stats_.liveNodes = uniqueCount_;
+  stats_.allocatedNodes = nodes_.size();
+  stats_.cacheLookups = cacheLookups_;
+  stats_.cacheHits = cacheHits_;
   return stats_;
 }
 
@@ -331,9 +278,7 @@ std::vector<uint8_t> BddManager::markReachable() const {
   // Every node reachable from an externally referenced node survives.
   // Iterative DFS over the arena; child edges strip the complement bit.
   // Free slots (var == kNoVar) are never roots, and children of live nodes
-  // are live, so the walk cannot enter one. In a shared phase the loop
-  // covers the resized arena too: virgin slots read var == kNoVar (their
-  // NSDMI default) and are skipped.
+  // are live, so the walk cannot enter one.
   std::vector<uint8_t> marked(nodes_.size(), 0);
   marked[0] = marked[1] = 1;
   std::vector<uint32_t> stack;
@@ -354,8 +299,7 @@ std::vector<uint8_t> BddManager::markReachable() const {
   return marked;
 }
 
-void BddManager::cacheKeepAlive(ThreadCtx& tc,
-                                const std::vector<uint8_t>& marked) {
+void BddManager::cacheKeepAlive(const std::vector<uint8_t>& marked) {
   // Keep-alive sweep: a cached result stays valid as long as every node it
   // mentions survived the collection — operand edges, the result edge, and
   // for ternary ops the third operand. Entries whose nodes all survived are
@@ -374,7 +318,7 @@ void BddManager::cacheKeepAlive(ThreadCtx& tc,
   constexpr uint64_t kOpMask = uint64_t{0xFF} << 32;
   const uint8_t* mk = marked.data();
   size_t kept = 0, used = 0;
-  for (CacheSet& s : tc.cache)
+  for (CacheSet& s : cache_)
   for (CacheEntry& e : s.way) {
     if (e.k1 == ~0ull) continue;  // empty: a real key never has a = ~0u
     uint32_t a = static_cast<uint32_t>(e.k1 >> 32);
@@ -391,15 +335,6 @@ void BddManager::cacheKeepAlive(ThreadCtx& tc,
 }
 
 size_t BddManager::gc() {
-  if (!sharedMode_) return gcImpl();
-  ThreadCtx& tc = ctx();
-  if (tc.stwCoordinator) return gcImpl();  // already quiesced (e.g. sift)
-  size_t freed = 0;
-  stwDeepRun(tc, [&] { freed = gcImpl(); });
-  return freed;
-}
-
-size_t BddManager::gcImpl() {
   // One clock reading pair per collection, none per operation.
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<uint8_t> marked = markReachable();
@@ -419,23 +354,10 @@ size_t BddManager::gcImpl() {
       ++freed;
     }
   }
-  if (sharedMode_) {
-    // uniqueCount_ was just recounted exactly; the shard deltas it
-    // approximated are folded in, so zero them.
-    for (uint32_t s = 0; s < kNumShards; ++s)
-      shardCounts_[s].n.store(0, std::memory_order_relaxed);
-    if (uniqueCount_ > stats_.peakLiveNodes)
-      stats_.peakLiveNodes = uniqueCount_;
-    obsUniqueSize_.set(static_cast<int64_t>(uniqueCount_));
-    obsUniquePeak_.updateMax(static_cast<int64_t>(stats_.peakLiveNodes));
-  }
   // The computed cache survives collection minus entries touching freed
   // nodes — fixpoint loops that negate/intersect the same live state sets
-  // every iteration keep their hits across GCs. Every attached thread's
-  // cache gets the same keep-alive sweep (we are quiesced: serial mode, or
-  // under the deep stop-the-world).
-  cacheKeepAlive(mainCtx_, marked);
-  for (auto& c : workerCtxs_) cacheKeepAlive(*c, marked);
+  // every iteration keep their hits across GCs.
+  cacheKeepAlive(marked);
   applyGcPolicy(freed);
   ++stats_.gcRuns;
   stats_.liveNodes = uniqueCount_;
@@ -446,39 +368,26 @@ size_t BddManager::gcImpl() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
           .count()));
-  flushObs(ctx());
+  flushObs();
   return freed;
 }
 
 void BddManager::clearCaches() {
-  std::unique_lock<std::mutex> lock(ctxMu_, std::defer_lock);
-  if (sharedMode_) lock.lock();
-  for (auto& s : mainCtx_.cache) s = CacheSet{};
-  for (auto& c : workerCtxs_)
-    for (auto& s : c->cache) s = CacheSet{};
+  for (auto& s : cache_) s = CacheSet{};
 }
 
 obs::prof::BddCensus BddManager::census() const {
   obs::prof::BddCensus c;
-  c.liveNodes = sharedMode_ ? approxLive() : uniqueCount_;
+  c.liveNodes = uniqueCount_;
   c.allocatedNodes = nodes_.size() - 2;  // terminal + reserved slot excluded
   c.freeNodes = freeCount_;
   c.uniqueBuckets = uniqueTable_.size();
-  c.threadCaches = 1 + workerCtxs_.size();
-  c.uniqueShards = sharedMode_ ? kNumShards : 1;
-  uint64_t lookups = retiredLookups_, hits = retiredHits_;
-  auto fold = [&](const ThreadCtx& tc) {
-    c.cacheEntries += tc.cache.size() * 2;
-    for (const CacheSet& s : tc.cache)
-      for (const CacheEntry& e : s.way)
-        if (e.k1 != ~0ull || e.k2 != ~0ull) ++c.cacheUsed;
-    lookups += tc.cacheLookups;
-    hits += tc.cacheHits;
-  };
-  fold(mainCtx_);
-  for (const auto& tc : workerCtxs_) fold(*tc);
-  c.cacheLookups = lookups;
-  c.cacheHits = hits;
+  c.cacheEntries = cache_.size() * 2;
+  for (const CacheSet& s : cache_)
+    for (const CacheEntry& e : s.way)
+      if (e.k1 != ~0ull || e.k2 != ~0ull) ++c.cacheUsed;
+  c.cacheLookups = cacheLookups_;
+  c.cacheHits = cacheHits_;
   c.gcRuns = stats_.gcRuns;
   c.reorderings = stats_.reorderings;
   c.peakLiveNodes = stats_.peakLiveNodes;

@@ -52,29 +52,14 @@ size_t BddManager::swapAdjacentLevels(uint32_t l) {
   invPerm_[l + 1] = u;
   perm_[u] = l + 1;
   perm_[v] = l;
-  // approxLive folds the shared-phase shard deltas in; in serial mode it
-  // is exactly uniqueCount_.
-  return approxLive();
+  return uniqueCount_;
 }
 
 void BddManager::sift() {
   if (numVars() < 2) return;
-  if (!sharedMode_) {
-    siftImpl();
-    return;
-  }
-  // Shared phase: sifting rewrites the table in place, so every worker
-  // must be quiesced at an op boundary first. Election can be lost to a
-  // concurrent GC/census coordinator — retry until we own the world.
-  ThreadCtx& tc = ctx();
-  assert(tc.opDepth == 0 && "sift from inside an operation");
-  while (!stwDeepRun(tc, [&] { siftImpl(); })) std::this_thread::yield();
-}
-
-void BddManager::siftImpl() {
   obs::Span span("bdd.sift");
   gc();  // sweep dead nodes so sizes reflect live structure only
-  const size_t nodesBefore = approxLive();
+  const size_t nodesBefore = uniqueCount_;
   ScopedOp guard(this);  // no GC while raw swaps run
 
   uint32_t n = numVars();
@@ -92,7 +77,7 @@ void BddManager::siftImpl() {
   });
 
   for (BddVar v : vars) {
-    size_t startSize = approxLive();
+    size_t startSize = uniqueCount_;
     size_t limit = static_cast<size_t>(static_cast<double>(startSize) * maxGrowth_) + 16;
     size_t best = startSize;
     uint32_t bestLevel = perm_[v];
@@ -123,22 +108,11 @@ void BddManager::siftImpl() {
   obsReorderings_.add();
   HSIS_LOG_INFO("bdd.sift", "sifting pass complete",
                 {{"nodes_before", nodesBefore},
-                 {"nodes_after", approxLive()},
+                 {"nodes_after", uniqueCount_},
                  {"vars", numVars()}});
 }
 
 void BddManager::setOrder(const std::vector<BddVar>& order) {
-  if (!sharedMode_) {
-    setOrderImpl(order);
-    return;
-  }
-  ThreadCtx& tc = ctx();
-  assert(tc.opDepth == 0 && "setOrder from inside an operation");
-  while (!stwDeepRun(tc, [&] { setOrderImpl(order); }))
-    std::this_thread::yield();
-}
-
-void BddManager::setOrderImpl(const std::vector<BddVar>& order) {
   ScopedOp guard(this);
   // Bubble each requested variable to its target level, top-down. Variables
   // not mentioned keep their relative order below the mentioned ones.

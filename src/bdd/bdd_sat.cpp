@@ -24,10 +24,7 @@ void BddManager::supportRec(uint32_t f, std::vector<bool>& seen,
 }
 
 std::vector<BddVar> BddManager::support(const Bdd& f) {
-  // arenaEnd(), not nodes_.size(): in a shared phase the arena vector's
-  // size marker can be mid-update by a grower, while the bump pointer is
-  // an atomic snapshot that bounds every published node index.
-  std::vector<bool> seen(arenaEnd(), false);
+  std::vector<bool> seen(nodes_.size(), false);
   std::vector<bool> inSupp(numVars(), false);
   supportRec(f.index(), seen, inSupp);
   std::vector<BddVar> out;
@@ -173,11 +170,7 @@ uint32_t BddManager::beginVisit() const {
   // Epoch-stamped visitation: no hashing, no per-call clearing. The stamp
   // array trails the arena lazily; a wrapped epoch (once per 2^32 walks)
   // resets it wholesale.
-  // Size from arenaEnd(), not nodes_.size(): during a shared phase the
-  // vector's size field may be mid-update by a concurrent grower, while
-  // the bump pointer is an atomic snapshot bounding every published index.
-  size_t end = arenaEnd();
-  if (visitStamp_.size() < end) visitStamp_.resize(end, 0);
+  if (visitStamp_.size() < nodes_.size()) visitStamp_.resize(nodes_.size(), 0);
   if (++visitEpoch_ == 0) {
     std::fill(visitStamp_.begin(), visitStamp_.end(), 0u);
     visitEpoch_ = 1;
@@ -203,15 +196,12 @@ size_t BddManager::countFrom(std::vector<uint32_t>& stack,
 }
 
 size_t BddManager::nodeCount(const Bdd& f) const {
-  // visitStamp_/visitEpoch_ are single-walker scratch; serialize counters.
-  std::lock_guard<std::mutex> lk(visitMu_);
   uint32_t epoch = beginVisit();
   std::vector<uint32_t> stack{eIdx(f.index())};
   return countFrom(stack, epoch);
 }
 
 size_t BddManager::sharedNodeCount(std::span<const Bdd> roots) const {
-  std::lock_guard<std::mutex> lk(visitMu_);
   uint32_t epoch = beginVisit();
   std::vector<uint32_t> stack;
   for (const Bdd& r : roots)

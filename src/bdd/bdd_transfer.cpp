@@ -23,9 +23,6 @@ BddTransfer::BddTransfer(BddManager& src, BddManager& dst)
   if (src_ == dst_)
     throw std::invalid_argument(
         "BddTransfer: source and destination are the same manager");
-  if (src_->sharedMode() || dst_->sharedMode())
-    throw std::logic_error(
-        "BddTransfer: managers must not be in a shared phase");
   // Mirror the source variable universe and its order. Variables are
   // matched by id, so the destination must cover at least the source's ids;
   // extra destination variables are left where they are (below the copied

@@ -70,17 +70,34 @@ T integer(const jl::Object& obj, const std::string& key) {
   return jl::integer<T>(need(obj, key), kSchema, key);
 }
 
-std::vector<SignalInfo> parseSignals(const jl::Value& v) {
+const std::string& str(const jl::Object& obj, const std::string& key) {
+  return jl::str(need(obj, key), kSchema, key);
+}
+
+const jl::Object& object(const jl::Object& obj, const std::string& key) {
+  return jl::object(need(obj, key), kSchema, key);
+}
+
+const jl::Array& array(const jl::Object& obj, const std::string& key) {
+  return jl::array(need(obj, key), kSchema, key);
+}
+
+std::vector<const jl::Object*> objects(const jl::Object& obj,
+                                       const std::string& key) {
+  return jl::objects(need(obj, key), kSchema, key);
+}
+
+std::vector<SignalInfo> parseSignals(const jl::Object& obj,
+                                     const std::string& key) {
   std::vector<SignalInfo> sigs;
-  for (const jl::Value& sv : v.array()) {
-    const jl::Object& so = sv.object();
+  for (const jl::Object* so : objects(obj, key)) {
     SignalInfo s;
-    s.name = need(so, "name").str();
-    s.domain = integer<uint32_t>(so, "domain");
-    s.bits = integer<uint32_t>(so, "bits");
-    for (const jl::Value& nv : need(so, "values").array())
-      s.valueNames.push_back(nv.str());
-    s.sourceLine = integer<int>(so, "line");
+    s.name = str(*so, "name");
+    s.domain = integer<uint32_t>(*so, "domain");
+    s.bits = integer<uint32_t>(*so, "bits");
+    for (const jl::Value& nv : array(*so, "values"))
+      s.valueNames.push_back(jl::str(nv, kSchema, "values[]"));
+    s.sourceLine = integer<int>(*so, "line");
     sigs.push_back(std::move(s));
   }
   return sigs;
@@ -89,7 +106,7 @@ std::vector<SignalInfo> parseSignals(const jl::Value& v) {
 std::vector<uint32_t> parseValues(const jl::Object& step,
                                   const std::string& key) {
   std::vector<uint32_t> vals;
-  for (const jl::Value& nv : need(step, key).array())
+  for (const jl::Value& nv : array(step, key))
     vals.push_back(jl::integer<uint32_t>(nv, kSchema, key));
   return vals;
 }
@@ -106,28 +123,27 @@ Artifact parseJson(const std::string& text) {
     throw std::runtime_error("hsis-cex-v1: unexpected schema tag");
 
   Artifact a;
-  a.traceId = need(obj, "trace_id").str();
-  a.gitSha = need(obj, "git_sha").str();
-  const jl::Object& design = need(obj, "design").object();
-  a.designName = need(design, "name").str();
-  a.designDigest = need(design, "digest").str();
-  a.designKind = need(design, "kind").str();
-  a.designTop = need(design, "top").str();
-  a.designText = need(design, "text").str();
-  const jl::Object& prop = need(obj, "property").object();
-  a.propertyName = need(prop, "name").str();
-  a.propertyText = need(prop, "text").str();
-  a.propertyDigest = need(prop, "digest").str();
-  a.replay = need(obj, "replay").str();
-  a.replayNote = need(obj, "replay_note").str();
+  a.traceId = str(obj, "trace_id");
+  a.gitSha = str(obj, "git_sha");
+  const jl::Object& design = object(obj, "design");
+  a.designName = str(design, "name");
+  a.designDigest = str(design, "digest");
+  a.designKind = str(design, "kind");
+  a.designTop = str(design, "top");
+  a.designText = str(design, "text");
+  const jl::Object& prop = object(obj, "property");
+  a.propertyName = str(prop, "name");
+  a.propertyText = str(prop, "text");
+  a.propertyDigest = str(prop, "digest");
+  a.replay = str(obj, "replay");
+  a.replayNote = str(obj, "replay_note");
   a.cycleStart = integer<int>(obj, "cycle_start");
-  a.latches = parseSignals(need(obj, "latches"));
-  a.inputs = parseSignals(need(obj, "inputs"));
-  for (const jl::Value& sv : need(obj, "steps").array()) {
-    const jl::Object& so = sv.object();
+  a.latches = parseSignals(obj, "latches");
+  a.inputs = parseSignals(obj, "inputs");
+  for (const jl::Object* so : objects(obj, "steps")) {
     Step step;
-    step.latchValues = parseValues(so, "latches");
-    step.inputValues = parseValues(so, "inputs");
+    step.latchValues = parseValues(*so, "latches");
+    step.inputValues = parseValues(*so, "inputs");
     if (step.latchValues.size() != a.latches.size())
       throw std::runtime_error("hsis-cex-v1: step width != latch count");
     a.steps.push_back(std::move(step));

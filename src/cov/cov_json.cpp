@@ -90,6 +90,8 @@ namespace {
 
 namespace jl = obs::jsonlite;
 
+constexpr const char* kSchema = "hsis-cov-v1";
+
 const jl::Value& need(const jl::Object& obj, const std::string& key) {
   const jl::Value* v = jl::find(obj, key);
   if (!v)
@@ -98,12 +100,29 @@ const jl::Value& need(const jl::Object& obj, const std::string& key) {
 }
 
 double real(const jl::Object& obj, const std::string& key) {
-  return jl::number(need(obj, key), "hsis-cov-v1", key);
+  return jl::number(need(obj, key), kSchema, key);
 }
 
 template <std::integral T>
 T integer(const jl::Object& obj, const std::string& key) {
-  return jl::integer<T>(need(obj, key), "hsis-cov-v1", key);
+  return jl::integer<T>(need(obj, key), kSchema, key);
+}
+
+const std::string& str(const jl::Object& obj, const std::string& key) {
+  return jl::str(need(obj, key), kSchema, key);
+}
+
+bool flag(const jl::Object& obj, const std::string& key) {
+  return jl::boolean(need(obj, key), kSchema, key);
+}
+
+const jl::Object& object(const jl::Object& obj, const std::string& key) {
+  return jl::object(need(obj, key), kSchema, key);
+}
+
+std::vector<const jl::Object*> objects(const jl::Object& obj,
+                                       const std::string& key) {
+  return jl::objects(need(obj, key), kSchema, key);
 }
 
 }  // namespace
@@ -114,70 +133,65 @@ Report parseReportJson(const std::string& text) {
     throw std::runtime_error("hsis-cov-v1: document is not an object");
   const jl::Object& obj = doc.object();
   const jl::Value& schema = need(obj, "schema");
-  if (!schema.isString() || schema.str() != "hsis-cov-v1")
+  if (!schema.isString() || schema.str() != kSchema)
     throw std::runtime_error("hsis-cov-v1: unexpected schema tag");
 
   Report r;
-  r.enabled = need(obj, "enabled").boolean();
-  r.design = need(obj, "design").str();
+  r.enabled = flag(obj, "enabled");
+  r.design = str(obj, "design");
   r.reachableStates = real(obj, "reachable_states");
   r.stateSpace = real(obj, "state_space");
   r.depth = integer<size_t>(obj, "depth");
-  const jl::Object& values = need(obj, "values").object();
+  const jl::Object& values = object(obj, "values");
   r.valuesReached = integer<uint64_t>(values, "reached");
   r.valuesTotal = integer<uint64_t>(values, "total");
-  const jl::Object& bins = need(obj, "bins").object();
+  const jl::Object& bins = object(obj, "bins");
   r.binsHit = integer<uint64_t>(bins, "hit");
   r.binsTotal = integer<uint64_t>(bins, "total");
 
-  for (const jl::Value& lv : need(obj, "latches").array()) {
-    const jl::Object& lo = lv.object();
+  for (const jl::Object* lo : objects(obj, "latches")) {
     LatchOccupancy occ;
-    occ.latch = need(lo, "name").str();
-    occ.domain = integer<uint32_t>(lo, "domain");
-    occ.reachedValues = integer<uint32_t>(lo, "reached_values");
-    for (const jl::Value& vv : need(lo, "values").array()) {
-      const jl::Object& vo = vv.object();
-      occ.valueNames.push_back(need(vo, "name").str());
-      occ.valueReached.push_back(need(vo, "reached").boolean());
+    occ.latch = str(*lo, "name");
+    occ.domain = integer<uint32_t>(*lo, "domain");
+    occ.reachedValues = integer<uint32_t>(*lo, "reached_values");
+    for (const jl::Object* vo : objects(*lo, "values")) {
+      occ.valueNames.push_back(str(*vo, "name"));
+      occ.valueReached.push_back(flag(*vo, "reached"));
     }
     r.latches.push_back(std::move(occ));
   }
 
-  for (const jl::Value& fv : need(obj, "frontier").array()) {
-    const jl::Object& fo = fv.object();
+  for (const jl::Object* fo : objects(obj, "frontier")) {
     FrontierPoint fp;
-    fp.depth = integer<size_t>(fo, "depth");
-    fp.newStates = real(fo, "new_states");
-    fp.totalStates = real(fo, "total_states");
+    fp.depth = integer<size_t>(*fo, "depth");
+    fp.newStates = real(*fo, "new_states");
+    fp.totalStates = real(*fo, "total_states");
     r.frontier.push_back(fp);
   }
 
-  for (const jl::Value& pv : need(obj, "coverpoints").array()) {
-    const jl::Object& po = pv.object();
+  for (const jl::Object* po : objects(obj, "coverpoints")) {
     PointResult pr;
-    pr.name = need(po, "name").str();
-    pr.binsHit = integer<size_t>(po, "bins_hit");
-    for (const jl::Value& bv : need(po, "bins").array()) {
-      const jl::Object& bo = bv.object();
+    pr.name = str(*po, "name");
+    pr.binsHit = integer<size_t>(*po, "bins_hit");
+    for (const jl::Object* bo : objects(*po, "bins")) {
       BinResult br;
-      br.name = need(bo, "name").str();
-      br.expr = need(bo, "expr").str();
-      br.symbolicHit = need(bo, "hit").boolean();
-      br.symbolicStates = real(bo, "states");
-      br.simEvaluable = need(bo, "sim_evaluable").boolean();
-      br.simHits = need(bo, "sim_hits").isNull()
+      br.name = str(*bo, "name");
+      br.expr = str(*bo, "expr");
+      br.symbolicHit = flag(*bo, "hit");
+      br.symbolicStates = real(*bo, "states");
+      br.simEvaluable = flag(*bo, "sim_evaluable");
+      br.simHits = need(*bo, "sim_hits").isNull()
                        ? -1
-                       : integer<int64_t>(bo, "sim_hits");
+                       : integer<int64_t>(*bo, "sim_hits");
       pr.bins.push_back(std::move(br));
     }
     r.points.push_back(std::move(pr));
   }
 
-  const jl::Object& sim = need(obj, "sim").object();
+  const jl::Object& sim = object(obj, "sim");
   r.simStates = integer<uint64_t>(sim, "states");
-  r.simExhaustive = need(sim, "exhaustive").boolean();
-  r.simAgrees = need(sim, "agrees").boolean();
+  r.simExhaustive = flag(sim, "exhaustive");
+  r.simAgrees = flag(sim, "agrees");
   return r;
 }
 

@@ -209,6 +209,39 @@ double number(const Value& v, std::string_view schema, std::string_view field) {
   return v.number();
 }
 
+const std::string& str(const Value& v, std::string_view schema,
+                       std::string_view field) {
+  if (!v.isString()) fieldError(schema, field, "is not a string");
+  return v.str();
+}
+
+bool boolean(const Value& v, std::string_view schema, std::string_view field) {
+  if (!std::holds_alternative<bool>(v.v))
+    fieldError(schema, field, "is not a boolean");
+  return v.boolean();
+}
+
+const Object& object(const Value& v, std::string_view schema,
+                     std::string_view field) {
+  if (!v.isObject()) fieldError(schema, field, "is not an object");
+  return v.object();
+}
+
+const Array& array(const Value& v, std::string_view schema,
+                   std::string_view field) {
+  if (!v.isArray()) fieldError(schema, field, "is not an array");
+  return v.array();
+}
+
+std::vector<const Object*> objects(const Value& v, std::string_view schema,
+                                   std::string_view field) {
+  const std::string element = std::string(field) + "[]";
+  std::vector<const Object*> out;
+  for (const Value& e : array(v, schema, field))
+    out.push_back(&object(e, schema, element));
+  return out;
+}
+
 void appendQuoted(std::string& out, std::string_view s) {
   out += '"';
   size_t clean = 0;  // start of the pending run of verbatim bytes

@@ -66,8 +66,25 @@ const Value* find(const Object& obj, const std::string& key);
 [[noreturn]] void fieldError(std::string_view schema, std::string_view field,
                              std::string_view what);
 
-/// `v` as a number; a fieldError when it is not one.
+/// `v` as a number; a fieldError when it is not one. Read every field of a
+/// file through these checked readers, never through Value's accessors,
+/// which assume the type.
 double number(const Value& v, std::string_view schema, std::string_view field);
+/// `v` as a string; a fieldError when it is not one.
+const std::string& str(const Value& v, std::string_view schema,
+                       std::string_view field);
+/// `v` as a boolean; a fieldError when it is not one.
+bool boolean(const Value& v, std::string_view schema, std::string_view field);
+/// `v` as an object; a fieldError when it is not one.
+const Object& object(const Value& v, std::string_view schema,
+                     std::string_view field);
+/// `v` as an array; a fieldError when it is not one.
+const Array& array(const Value& v, std::string_view schema,
+                   std::string_view field);
+/// The elements of array `v`, each as an object; a fieldError naming
+/// "<field>[]" for an element that is not one.
+std::vector<const Object*> objects(const Value& v, std::string_view schema,
+                                   std::string_view field);
 
 /// `v` as a T: a number with no fractional part inside T's range, else a
 /// fieldError. Read every integer of a file through this, so no input

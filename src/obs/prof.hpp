@@ -62,11 +62,6 @@ struct BddCensus {
   uint64_t gcRuns = 0;
   uint64_t reorderings = 0;
   uint64_t peakLiveNodes = 0;
-  /// Shared-phase shape: how many per-thread computed caches are attached
-  /// (cacheEntries/cacheUsed sum across all of them) and how many segment
-  /// counters stripe the unique table (1 in serial mode).
-  uint64_t threadCaches = 1;
-  uint64_t uniqueShards = 1;
   /// Live nodes per variable level (index = level). Invariant:
   /// sum(levelNodes) == liveNodes.
   std::vector<uint64_t> levelNodes;

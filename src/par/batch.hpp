@@ -7,13 +7,10 @@
 // computed reachable set — moved over ONCE by structural copy
 // (BddTransfer), so after setup the workers share no BDD state at all:
 // no unique-table contention, no cache interference, no GC coordination.
-// This is the coarse-grain half of the parallel engine; the fine-grain
-// half (sharded unique table + fork-join apply inside one manager) lives
-// in the BDD layer itself (BddManager::beginShared).
+// This is the only parallelism in HSIS: a BddManager is single-threaded.
 //
 // Replicas are built serially on the calling thread — transfers read the
-// source manager, whose handle refcounts are not synchronized in serial
-// mode — then handed to the workers, which do the rest (checker
+// source manager, whose handle refcounts are not synchronized — then handed to the workers, which do the rest (checker
 // construction, don't-care minimization, the checks) fully concurrently.
 //
 // Language-containment properties run on the replica too: the monitor is

@@ -1,6 +1,7 @@
 #include "serve/pool.hpp"
 
 #include <deque>
+#include <optional>
 #include <thread>
 
 #include "cex/cex.hpp"
@@ -57,9 +58,25 @@ void recordStageLatencies(const StageMicros& st, uint64_t totalMicros) {
 
 }  // namespace
 
+/// The coverage rollup a done frame carries: one cov::Report, reduced to
+/// the five fields the frame and the ledger record.
+struct CovRollup {
+  bool enabled = false;
+  double stateFraction = 0.0;
+  uint64_t valuesReached = 0;
+  uint64_t valuesTotal = 0;
+  uint64_t binsHit = 0;
+  uint64_t binsTotal = 0;
+};
+
 struct SessionPool::Worker {
   size_t index = 0;
   Session session;
+  /// Coverage rollup of the resident design, built by its first CTL
+  /// request and dropped when load() recompiles. The reached set does not
+  /// depend on fairness, so a setFairness that rebuilds the checker keeps
+  /// it. Empty until computed.
+  std::optional<CovRollup> cov;
   obs::TaskAbort slot;
   obs::Watchdog dog;
   std::deque<Job> queue;  ///< guarded by the pool mutex
@@ -208,6 +225,7 @@ void SessionPool::runJob(Worker& worker, Job& job) {
   try {
     obs::WallTimer stageTimer;
     bool reloaded = worker.session.load(req.design);
+    if (reloaded) worker.cov.reset();
     worker.session.build();
     const uint64_t loadBuildMicros = stageTimer.micros();
     stats.cacheHit = !reloaded;
@@ -250,16 +268,22 @@ void SessionPool::runJob(Worker& worker, Job& job) {
       obs::Span reachSpan("serve.stage.reach");
       (void)worker.session.checker().reached();
       // Coverage rides on the just-computed fixpoint (symbolic-only here:
-      // no simulator enumeration on the serve path). A disabled report
-      // leaves hasCoverage false, so legacy frame/ledger shapes survive.
-      cov::Report covRep = worker.session.coverage();
-      if (covRep.enabled) {
+      // no simulator enumeration on the serve path), once per loaded
+      // design. A disabled report leaves hasCoverage false, so legacy
+      // frame/ledger shapes survive.
+      if (!worker.cov) {
+        cov::Report r = worker.session.coverage();
+        worker.cov = CovRollup{r.enabled, r.stateFraction(),
+                               r.valuesReached, r.valuesTotal, r.binsHit,
+                               r.binsTotal};
+      }
+      if (worker.cov->enabled) {
         stats.hasCoverage = true;
-        stats.covStateFraction = covRep.stateFraction();
-        stats.covValuesReached = covRep.valuesReached;
-        stats.covValuesTotal = covRep.valuesTotal;
-        stats.covBinsHit = covRep.binsHit;
-        stats.covBinsTotal = covRep.binsTotal;
+        stats.covStateFraction = worker.cov->stateFraction;
+        stats.covValuesReached = worker.cov->valuesReached;
+        stats.covValuesTotal = worker.cov->valuesTotal;
+        stats.covBinsHit = worker.cov->binsHit;
+        stats.covBinsTotal = worker.cov->binsTotal;
       }
       stats.stages.reach = stageTimer.micros();
     }

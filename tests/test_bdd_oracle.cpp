@@ -7,19 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bdd/bdd.hpp"
 #include "mvf/mvf.hpp"
 #include "obs/obs.hpp"
-#include "par/fj.hpp"
 
 namespace hsis {
 namespace {
@@ -316,113 +313,6 @@ TEST(BddOracle, CubeIsLinear) {
   EXPECT_LE(obs::counter("bdd.nodes.created").value() - before, n);
   EXPECT_EQ(c.nodeCount(), n + 1);  // plus the terminal
   EXPECT_EQ(m.support(c), vars);
-}
-
-TEST(BddOracle, SharedModeThreadsMatchTruthTables) {
-  // The multi-threaded safety net for the sharded unique table and the
-  // per-thread computed caches: several threads hammer one manager inside
-  // a shared phase, each cross-checking every result against its own
-  // truth-table oracle. The threads' node demands force concurrent
-  // CAS-inserts into the same shard segments and (with enough steps)
-  // shallow stop-the-world table growth under contention; any lost insert,
-  // stale cache entry, or refcount race shows up as a truth-table
-  // divergence or a corrupted handle after endShared().
-  constexpr uint32_t n = 10;
-  constexpr int kThreads = 4;
-  BddManager m(n);
-  m.beginShared(size_t{1} << 20);
-
-  std::atomic<int> divergences{0};
-  auto hammer = [&](uint32_t seed) {
-    std::mt19937 rng(seed);
-    std::vector<std::pair<Bdd, TT>> pool;
-    pool.emplace_back(m.bddOne(), ttConst(n, true));
-    pool.emplace_back(m.bddZero(), ttConst(n, false));
-    for (BddVar v = 0; v < n; ++v) pool.emplace_back(m.bddVar(v), ttVar(n, v));
-    auto pick = [&]() -> std::pair<Bdd, TT>& {
-      return pool[rng() % pool.size()];
-    };
-    for (int i = 0; i < 120; ++i) {
-      auto& [f, tf] = pick();
-      auto& [g, tg] = pick();
-      switch (rng() % 6) {
-        case 0: pool.emplace_back(f & g, ttApply(tf, tg, '&')); break;
-        case 1: pool.emplace_back(f | g, ttApply(tf, tg, '|')); break;
-        case 2: pool.emplace_back(f ^ g, ttApply(tf, tg, '^')); break;
-        case 3: pool.emplace_back(!f, ttNot(tf)); break;
-        case 4: {
-          auto& [h, th] = pick();
-          pool.emplace_back(m.ite(f, g, h), ttIte(tf, tg, th));
-          break;
-        }
-        default: {
-          BddVar v = static_cast<BddVar>(rng() % n);
-          pool.emplace_back(m.andExists(f, g, m.bddVar(v)),
-                            ttExists(ttApply(tf, tg, '&'), {v}));
-          break;
-        }
-      }
-      const auto& [r, tr] = pool.back();
-      for (size_t a = 0; a < tr.size(); ++a) {
-        if (evalBdd(r, a) != (tr[a] != 0)) {
-          divergences.fetch_add(1);
-          return;  // one report per thread is enough to fail the test
-        }
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back(hammer, 0x5eed0000u + static_cast<uint32_t>(t));
-  for (auto& t : threads) t.join();
-  m.endShared();
-  EXPECT_EQ(divergences.load(), 0);
-
-  // Back in serial mode the manager is fully functional: a gc + sift pass
-  // and a fresh oracle round on the same heap must still agree.
-  m.gc();
-  m.sift();
-  Bdd f = (m.bddVar(0) & m.bddVar(3)) | ((!m.bddVar(0)) & m.bddVar(7));
-  expectMatches(f, ttIte(ttVar(n, 0), ttVar(n, 3), ttVar(n, 7)), 0,
-                "post-shared serial op");
-}
-
-TEST(BddOracle, ForkJoinApplyMatchesSerialResults) {
-  // Fine-grained parallel apply must be bit-identical to serial apply:
-  // compute reference edges serially, then recompute the same operations
-  // with cold caches under a fork-join pool with an aggressive split
-  // policy (cutoff 1 node, full depth) so the cofactor recursion really
-  // does fan out. Canonicity makes equality exact — same edge word or bug.
-  constexpr uint32_t n = 14;
-  BddManager m(n);
-  std::mt19937 rng(42);
-  auto randomFn = [&] {
-    Bdd f = m.bddZero();
-    for (int c = 0; c < 24; ++c) {
-      Bdd cube = m.bddOne();
-      for (BddVar v = 0; v < n; ++v)
-        if (rng() % 3 != 0) cube &= m.bddLiteral(v, rng() % 2 == 0);
-      f |= cube;
-    }
-    return f;
-  };
-  Bdd f = randomFn(), g = randomFn(), h = randomFn();
-  Bdd cube = m.bddVar(2) & m.bddVar(5) & m.bddVar(9);
-
-  Bdd serialAnd = f & g;
-  Bdd serialIte = m.ite(f, g, h);
-  Bdd serialAndEx = m.andExists(f, g, cube);
-
-  par::ForkJoin fj(3);
-  m.beginShared(size_t{1} << 20);
-  m.setParallel(&fj, /*cutoffNodes=*/1, /*splitDepth=*/6);
-  m.clearCaches();
-  EXPECT_EQ(f & g, serialAnd);
-  EXPECT_EQ(m.ite(f, g, h), serialIte);
-  EXPECT_EQ(m.andExists(f, g, cube), serialAndEx);
-  m.setParallel(nullptr);
-  m.endShared();
 }
 
 TEST(BddOracle, ComplementCanonicalForm) {

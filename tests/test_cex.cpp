@@ -176,6 +176,24 @@ TEST_F(CexFixture, ParseRejectsMalformedDocuments) {
   rejects(tampered("cycle_start", "0.5"), "cycle_start");
   // The first value of the first step: "latches": [0, ...] -> ["0", ...].
   rejects(tampered("latches", "[\"0\"", "\"steps\""), "latches");
+
+  // Strings, objects and arrays are type-checked the same way: a wrong
+  // JSON type names its field.
+  rejects(tampered("trace_id", "7"), "trace_id");
+  rejects(tampered("replay", "null"), "replay");
+  rejects(tampered("name", "0", "\"latches\""), "name");
+  rejects(tampered("values", "[1", "\"latches\""), "values[]");
+  std::string elem = good;
+  elem.insert(elem.find("\"steps\": [") + 10, "1, ");
+  rejects(elem, "steps[]");
+  const std::string head =
+      R"({"schema": "hsis-cex-v1", "trace_id": "t", "git_sha": "g", )";
+  rejects(head + R"("design": []})", "design");
+  rejects(head + R"("design": {"name": "n", "digest": "d", "kind": "k", )"
+                 R"("top": "t", "text": "x"}, "property": {"name": "p", )"
+                 R"("text": "x", "digest": "d"}, "replay": "r", )"
+                 R"("replay_note": "", "cycle_start": -1, "latches": {}})",
+          "latches");
 }
 
 TEST_F(CexFixture, VcdExportsSignalsAndUnrollsLasso) {

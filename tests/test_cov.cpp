@@ -345,6 +345,23 @@ TEST(CovJson, RejectsWrongSchema) {
   rejects(tampered("depth", "-1", "\"frontier\""), "depth");
   rejects(tampered("reached_values", "2.5"), "reached_values");
   rejects(tampered("reachable_states", "\"6\""), "reachable_states");
+
+  // Strings, booleans, objects and arrays are type-checked the same way:
+  // a wrong JSON type names its field.
+  rejects(tampered("enabled", "1"), "enabled");
+  rejects(tampered("design", "7"), "design");
+  rejects(tampered("name", "false", "\"latches\""), "name");
+  rejects(tampered("hit", "\"yes\"", "\"coverpoints\""), "hit");
+  std::string elem = good;
+  elem.insert(elem.find("\"latches\": [") + 12, "1, ");
+  rejects(elem, "latches[]");
+  const std::string head =
+      R"({"schema": "hsis-cov-v1", "enabled": true, "design": "d", )"
+      R"("reachable_states": 1, "state_space": 1, "depth": 0, )";
+  rejects(head + R"("values": []})", "values");
+  rejects(head + R"("values": {"reached": 0, "total": 0}, )"
+                 R"("bins": {"hit": 0, "total": 0}, "latches": {}})",
+          "latches");
 }
 
 TEST(CovRender, MarkdownTablesAndThresholdGate) {

@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "cex/cex.hpp"
+#include "cov/cov.hpp"
 #include "models/models.hpp"
+#include "obs/obs.hpp"
 #include "serve/cache.hpp"
 #include "serve/pool.hpp"
 #include "serve/protocol.hpp"
@@ -219,6 +221,17 @@ struct FrameLog {
     const auto* r = hsis::obs::jsonlite::find(stats->object(), "read_micros");
     return r != nullptr && r->isNumber() ? r->number() : -1;
   }
+  /// A number of the done frame's stats.coverage object (-1 if absent).
+  double doneCoverage(const char* key) {
+    const Frame* f = find("done");
+    if (f == nullptr) return -1;
+    const auto* stats = hsis::obs::jsonlite::find(f->body.object(), "stats");
+    if (stats == nullptr || !stats->isObject()) return -1;
+    const auto* cov = hsis::obs::jsonlite::find(stats->object(), "coverage");
+    if (cov == nullptr || !cov->isObject()) return -1;
+    const auto* v = hsis::obs::jsonlite::find(cov->object(), key);
+    return v != nullptr && v->isNumber() ? v->number() : -1;
+  }
 };
 
 TEST(ServePool, ColdMissThenWarmHitSkipsCompile) {
@@ -246,6 +259,35 @@ TEST(ServePool, ColdMissThenWarmHitSkipsCompile) {
   EXPECT_EQ(s.cacheHits, 1u);
   EXPECT_EQ(s.cacheMisses, 1u);
   EXPECT_EQ(s.completed, 2u);
+  pool.shutdown(false);
+}
+
+TEST(ServePool, WarmRequestReusesTheCoverageRollup) {
+  if (!hsis::cov::coverageEnabled()) GTEST_SKIP() << "coverage disabled";
+  PoolOptions opts;
+  opts.workers = 1;
+  SessionPool pool(opts);
+  hsis::obs::Counter& analyses = hsis::obs::counter("cov.reports");
+
+  const uint64_t before = analyses.value();
+  FrameLog cold;
+  ASSERT_TRUE(pool.submit(modelCheck("pingpong", "cold"), cold.sink()));
+  ASSERT_TRUE(cold.waitDone());
+  EXPECT_EQ(analyses.value(), before + 1);
+
+  // The warm request carries the same rollup without a second analysis:
+  // the design, and so its reached set, did not change.
+  FrameLog warm;
+  ASSERT_TRUE(pool.submit(modelCheck("pingpong", "warm"), warm.sink()));
+  ASSERT_TRUE(warm.waitDone());
+  EXPECT_EQ(warm.doneCache(), "hit");
+  EXPECT_EQ(analyses.value(), before + 1);
+  for (const char* key : {"state_fraction", "values_reached", "values_total",
+                          "bins_hit", "bins_total"}) {
+    EXPECT_GE(cold.doneCoverage(key), 0.0) << key;
+    EXPECT_EQ(warm.doneCoverage(key), cold.doneCoverage(key)) << key;
+  }
+  EXPECT_EQ(pool.stats().covReports, 2u);
   pool.shutdown(false);
 }
 
