@@ -169,16 +169,17 @@ int main(int argc, char** argv) try {
       std::printf("note: %s\n", n.c_str());
     std::printf("reachable states: %.0f\n\n", env.reachedStates());
 
-    // --jobs N>1: check the property batch on a worker-thread pool, each
-    // worker on its own replica manager; reports come back in input order
-    // so everything downstream (rendering, cex artifacts) is unchanged.
+    // --jobs N>1: check the property batch on up to N workers, this thread
+    // on the session and each other worker on its own replica manager;
+    // reports come back in input order so everything downstream
+    // (rendering, cex artifacts) is unchanged.
     std::vector<hsis::BugReport> reports;
     if (jobs > 1) {
       hsis::par::BatchReport batch = hsis::par::checkBatch(
           env.session(), env.properties(), {.jobs = jobs});
-      std::printf("parallel batch: %zu properties on %d workers, "
+      std::printf("parallel batch: %zu properties on %zu workers, "
                   "%.2fs wall (%.2fs replica setup), busy speedup %.2fx\n\n",
-                  env.properties().size(), batch.jobs,
+                  env.properties().size(), batch.workerBusyMicros.size(),
                   batch.wallMicros / 1e6, batch.transferMicros / 1e6,
                   batch.theoreticalSpeedup());
       reports = std::move(batch.reports);

@@ -27,7 +27,10 @@
 // copy or destruction of its handles (plain reference counts), must come
 // from one thread at a time. Parallel checks use replicas instead:
 // par::checkBatch gives each worker its own manager and copies the design
-// into it with BddTransfer, so workers never share BDD state.
+// into it with BddTransfer, so workers never share BDD state. The one
+// concurrent use of a manager is as a transfer source: while it is
+// quiescent, several BddTransfers may read it at once (see
+// bdd_transfer.cpp).
 #pragma once
 
 #include <cassert>
@@ -315,7 +318,9 @@ class BddManager {
   void uniqueInsert(uint32_t n);
   void uniqueRemove(uint32_t n);
   void growUnique();
-  void growCache();
+  /// Grow the computed cache by doubling until it holds at least
+  /// `minSets` sets, in one allocation and one rehash.
+  void growCache(size_t minSets);
   void maybeGcOrSift();
   [[nodiscard]] bool gcDue() const { return uniqueCount_ > gcThreshold_; }
   /// The collection policy, applied after every sweep (triggered or

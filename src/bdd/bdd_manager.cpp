@@ -135,13 +135,16 @@ uint32_t BddManager::mkNode(BddVar var, uint32_t lo, uint32_t hi) {
   if (uniqueCount_ > uniqueTable_.size()) growUnique();
   // Keep the operation cache proportional to the nodes in use, or deep
   // recursions degenerate into exponential recomputation.
-  if (cacheDemand() > cache_.size() * 2) growCache();
+  if (cacheDemand() > cache_.size() * 2) growCache(cache_.size() * 2);
   return idx | outSign;
 }
 
-void BddManager::growCache() {
+void BddManager::growCache(size_t minSets) {
+  size_t sets = cache_.size();
+  while (sets < minSets) sets *= 2;
+  if (sets == cache_.size()) return;
   std::vector<CacheSet> old = std::move(cache_);
-  cache_.assign(old.size() * 2, CacheSet{});
+  cache_.assign(sets, CacheSet{});
   cacheMask_ = static_cast<uint32_t>(cache_.size() - 1);
   ++cacheGen_;  // slot numbering changed: outstanding probes must rehash
   for (const CacheSet& s : old) {
@@ -161,7 +164,7 @@ void BddManager::growCache() {
 }
 
 void BddManager::growCacheToMatch(const BddManager& source) {
-  while (cache_.size() < source.cache_.size()) growCache();
+  growCache(source.cache_.size());
 }
 
 void BddManager::uniqueInsert(uint32_t n) {
@@ -243,7 +246,7 @@ void BddManager::applyGcPolicy(size_t freed) {
   // on the live sets, which the keep-alive sweep carries over, beside the
   // fresh ones of the next collection cycle.
   const size_t want = live + std::min(live, kGcBudget);
-  while (want > cache_.size() * 2) growCache();
+  growCache((want + 1) / 2);
   HSIS_LOG_DEBUG("bdd.gc", "sweep complete",
                  {{"freed", freed}, {"live", live}, {"threshold", gcThreshold_}});
 }

@@ -8,10 +8,12 @@
 // has exactly the source's node count for the transferred roots.
 //
 // Safety contract: the source manager must be quiescent for the duration of
-// the transfer — no operations, GC, or reordering on it from any thread.
-// Reads of the source arena are then plain loads of immutable data, which is
-// how several transfers of the same source can run concurrently (one per
-// worker). The destination manager is private to the caller.
+// the transfer — no operations, GC, reordering, or handle copies and
+// destructions on it from any thread. A transfer only reads it: it takes
+// source handles by reference and never copies one, so the source's
+// reference counts are not written. Several transfers of the same source
+// can therefore run at once, one per worker, which is how par::checkBatch
+// builds its replicas. The destination manager is private to the caller.
 #include "bdd/bdd.hpp"
 
 #include <stdexcept>

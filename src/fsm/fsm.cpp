@@ -377,19 +377,33 @@ Bdd Fsm::stateFromValues(const std::vector<uint32_t>& values) const {
   return s;
 }
 
-Fsm Fsm::transferred(BddTransfer& tx, const Fsm& src) {
-  // Start from a plain copy (handles still on the source manager), then
-  // replace every symbolic member with its structural copy and rebind the
-  // variable space. Variable ids carry over verbatim: BddTransfer mirrors
-  // the source's variable universe and order in the destination.
-  Fsm out(src);
-  out.space_.rebindManager(tx.dst());
-  out.relations_ = tx.copy(src.relations_);
-  out.init_ = tx.copy(src.init_);
-  out.presentCube_ = tx.copy(src.presentCube_);
-  out.nextCube_ = tx.copy(src.nextCube_);
-  out.nonStateCube_ = tx.copy(src.nonStateCube_);
-  return out;
+// Every symbolic member is the structural copy of the source's, the rest a
+// plain copy, member by member: copying the whole Fsm first would copy (and
+// later drop) every source handle, writing the source's reference counts.
+// Variable ids carry over verbatim: BddTransfer mirrors the source's
+// variable universe and order.
+Fsm::Fsm(BddTransfer& tx, const Fsm& src)
+    : space_(src.space_),
+      name_(src.name_),
+      latches_(src.latches_),
+      stateVars_(src.stateVars_),
+      nextVars_(src.nextVars_),
+      inputVars_(src.inputVars_),
+      internalVars_(src.internalVars_),
+      signalVar_(src.signalVar_),
+      drivers_(src.drivers_),
+      relations_(tx.copy(src.relations_)),
+      init_(tx.copy(src.init_)),
+      presentCube_(tx.copy(src.presentCube_)),
+      nextCube_(tx.copy(src.nextCube_)),
+      nonStateCube_(tx.copy(src.nonStateCube_)),
+      nextToPresentMap_(src.nextToPresentMap_),
+      presentToNextMap_(src.presentToNextMap_),
+      stateBits_(src.stateBits_),
+      railPresent_(src.railPresent_),
+      railNext_(src.railNext_),
+      diagnostics_(src.diagnostics_) {
+  space_.rebindManager(tx.dst());
 }
 
 }  // namespace hsis

@@ -33,10 +33,11 @@ class Fsm {
 
   /// Replicate `src` into the transfer's destination manager: all symbolic
   /// components are structurally copied and the variable space is rebound.
-  /// The source manager must be quiescent for the duration (see
-  /// BddTransfer); the replica is fully independent afterwards. Used by the
+  /// The source is only read — none of its handles is copied — so several
+  /// replicas may be taken from one quiescent source at once (see
+  /// BddTransfer); each is fully independent afterwards. Used by the
   /// parallel batch scheduler to give each worker its own engine.
-  static Fsm transferred(BddTransfer& tx, const Fsm& src);
+  Fsm(BddTransfer& tx, const Fsm& src);
 
   [[nodiscard]] BddManager& mgr() const { return space_.mgr(); }
   [[nodiscard]] MvSpace& space() { return space_; }

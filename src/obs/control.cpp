@@ -142,10 +142,10 @@ std::optional<AbortInfo> TaskAbort::info() const {
   return AbortInfo{reason_, phase_};
 }
 
-void bindTaskAbort(TaskAbort* slot) {
+TaskAbort* bindTaskAbort(TaskAbort* slot) {
   if (slot != nullptr)
     slot->boundThread_.store(currentThreadId(), std::memory_order_relaxed);
-  detail::t_taskAbort = slot;
+  return std::exchange(detail::t_taskAbort, slot);
 }
 
 // --------------------------------------------------------- process memory
@@ -698,8 +698,11 @@ void stopObsThreads() {
 
 std::string gitSha() {
   if (const char* env = std::getenv("HSIS_GIT_SHA"); env && *env) return env;
+  // The short commit id, "-dirty" when tracked files differ from it. Tags
+  // are excluded so the id is always a bare hash.
   std::string sha;
-  if (std::FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+  if (std::FILE* p = ::popen(
+          "git describe --always --dirty --exclude='*' 2>/dev/null", "r")) {
     char buf[64];
     if (std::fgets(buf, sizeof buf, p) != nullptr) {
       sha = buf;

@@ -82,7 +82,7 @@ class TaskAbort {
   [[nodiscard]] std::optional<AbortInfo> info() const;
 
  private:
-  friend void bindTaskAbort(TaskAbort* slot);
+  friend TaskAbort* bindTaskAbort(TaskAbort* slot);
   std::atomic<bool> flag_{false};
   std::atomic<uint64_t> boundThread_{0};  ///< currentThreadId(); 0 = never
   mutable std::mutex mu_;
@@ -97,8 +97,9 @@ extern thread_local TaskAbort* t_taskAbort;
 
 /// Bind `slot` as the calling thread's task-abort slot (nullptr unbinds).
 /// Safe points reached on this thread then observe slot aborts too. The
-/// slot must outlive the binding.
-void bindTaskAbort(TaskAbort* slot);
+/// slot must outlive the binding. Returns the slot bound before, so a
+/// caller that binds its own slot for a while can restore it.
+TaskAbort* bindTaskAbort(TaskAbort* slot);
 
 /// Hot-path query: a relaxed load of the process flag plus, when the
 /// calling thread has a bound task slot, one more relaxed load.
@@ -385,8 +386,9 @@ void noteRunSubject(std::string_view subject);
 void noteRunResult(std::string_view result, std::string_view detail,
                    std::string_view digest = {});
 
-/// Best-effort commit id: a non-empty $HSIS_GIT_SHA (set by CI) or `git
-/// rev-parse --short HEAD`, else "unknown".
+/// Best-effort commit id: a non-empty $HSIS_GIT_SHA (set by CI), else the
+/// short hash of HEAD with "-dirty" appended when tracked files have
+/// uncommitted changes, else "unknown".
 std::string gitSha();
 
 /// Run the driver body; on a watchdog/user abort print what happened,

@@ -4,10 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -30,59 +30,69 @@ uint64_t nowMicros() {
           .count());
 }
 
+/// What every replica is copied from: the session's design machine and the
+/// primary checker's reachability. Only read while replicas are copied.
+struct Source {
+  BddManager& mgr;
+  const Fsm& fsm;
+  const TransitionRelation& tr;
+  const FairnessSpec& fairness;
+  const Bdd& reached;
+  const std::vector<Bdd>& onionRings;
+  size_t reachSteps;
+};
+
 /// One worker's private copy of the design's symbolic machine. Everything
-/// here lives in the replica's own manager; after construction the worker
-/// never touches the source manager again.
+/// here lives in the replica's own manager; once copied, the worker never
+/// touches the source manager again.
 struct Replica {
   BddManager mgr;
   std::unique_ptr<Fsm> fsm;                ///< heap: TR/checker hold pointers
   std::optional<TransitionRelation> tr;
   std::vector<Bdd> fairSets;
-  // Seed for CtlChecker::seedReachability, transferred from the primary
-  // checker so no worker reruns the reachability fixpoint.
+  // Seed for CtlChecker::seedReachability, so no worker reruns the
+  // reachability fixpoint.
   Bdd reached;
   std::vector<Bdd> onionRings;
   size_t reachSteps = 0;
-  /// Built on the worker thread (don't-care minimization of the seeded
-  /// reached set runs there, concurrently across replicas).
   std::unique_ptr<CtlChecker> checker;
 };
 
-/// Build one replica against the (quiescent) source session. Runs on the
-/// calling thread — serial-mode handle refcounts on the source manager are
-/// not synchronized, so transfers must not overlap.
-std::unique_ptr<Replica> buildReplica(Session& session, CtlChecker& primary,
-                                      size_t& transferredNodes) {
+/// Copy the design into a fresh replica. Runs on the worker thread, at the
+/// same time as the other workers' copies: BddTransfer only reads the
+/// source, and no source handle is copied, so its reference counts stay
+/// untouched.
+std::unique_ptr<Replica> copyReplica(const Source& src,
+                                     size_t& transferredNodes) {
   auto rep = std::make_unique<Replica>();
   // Sized like the source's cache, not from the replica's own node count:
   // the replica's checks (LC hulls above all) are the source's workload.
-  rep->mgr.growCacheToMatch(session.manager());
-  BddTransfer tx(session.manager(), rep->mgr);
-  rep->fsm = std::make_unique<Fsm>(Fsm::transferred(tx, session.fsm()));
-  rep->tr.emplace(
-      TransitionRelation::transferred(*rep->fsm, tx, session.tr()));
+  rep->mgr.growCacheToMatch(src.mgr);
+  BddTransfer tx(src.mgr, rep->mgr);
+  rep->fsm = std::make_unique<Fsm>(tx, src.fsm);
+  rep->tr.emplace(TransitionRelation::transferred(*rep->fsm, tx, src.tr));
   // Fairness Büchi sets are cheap propositional evaluations — rebuild them
   // against the replica FSM rather than transferring (same construction as
   // Session::ctlFairnessSets; the fair-edge approximation note is already
   // on the session from building the primary checker).
-  const FairnessSpec& fairness = session.fairness();
-  for (const SigExprRef& e : fairness.noStay)
+  for (const SigExprRef& e : src.fairness.noStay)
     rep->fairSets.push_back(!evalSigExpr(e, *rep->fsm));
-  for (const SigExprRef& e : fairness.buchi)
+  for (const SigExprRef& e : src.fairness.buchi)
     rep->fairSets.push_back(evalSigExpr(e, *rep->fsm));
-  for (const auto& [from, to] : fairness.fairEdges) {
+  for (const auto& [from, to] : src.fairness.fairEdges) {
     (void)from;
     rep->fairSets.push_back(evalSigExpr(to, *rep->fsm));
   }
-  rep->reached = tx.copy(primary.reached());
-  rep->onionRings = tx.copy(primary.onionRings());
-  rep->reachSteps = primary.lastStats().reachabilitySteps;
-  transferredNodes += tx.copiedNodes();
+  rep->reached = tx.copy(src.reached);
+  rep->onionRings = tx.copy(src.onionRings);
+  rep->reachSteps = src.reachSteps;
+  transferredNodes = tx.copiedNodes();
   return rep;
 }
 
-/// The per-worker half of replica setup: checker construction plus
-/// reachability seeding (which runs the don't-care TR minimization).
+/// The rest of replica setup, which no longer reads the source: checker
+/// construction plus reachability seeding (which runs the don't-care TR
+/// minimization).
 void finishReplica(Replica& rep, const Session::Options& opts) {
   McOptions mo;
   mo.earlyFailureDetection = opts.earlyFailureDetection;
@@ -92,6 +102,14 @@ void finishReplica(Replica& rep, const Session::Options& opts) {
                                              rep.fairSets, mo);
   rep.checker->seedReachability(std::move(rep.reached),
                                 std::move(rep.onionRings), rep.reachSteps);
+}
+
+/// A propositional AG invariant under early failure detection: the primary
+/// checker answers it from the cached reached set in one conjunction, far
+/// cheaper than any replica.
+bool settledByReach(const PifProperty& p, const Session::Options& opts) {
+  return opts.earlyFailureDetection && p.kind == PifProperty::Kind::Ctl &&
+         p.ctl->isInvariant();
 }
 
 }  // namespace
@@ -112,122 +130,167 @@ BatchReport checkBatch(Session& session,
   BatchReport out;
   out.jobs = std::max(1, options.jobs);
   out.reports.resize(properties.size());
-  uint64_t wallStart = nowMicros();
-
-  int workers = std::min<int>(out.jobs, static_cast<int>(properties.size()));
-  if (workers <= 1) {
-    // Serial path: exactly Session::check, property by property.
-    out.workerBusyMicros.assign(1, 0);
-    for (size_t i = 0; i < properties.size(); ++i) {
-      uint64_t t0 = nowMicros();
-      out.reports[i] = session.check(properties[i]);
-      out.workerBusyMicros[0] += nowMicros() - t0;
-    }
-    out.wallMicros = nowMicros() - wallStart;
-    return out;
-  }
+  const uint64_t wallStart = nowMicros();
 
   // Build everything shared up front, on this thread: the design machine,
-  // the primary checker, and the reachability fixpoint that every replica
-  // is seeded with (CTL and LC checks alike run on it).
+  // the primary checker, and the reachability fixpoint that settles the
+  // invariants and seeds every replica.
   session.build();
   CtlChecker& primary = session.checker();
   (void)primary.reached();
-  // Collect first: each replica sizes its computed cache like the source's
-  // (growCacheToMatch), and a collection fits the source's cache to the
-  // live set about to be copied. Without it the source's cache reflects
-  // its last collection, before the reach, and every replica would grow
-  // its own later on its worker thread.
-  session.manager().gc();
-  std::vector<std::unique_ptr<Replica>> replicas;
-  uint64_t transferStart = nowMicros();
-  replicas.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w)
-    replicas.push_back(buildReplica(session, primary, out.transferredNodes));
-  out.transferMicros = nowMicros() - transferStart;
-  HSIS_LOG_INFO("par.batch", "replicas built",
-                {{"workers", workers},
-                 {"properties", properties.size()},
-                 {"transferred_nodes", out.transferredNodes},
-                 {"transfer_micros", out.transferMicros}});
-
-  out.workerBusyMicros.assign(static_cast<size_t>(workers), 0);
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> abortedCount{0};
-  std::exception_ptr fatal;
-  std::mutex fatalMu;
-  const FairnessSpec& fairness = session.fairness();
   const Session::Options& opts = session.options();
 
-  auto workerBody = [&](int w) {
+  std::atomic<size_t> abortedCount{0};
+  // Check properties[i] with `check` under the per-property budget, which
+  // the watchdog enforces through `slot` (the thread's bound TaskAbort).
+  // A per-property abort becomes the report's "aborted:" note; a request
+  // or process-wide abort propagates. Returns the busy time.
+  auto checkOne = [&](size_t i, obs::TaskAbort& slot, auto&& check) {
+    if (options.requestAbort != nullptr && options.requestAbort->requested()) {
+      auto info = options.requestAbort->info();
+      throw obs::AbortedError(info ? info->reason : "request aborted",
+                              info ? info->phase : "par.batch");
+    }
+    const PifProperty& p = properties[i];
+    obs::Watchdog wd;  // no timeout arms nothing
+    wd.start({.wallLimitSeconds = options.propertyTimeoutSeconds,
+              .target = &slot});
+    const uint64_t t0 = nowMicros();
+    try {
+      out.reports[i] = check(p);
+    } catch (const obs::AbortedError& e) {
+      if (obs::detail::g_abortRequested.load(std::memory_order_relaxed))
+        throw;  // process-wide: stop the whole batch
+      BugReport& r = out.reports[i];
+      r.propertyName = p.name;
+      r.paradigm = p.kind == PifProperty::Kind::Ctl
+                       ? BugReport::Paradigm::ModelChecking
+                       : BugReport::Paradigm::LanguageContainment;
+      r.holds = false;
+      r.notes.push_back("aborted: " + e.reason());
+      abortedCount.fetch_add(1, std::memory_order_relaxed);
+    }
+    const uint64_t busy = nowMicros() - t0;
+    // Re-arm after the fence: a breach that landed after the check
+    // returned must not abort the next property.
+    wd.stop();
+    slot.clear();
+    return busy;
+  };
+  auto onSession = [&](const PifProperty& p) { return session.check(p); };
+
+  // The calling thread checks on the session under its own slot, like any
+  // worker; whatever slot the caller had bound comes back on every exit.
+  obs::TaskAbort callerSlot;
+  struct Rebind {
+    obs::TaskAbort* previous;
+    ~Rebind() { obs::bindTaskAbort(previous); }
+  } rebind{obs::bindTaskAbort(&callerSlot)};
+
+  // Invariants first, on the session, before any replica is built.
+  uint64_t callerBusy = 0;
+  std::vector<size_t> rest;
+  for (size_t i = 0; i < properties.size(); ++i) {
+    if (settledByReach(properties[i], opts)) {
+      callerBusy += checkOne(i, callerSlot, onSession);
+    } else {
+      rest.push_back(i);
+    }
+  }
+
+  // The caller plus one replica per further worker share what is left.
+  const size_t workers =
+      std::clamp<size_t>(rest.size(), 1, static_cast<size_t>(out.jobs));
+  const size_t replicas = workers - 1;
+  out.workerBusyMicros.assign(workers, 0);
+  out.workerBusyMicros[0] = callerBusy;
+  std::atomic<size_t> next{0};
+  std::exception_ptr fatal;
+  std::mutex fatalMu;
+  auto fail = [&] {
+    std::lock_guard<std::mutex> g(fatalMu);
+    if (!fatal) fatal = std::current_exception();
+    // Pull the remaining properties so the other workers drain quickly;
+    // a process-wide abort reaches them at their own safe points anyway.
+    next.store(rest.size(), std::memory_order_relaxed);
+  };
+  auto drain = [&](size_t w, obs::TaskAbort& slot, auto&& check) {
+    for (;;) {
+      const size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= rest.size()) break;
+      out.workerBusyMicros[w] += checkOne(rest[k], slot, check);
+    }
+  };
+
+  // Collect first: each replica sizes its computed cache like the source's
+  // (growCacheToMatch), and a collection fits the source's cache to the
+  // live set about to be copied.
+  if (replicas > 0) session.manager().gc();
+  const Source source{session.manager(),
+                      session.fsm(),
+                      session.tr(),
+                      session.fairness(),
+                      primary.reached(),
+                      primary.onionRings(),
+                      primary.lastStats().reachabilitySteps};
+  // Counted down once per replica when its copy is done: from then on the
+  // session is the caller's alone.
+  std::latch copied(static_cast<std::ptrdiff_t>(replicas));
+  std::vector<size_t> copiedNodes(replicas, 0);
+  auto workerBody = [&](size_t w) {
     obs::TaskAbort slot;
     obs::bindTaskAbort(&slot);
-    Replica& rep = *replicas[static_cast<size_t>(w)];
+    std::unique_ptr<Replica> rep;
     try {
-      finishReplica(rep, opts);
-      for (;;) {
-        if (options.requestAbort != nullptr &&
-            options.requestAbort->requested()) {
-          auto info = options.requestAbort->info();
-          throw obs::AbortedError(info ? info->reason : "request aborted",
-                                  info ? info->phase : "par.batch");
-        }
-        size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= properties.size()) break;
-        const PifProperty& p = properties[i];
-        obs::Watchdog wd;  // no timeout arms nothing
-        wd.start({.wallLimitSeconds = options.propertyTimeoutSeconds,
-                  .target = &slot});
-        uint64_t t0 = nowMicros();
-        try {
-          if (p.kind == PifProperty::Kind::Ctl) {
-            out.reports[i] = Session::checkCtlOn(*rep.checker, p.name, p.ctl);
-          } else {
-            out.reports[i] = Session::checkAutomatonOn(
-                *rep.fsm, *rep.checker, fairness, opts, p.name, p.aut);
-          }
-        } catch (const obs::AbortedError& e) {
-          if (obs::detail::g_abortRequested.load(std::memory_order_relaxed))
-            throw;  // process-wide: stop the whole batch
-          // Per-property abort (watchdog breach or explicit request on this
-          // worker's slot): report it, re-arm, take the next property.
-          BugReport& r = out.reports[i];
-          r.propertyName = p.name;
-          r.paradigm = p.kind == PifProperty::Kind::Ctl
-                           ? BugReport::Paradigm::ModelChecking
-                           : BugReport::Paradigm::LanguageContainment;
-          r.holds = false;
-          r.notes.push_back("aborted: " + e.reason());
-          abortedCount.fetch_add(1, std::memory_order_relaxed);
-        }
-        out.workerBusyMicros[static_cast<size_t>(w)] += nowMicros() - t0;
-        // Re-arm after the fence: a breach that landed after the check
-        // returned must not abort the next property.
-        wd.stop();
-        slot.clear();
-      }
+      rep = copyReplica(source, copiedNodes[w - 1]);
     } catch (...) {
-      std::lock_guard<std::mutex> g(fatalMu);
-      if (!fatal) fatal = std::current_exception();
-      // Pull the remaining properties so the other workers drain quickly;
-      // a process-wide abort reaches them at their own safe points anyway.
-      next.store(properties.size(), std::memory_order_relaxed);
+      fail();
+    }
+    copied.count_down();
+    if (rep != nullptr) {
+      try {
+        finishReplica(*rep, opts);
+        drain(w, slot, [&](const PifProperty& p) {
+          if (p.kind == PifProperty::Kind::Ctl)
+            return Session::checkCtlOn(*rep->checker, p.name, p.ctl);
+          return Session::checkAutomatonOn(*rep->fsm, *rep->checker,
+                                           source.fairness, opts, p.name,
+                                           p.aut);
+        });
+      } catch (...) {
+        fail();
+      }
+      rep.reset();  // tear the replica down on its own thread
     }
     obs::bindTaskAbort(nullptr);
   };
 
-  {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(workerBody, w);
-    for (auto& t : pool) t.join();
+  const uint64_t transferStart = nowMicros();
+  std::vector<std::jthread> pool;  // joins on every exit path
+  pool.reserve(replicas);
+  for (size_t w = 1; w <= replicas; ++w) pool.emplace_back(workerBody, w);
+  copied.wait();
+  if (replicas > 0) {
+    out.transferMicros = nowMicros() - transferStart;
+    for (size_t n : copiedNodes) out.transferredNodes += n;
+    HSIS_LOG_INFO("par.batch", "replicas built",
+                  {{"replicas", replicas},
+                   {"properties", rest.size()},
+                   {"transferred_nodes", out.transferredNodes},
+                   {"transfer_micros", out.transferMicros}});
   }
+  try {
+    drain(0, callerSlot, onSession);
+  } catch (...) {
+    fail();
+  }
+  for (auto& t : pool) t.join();
   if (fatal) std::rethrow_exception(fatal);
 
   out.aborted = abortedCount.load();
   out.wallMicros = nowMicros() - wallStart;
   obs::counter("par.batch.properties").add(properties.size());
-  obs::gauge("par.batch.jobs").set(workers);
+  obs::gauge("par.batch.jobs").set(static_cast<int64_t>(workers));
   HSIS_LOG_INFO("par.batch", "batch complete",
                 {{"properties", properties.size()},
                  {"workers", workers},

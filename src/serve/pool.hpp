@@ -53,9 +53,9 @@ struct PoolOptions {
   double slowThresholdSeconds = 0.0;
   std::string artifactDir;
   /// Property-batch fan-out per request: a request carrying more than one
-  /// property is checked by par::checkBatch on this many worker threads
-  /// (each with its own replica manager) instead of serially on the
-  /// session. 1 = off. Verdict frames are then emitted after the batch
+  /// property is checked by par::checkBatch on up to this many workers
+  /// (the pool worker on its session, each other one on its own replica
+  /// manager) instead of serially on the session. 1 = off. Verdict frames are then emitted after the batch
   /// completes, in property order, rather than streamed one by one.
   int batchJobs = 1;
   Session::Options session;

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -99,6 +100,21 @@ TEST(LedgerIdentity, EmptyGitShaEnvFallsBack) {
   } else {
     ::unsetenv("HSIS_GIT_SHA");
   }
+}
+
+TEST(LedgerIdentity, GitShaIsAShortHashWithDirtyMarkerOrUnknown) {
+  // Without the override the id comes from git: a short hash, marked
+  // "-dirty" when the tree has uncommitted changes (so a baseline recorded
+  // from an edited tree does not claim to be its parent commit), or
+  // "unknown" outside a checkout.
+  const char* saved = std::getenv("HSIS_GIT_SHA");
+  std::string restore = saved != nullptr ? saved : "";
+  ::unsetenv("HSIS_GIT_SHA");
+  const std::string sha = gitSha();
+  EXPECT_TRUE(sha == "unknown" ||
+              std::regex_match(sha, std::regex("^[0-9a-f]{7,}(-dirty)?$")))
+      << sha;
+  if (saved != nullptr) ::setenv("HSIS_GIT_SHA", restore.c_str(), 1);
 }
 
 // ------------------------------------------------------------ round trip

@@ -1,12 +1,14 @@
 // par::checkBatch — the coarse-grain property-batch scheduler. The
 // contract under test: a batch on N workers returns exactly the verdicts
-// the serial session would (each worker checks against its own replica
-// manager, so any divergence is a transfer or seeding bug), and abort
-// unwinding is contained — a watchdog breach on one worker kills only the
-// property it was checking, while a request-level abort unwinds the whole
-// batch and still leaves the session resident.
+// the serial session would (the caller checks on the session, every other
+// worker against its own replica manager, so any divergence is a transfer
+// or seeding bug); invariants the reached set settles never cost a
+// replica; and abort unwinding is contained — a watchdog breach kills only
+// the property it was checking, while a request-level abort unwinds the
+// whole batch and still leaves the session resident.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,13 @@ Session::DesignSource modelSource(const char* name) {
 
 PifFile modelPif(const char* name) {
   return parsePif(std::string(models::find(name)->pif));
+}
+
+/// Properties the session settles from its reached set before any replica
+/// is built: propositional AG invariants (early failure detection is on by
+/// default).
+bool settledByReach(const PifProperty& p) {
+  return p.kind == PifProperty::Kind::Ctl && p.ctl->isInvariant();
 }
 
 std::vector<BugReport> serialVerdicts(const char* model) {
@@ -70,10 +79,15 @@ TEST(ParBatch, VerdictsMatchSerial) {
     }
     EXPECT_EQ(batch.jobs, 4);
     EXPECT_EQ(batch.aborted, 0u);
-    EXPECT_EQ(batch.workerBusyMicros.size(),
-              std::min<size_t>(4, serial.size()));
+    // The caller settles the invariants, then it and one replica per
+    // further worker share the rest.
+    const size_t rest = static_cast<size_t>(std::count_if(
+        pif.properties.begin(), pif.properties.end(),
+        [](const PifProperty& p) { return !settledByReach(p); }));
+    const size_t workers = std::min<size_t>(4, rest);
+    EXPECT_EQ(batch.workerBusyMicros.size(), workers) << model;
     EXPECT_GE(batch.theoreticalSpeedup(), 1.0);
-    // Every multi-worker batch replicates the design once per worker.
+    ASSERT_GT(workers, 1u) << model << ": the batch must build a replica";
     EXPECT_GT(batch.transferredNodes, 0u) << model;
   }
 }
@@ -93,6 +107,68 @@ TEST(ParBatch, JobsOneIsTheSerialPath) {
     EXPECT_EQ(batch.reports[i].holds, serial[i].holds);
   EXPECT_EQ(batch.workerBusyMicros.size(), 1u);  // no replicas, no threads
   EXPECT_EQ(batch.transferredNodes, 0u);
+}
+
+TEST(ParBatch, ReachedSetInvariantsBuildNoReplica) {
+  // Every invariant is settled on the session from its reached set first;
+  // one property is left, so the caller checks it itself: no replica, one
+  // busy entry, however many jobs were asked for.
+  std::vector<BugReport> serial = serialVerdicts("philos");
+  PifFile pif = modelPif("philos");
+  std::vector<PifProperty> props;
+  std::vector<BugReport> want;
+  bool other = false;
+  for (size_t i = 0; i < pif.properties.size(); ++i) {
+    const bool settled = settledByReach(pif.properties[i]);
+    if (!settled && other) continue;
+    other = other || !settled;
+    props.push_back(pif.properties[i]);
+    want.push_back(serial[i]);
+  }
+  ASSERT_TRUE(other);
+  ASSERT_GE(props.size(), 2u) << "philos must carry an invariant";
+
+  Session s;
+  ASSERT_TRUE(s.load(modelSource("philos")));
+  s.setFairness(pif.fairness);
+  par::BatchReport batch = par::checkBatch(s, props, {.jobs = 4});
+
+  ASSERT_EQ(batch.reports.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(batch.reports[i].propertyName, want[i].propertyName);
+    EXPECT_EQ(batch.reports[i].holds, want[i].holds) << want[i].propertyName;
+    EXPECT_EQ(batch.reports[i].trace.has_value(), want[i].trace.has_value())
+        << want[i].propertyName;
+  }
+  EXPECT_EQ(batch.transferredNodes, 0u);
+  EXPECT_EQ(batch.transferMicros, 0u);
+  EXPECT_EQ(batch.workerBusyMicros.size(), 1u);
+}
+
+TEST(ParBatch, CallersTaskAbortSlotIsRestored) {
+  // hsis_serve binds a per-request slot on its worker thread and then runs
+  // the batch there. The caller checks under a slot of its own during the
+  // batch; the request's slot must be bound again afterwards, or a later
+  // budget breach would no longer reach the request's checks.
+  obs::clearAbort();
+  Session s;
+  ASSERT_TRUE(s.load(modelSource("philos")));
+  PifFile pif = modelPif("philos");
+  s.setFairness(pif.fairness);
+  obs::TaskAbort request;
+  obs::TaskAbort* before = obs::bindTaskAbort(&request);
+  par::BatchReport batch = par::checkBatch(s, pif.properties, {.jobs = 2});
+  EXPECT_EQ(batch.aborted, 0u);
+  EXPECT_EQ(obs::bindTaskAbort(before), &request);
+
+  // Also when the batch unwinds.
+  request.request("test: request budget breached");
+  before = obs::bindTaskAbort(&request);
+  par::BatchOptions bo;
+  bo.jobs = 2;
+  bo.requestAbort = &request;
+  EXPECT_THROW(par::checkBatch(s, pif.properties, bo), obs::AbortedError);
+  EXPECT_EQ(obs::bindTaskAbort(before), &request);
 }
 
 namespace {
@@ -158,25 +234,31 @@ TEST(ParBatch, WatchdogAbortsOnlyTheBreachingProperty) {
   light.ctl = parseCtl("EF b0=one");
   std::vector<PifProperty> props{heavyProp, light, light};
 
-  par::BatchOptions bo;
-  bo.jobs = 2;
-  bo.propertyTimeoutSeconds = 0.1;
-  par::BatchReport batch = par::checkBatch(s, props, bo);
+  // Two workers (the caller on the session, one replica), then the caller
+  // alone: the budget holds at jobs = 1 too. The second batch reuses the
+  // session's reached set, so it costs only the checks.
+  for (int jobs : {2, 1}) {
+    SCOPED_TRACE("jobs = " + std::to_string(jobs));
+    par::BatchOptions bo;
+    bo.jobs = jobs;
+    bo.propertyTimeoutSeconds = 0.1;
+    par::BatchReport batch = par::checkBatch(s, props, bo);
 
-  ASSERT_EQ(batch.reports.size(), 3u);
-  EXPECT_EQ(batch.aborted, 1u);
-  EXPECT_FALSE(batch.reports[0].holds);
-  ASSERT_FALSE(batch.reports[0].notes.empty());
-  EXPECT_EQ(batch.reports[0].notes.front().rfind("aborted:", 0), 0u)
-      << batch.reports[0].notes.front();
-  // The other worker — and the breaching worker after it re-arms — still
-  // delivered real verdicts.
-  EXPECT_TRUE(batch.reports[1].holds);
-  EXPECT_TRUE(batch.reports[2].holds);
+    ASSERT_EQ(batch.reports.size(), 3u);
+    EXPECT_EQ(batch.aborted, 1u);
+    EXPECT_FALSE(batch.reports[0].holds);
+    ASSERT_FALSE(batch.reports[0].notes.empty());
+    EXPECT_EQ(batch.reports[0].notes.front().rfind("aborted:", 0), 0u)
+        << batch.reports[0].notes.front();
+    // The other worker — and the breaching worker after it re-arms — still
+    // delivered real verdicts.
+    EXPECT_TRUE(batch.reports[1].holds);
+    EXPECT_TRUE(batch.reports[2].holds);
 
-  // Worker-survival: the source session is untouched by the batch abort.
-  EXPECT_TRUE(s.resident());
-  EXPECT_TRUE(s.check(light).holds);
+    // The session survives an abort of a check on it.
+    EXPECT_TRUE(s.resident());
+    EXPECT_TRUE(s.check(light).holds);
+  }
 }
 
 TEST(ParBatch, RequestAbortUnwindsTheWholeBatch) {

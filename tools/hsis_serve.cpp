@@ -6,9 +6,10 @@
 //              [--slow-threshold-s S --artifact-dir DIR]
 //              [--jobs N]
 //
-// --jobs N > 1 fans a multi-property request out onto N batch worker
-// threads (par::checkBatch), each with its own replica manager; verdict
-// frames then arrive after the batch completes, in property order.
+// --jobs N > 1 fans a multi-property request out onto up to N batch
+// workers (par::checkBatch): the pool worker itself on its session, each
+// other one with its own replica manager; verdict frames then arrive
+// after the batch completes, in property order.
 //
 // --slow-threshold-s/--artifact-dir arm slow-request auto-capture: any
 // request whose enqueue->done wall time exceeds S gets its trace/profile/
