@@ -228,6 +228,14 @@ Bdd LcChecker::fairHull(const Bdd& within) {
   return fairHull(within, false);
 }
 
+Bdd LcChecker::reachWithin(const Bdd& z, Bdd y) const {
+  while (true) {
+    Bdd y2 = y | (z & tr_->preimage(y));
+    if (y2 == y) return y;
+    y = std::move(y2);
+  }
+}
+
 Bdd LcChecker::fairHull(const Bdd& within, bool stopUnreached) {
   obs::Span span("lc.hull");
   static obs::Counter& iterations = obs::counter("lc.hull.iterations");
@@ -243,41 +251,9 @@ Bdd LcChecker::fairHull(const Bdd& within, bool stopUnreached) {
                    {{"iteration", steps}, {"nodes", z.nodeCount()}});
     Bdd zOld = z;
 
-    // Emerson-Lei steps for Büchi state sets.
-    for (const Bdd& b : buchiSets_) {
-      // Z := Z ∧ EX E[Z U (Z ∧ B)]
-      Bdd target = z & b;
-      Bdd y = target;
-      while (true) {
-        Bdd y2 = y | (z & tr_->preimage(y));
-        if (y2 == y) break;
-        y = std::move(y2);
-      }
-      z &= tr_->preimage(y);
-    }
-    // Edge sets: from Z one must be able to reach (within Z) a state that
-    // fires an E-edge back into Z.
-    for (const Bdd& e : edgeSets_) {
-      Bdd takeoff = z & preVia(e, z);
-      Bdd y = takeoff;
-      while (true) {
-        Bdd y2 = y | (z & tr_->preimage(y));
-        if (y2 == y) break;
-        y = std::move(y2);
-      }
-      z &= y;
-    }
-    // Streett pairs (L,U): remove L-states that cannot reach U within Z.
-    for (const auto& [l, u] : streett_) {
-      Bdd y = z & u;
-      while (true) {
-        Bdd y2 = y | (z & tr_->preimage(y));
-        if (y2 == y) break;
-        y = std::move(y2);
-      }
-      Bdd bad = z & l & !y;
-      z &= !bad;
-    }
+    // Cheapest first (lc.hpp). Streett pairs (L,U): drop L-states that
+    // cannot reach U within Z.
+    for (const auto& [l, u] : streett_) z &= reachWithin(z, z & u) | !l;
 
     // Every z_k contains the hull: once no initial state reaches z_k, none
     // reaches the hull. A z equal to the last one confirmed needs no EU.
@@ -285,6 +261,16 @@ Bdd LcChecker::fairHull(const Bdd& within, bool stopUnreached) {
       if (!initReaches(z)) z = fsm_->mgr().bddZero();
       reachedFromInit = z;
     }
+
+    if (!z.isZero()) {
+      // Büchi sets: Z := Z ∧ EX E[Z U (Z ∧ B)].
+      for (const Bdd& b : buchiSets_)
+        z &= tr_->preimage(reachWithin(z, z & b));
+      // Edge sets: from Z one must be able to reach (within Z) a state that
+      // fires an E-edge back into Z.
+      for (const Bdd& e : edgeSets_) z &= reachWithin(z, z & preVia(e, z));
+    }
+
     if (z == zOld || z.isZero()) {
       HSIS_LOG_DEBUG("lc.hull", "hull converged",
                      {{"iterations", steps},

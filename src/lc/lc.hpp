@@ -33,10 +33,19 @@
 // hull(R) = hull(C) ∧ R. Containment therefore fails iff some initial
 // state reaches hull(C) within C: one backward EU, stopped at the first
 // initial state. Each Emerson-Lei sweep's approximation z_k contains the
-// hull, so the same EU runs after the first sweep and after every sweep
-// that shrinks z, and the check passes as soon as no initial state
-// reaches z_k. Only a failing
-// check walks forward: fairLasso's shortest prefix into the hull's core.
+// hull, so the check passes as soon as no initial state reaches z_k. Only
+// a failing check walks forward: fairLasso's shortest prefix into the
+// hull's core.
+//
+// Each sweep runs cheapest first: the automaton's Streett pairs (a few,
+// one EU each), then the initial-state EU on every z it has not already
+// confirmed, then one EU per design Büchi set, then the fair-edge sets.
+// Every step is a monotone restriction that only shrinks z, so the
+// greatest fixpoint is the largest z fixed by all of them whatever their
+// order: the hull, and so every verdict and trace, is order-independent.
+// The order only decides how soon a passing check stops. A safety monitor
+// (`accept stay`) that holds is settled by its Streett EU and the
+// initial-state EU, before any of the design's Büchi EUs run.
 #pragma once
 
 #include <optional>
@@ -148,6 +157,8 @@ class LcChecker {
   /// Counterexample lasso from the fair hull, validated against (and if
   /// necessary re-steered through) the Streett pairs.
   std::optional<Trace> buildTrace(const Bdd& hull);
+  /// E[z U y] for y ⊆ z: the states of z that reach y within z.
+  Bdd reachWithin(const Bdd& z, Bdd y) const;
   /// States of `set` with an edge of E into `set`.
   Bdd preVia(const Bdd& e, const Bdd& set) const;
 

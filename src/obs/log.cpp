@@ -296,14 +296,17 @@ namespace {
 
 /// Double-buffered pre-rendered block: writers render into the inactive
 /// half (serialized by pubMu; publish never runs in signal context) and
-/// flip; the signal handler reads whichever half is published. A dump
-/// from normal context holds pubMu instead, since two publishes during
-/// its write would rewrite the half it reads. `active == -1` means never
-/// published.
+/// flip; the signal handler copies whichever half is published. Two
+/// publishes during that copy would rewrite the half it reads, so each
+/// half has a sequence count, odd while it is rewritten, and the handler
+/// writes its copy only when the count did not move (detail::copyIfStable).
+/// A dump from normal context holds pubMu instead, so its copy is always
+/// stable. `active == -1` means never published.
 struct PreRendered {
   static constexpr size_t kCap = 16384;
   char buf[2][kCap];
   std::atomic<uint32_t> len[2]{};
+  std::atomic<uint32_t> seq[2]{};
   std::atomic<int> active{-1};
   std::mutex pubMu;
 
@@ -316,10 +319,26 @@ struct PreRendered {
     int cur = active.load(std::memory_order_relaxed);
     int next = cur == 0 ? 1 : 0;
     size_t n = s.size() < kCap ? s.size() : 0;  // oversized -> drop, stay valid
-    len[next].store(0, std::memory_order_release);
+    const uint32_t count = seq[next].load(std::memory_order_relaxed);
+    seq[next].store(count + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
     std::memcpy(buf[next], s.data(), n);
-    len[next].store(static_cast<uint32_t>(n), std::memory_order_release);
+    len[next].store(static_cast<uint32_t>(n), std::memory_order_relaxed);
+    seq[next].store(count + 2, std::memory_order_release);
     active.store(next, std::memory_order_release);
+  }
+
+  /// Copy the published half into `out` (kCap bytes) and return its
+  /// length, or 0 when nothing is published or a publish tore the copy.
+  size_t copyPublished(char* out) const noexcept {
+    const int a = active.load(std::memory_order_acquire);
+    if (a < 0) return 0;
+    uint32_t n = 0;
+    const bool stable = detail::copyIfStable(seq[a], [&] {
+      n = len[a].load(std::memory_order_relaxed);
+      if (n <= kCap) std::memcpy(out, buf[a], n);
+    });
+    return stable && n <= kCap ? n : 0;
   }
 };
 
@@ -453,12 +472,11 @@ void writeDump(const char* reason) {
   }
 
   // Phase stacks, then census (each a pre-rendered, newline-terminated
-  // block; -1 = never published).
-  for (PreRendered* pr : {&st.phases, &st.census}) {
-    int a = pr->active.load(std::memory_order_acquire);
-    if (a < 0) continue;
-    uint32_t n = pr->len[a].load(std::memory_order_acquire);
-    if (n > 0 && n <= PreRendered::kCap) writeAll(fd, pr->buf[a], n);
+  // block), each copied out first and skipped when a publish tore it.
+  char block[PreRendered::kCap];
+  for (const PreRendered* pr : {&st.phases, &st.census}) {
+    const size_t n = pr->copyPublished(block);
+    if (n > 0) writeAll(fd, block, n);
   }
 
   // The event ring, oldest slot first, via the signal-safe raw accessor

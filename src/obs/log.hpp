@@ -32,6 +32,8 @@
 //                  a tiny signal-safe integer writer;
 //   phase_stack    re-rendered into a double buffer on every span
 //                  start/end while the recorder is installed (trace.cpp);
+//                  the handler copies the published half out and skips it
+//                  when a concurrent publish tore the copy;
 //   census         re-rendered on every BddCensus publication (prof.cpp);
 //   event lines    the logger ring, newest-overwrites-oldest.
 //
@@ -209,6 +211,21 @@ namespace detail {
 void publishPhaseStacks();
 /// Same for the single `{"kind": "census", ...}` line (prof.cpp).
 void publishCensusLine(const std::string& line);
+
+/// Sequence-count read of a pre-rendered block: runs `copy` and returns
+/// whether the block stayed stable, i.e. `seq` was even (no publish in
+/// progress) before the copy and unchanged after it. A publisher makes
+/// `seq` odd while it rewrites the block and even again when done. The
+/// signal path copies a block this way and writes the copy only when this
+/// returns true, so a block torn by a concurrent publish is skipped.
+template <typename Copy>
+bool copyIfStable(const std::atomic<uint32_t>& seq, Copy&& copy) noexcept {
+  const uint32_t before = seq.load(std::memory_order_acquire);
+  if ((before & 1u) != 0) return false;
+  copy();
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return seq.load(std::memory_order_relaxed) == before;
+}
 }  // namespace detail
 
 }  // namespace hsis::obs::flight

@@ -12,6 +12,7 @@
 #include "lc/lc.hpp"
 #include "models/models.hpp"
 #include "obs/control.hpp"
+#include "obs/obs.hpp"
 #include "par/batch.hpp"
 #include "pif/pif.hpp"
 #include "proplib/proplib.hpp"
@@ -667,6 +668,22 @@ Bdd stateCube(const Fsm& fsm, const std::vector<int8_t>& state) {
   return fsm.stateFromValues(fsm.decodeState(state));
 }
 
+/// A design built in its own manager and reached, with the reached-
+/// minimized TR a session hands the LC checker.
+struct ReachedDesign {
+  ReachedDesign(const std::string& verilog, const std::string& top)
+      : fsm(mgr, blifmv::flatten(vl2mv::compile(verilog, top))),
+        tr(TransitionRelation::partitioned(fsm)),
+        reached(reachableStates(tr, fsm.initialStates()).reached),
+        active(tr.minimized(reached)) {}
+
+  BddManager mgr;
+  Fsm fsm;
+  TransitionRelation tr;
+  Bdd reached;
+  TransitionRelation active;
+};
+
 /// Checks every automaton of `props` on the design against the forward
 /// reference (reach the product forward, then take the hull of the reached
 /// set R): hull(C) ∧ R == hull(R), check() agrees with hull(R) = ∅, and a
@@ -675,15 +692,11 @@ Bdd stateCube(const Fsm& fsm, const std::vector<int8_t>& state) {
 std::map<std::string, bool> checkedAgainstForwardHull(
     const std::string& verilog, const std::string& top,
     const std::vector<PifProperty>& props, const FairnessSpec& fairness) {
-  BddManager mgr;
-  Fsm design(mgr, blifmv::flatten(vl2mv::compile(verilog, top)));
-  TransitionRelation tr = TransitionRelation::partitioned(design);
-  Bdd reached = reachableStates(tr, design.initialStates()).reached;
-  TransitionRelation active = tr.minimized(reached);
+  ReachedDesign d(verilog, top);
   std::map<std::string, bool> verdicts;
   for (const PifProperty& p : props) {
     if (p.kind != PifProperty::Kind::Automaton) continue;
-    LcChecker lc(design, active, reached, p.aut, fairness);
+    LcChecker lc(d.fsm, d.active, d.reached, p.aut, fairness);
     const Fsm& product = lc.fsm();
     const Bdd& init = product.initialStates();
     Bdd r = reachableStates(lc.tr(), init).reached;
@@ -720,22 +733,6 @@ TEST(LcSession, BackwardDecisionMatchesForwardHull) {
                     .size();
   }
   EXPECT_GE(compared, 12u);
-
-  // The generated families, against their verdicts known by construction.
-  std::vector<perfbench::Design> scaled = {
-      perfbench::scheduler(6, false), perfbench::scheduler(8, false),
-      perfbench::philos(4, false), perfbench::philos(5, false)};
-  for (const perfbench::Design& d : scaled) {
-    PifFile pif = parsePif(d.pif);
-    std::map<std::string, bool> verdicts = checkedAgainstForwardHull(
-        d.verilog, d.top, pif.properties, pif.fairness);
-    EXPECT_EQ(verdicts.size(), 2u) << d.name;
-    for (const perfbench::Expected& e : d.verdicts) {
-      if (verdicts.count(e.property) != 0) {
-        EXPECT_EQ(verdicts[e.property], e.holds) << d.name << "/" << e.property;
-      }
-    }
-  }
 
   // The proplib automaton templates, each beside its CTL twin if it has one.
   auto e = [](const char* text) { return parseSigExpr(text); };
@@ -774,6 +771,104 @@ TEST(LcSession, BackwardDecisionMatchesForwardHull) {
     }
   }
   EXPECT_EQ(seen.size(), 2u);  // both verdicts exercised
+}
+
+TEST(LcSession, GeneratedFamiliesMatchForwardHull) {
+  // Every automaton of the generated scheduler-N and philos-N designs
+  // (perfbench's scaled workload) at small N, against the forward
+  // reference and against its verdict known by construction.
+  const std::vector<perfbench::Design> designs = {
+      perfbench::scheduler(3, false), perfbench::scheduler(4, false),
+      perfbench::scheduler(6, false), perfbench::scheduler(8, false),
+      perfbench::philos(3, false),    perfbench::philos(4, false),
+      perfbench::philos(5, false)};
+  std::set<std::string> compared;
+  for (const perfbench::Design& d : designs) {
+    PifFile pif = parsePif(d.pif);
+    std::map<std::string, bool> verdicts = checkedAgainstForwardHull(
+        d.verilog, d.top, pif.properties, pif.fairness);
+    EXPECT_EQ(verdicts.size(), 2u) << d.name;
+    for (const perfbench::Expected& e : d.verdicts) {
+      if (verdicts.count(e.property) == 0) continue;
+      EXPECT_EQ(verdicts[e.property], e.holds) << d.name << "/" << e.property;
+      compared.insert(e.property);
+    }
+  }
+  EXPECT_EQ(compared,
+            (std::set<std::string>{"alternate_01", "task0_runs_forever",
+                                   "neighbours_exclusive", "progress_p0"}));
+}
+
+// ------------------------------------------------ the sweep's cost order
+
+/// check()'s Emerson-Lei sweeps for each automaton of `pif`, by name.
+std::map<std::string, size_t> hullSweeps(const std::string& verilog,
+                                         const std::string& top,
+                                         const PifFile& pif) {
+  ReachedDesign d(verilog, top);
+  std::map<std::string, size_t> sweeps;
+  for (const PifProperty& p : pif.properties) {
+    if (p.kind != PifProperty::Kind::Automaton) continue;
+    LcChecker lc(d.fsm, d.active, d.reached, p.aut, pif.fairness);
+    sweeps[p.name] = lc.check().stats.hullIterations;
+  }
+  return sweeps;
+}
+
+TEST(LcSession, HullSweepsPinnedOnTableOneModels) {
+  // Safety monitors (accept stay) settle in one sweep. A Büchi monitor's
+  // Streett pair prunes z before the design's Büchi EUs see it, which
+  // saves each of them a sweep over running the Büchi EUs first.
+  using Sweeps = std::map<std::string, size_t>;
+  const std::map<std::string, Sweeps> pinned = {
+      {"philos", {{"neighbours_exclusive", 1}, {"progress_p0", 3}}},
+      {"pingpong",
+       {{"alternation", 1},
+        {"eventually_rally", 2},
+        {"flight_is_transient", 1},
+        {"never_both", 1},
+        {"ping_infinitely_often", 1},
+        {"pong_infinitely_often", 2}}},
+      {"gigamax", {{"coherence", 1}}},
+      {"scheduler", {{"cyclic_order", 1}, {"task0_runs_forever", 2}}},
+      {"dcnew", {{"one_transfer_at_a_time", 1}}},
+      {"2mdlc", {{"keeps_delivering", 3}}},
+  };
+  for (const models::ModelDef& m : models::all()) {
+    const std::string name(m.name);
+    ASSERT_EQ(pinned.count(name), 1u) << name;
+    EXPECT_EQ(hullSweeps(std::string(m.verilog), std::string(m.top),
+                         parsePif(std::string(m.pif))),
+              pinned.at(name))
+        << name;
+  }
+}
+
+TEST(LcSession, PassingStayMonitorSkipsTheBuchiEus) {
+  // A safety monitor that holds is settled in the first sweep by its
+  // Streett EU and the initial-state EU; the design's Büchi EUs never run,
+  // so its preimage count is the same under 12 fairness sets as under
+  // none (which still adds the one Büchi set "run forever").
+  const perfbench::Design philos = perfbench::philos(6, false);
+  PifFile pif = parsePif(philos.pif);
+  const PifProperty* stay = nullptr;
+  for (const PifProperty& p : pif.properties)
+    if (p.name == "neighbours_exclusive") stay = &p;
+  ASSERT_NE(stay, nullptr);
+  ASSERT_EQ(pif.fairness.noStay.size(), 12u);
+  ReachedDesign d(philos.verilog, philos.top);
+  obs::Counter& preimages = obs::counter("fsm.preimage.calls");
+  auto preimagesOfCheck = [&](const FairnessSpec& fairness) {
+    LcChecker lc(d.fsm, d.active, d.reached, stay->aut, fairness);
+    const uint64_t before = preimages.value();
+    LcResult r = lc.check();
+    EXPECT_TRUE(r.contained);
+    EXPECT_EQ(r.stats.hullIterations, 1u);
+    return preimages.value() - before;
+  };
+  const uint64_t fair = preimagesOfCheck(pif.fairness);
+  EXPECT_EQ(fair, preimagesOfCheck({}));
+  if (obs::kEnabled) EXPECT_GT(fair, 0u);
 }
 
 }  // namespace

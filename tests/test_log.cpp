@@ -394,6 +394,23 @@ TEST(FlightRecorder, NormalContextDumpCarriesPhasesAndRing) {
   log::clearRing();
 }
 
+TEST(FlightRecorder, CopyIfStableSkipsARewrittenBlock) {
+  std::atomic<uint32_t> seq{4};
+  int copies = 0;
+  EXPECT_TRUE(detail::copyIfStable(seq, [&] { ++copies; }));
+  EXPECT_EQ(copies, 1);
+  // A publish in progress (odd count): no copy is even attempted.
+  seq.store(5);
+  EXPECT_FALSE(detail::copyIfStable(seq, [&] { ++copies; }));
+  EXPECT_EQ(copies, 1);
+  // A publish that starts during the copy, or starts and completes.
+  seq.store(6);
+  EXPECT_FALSE(detail::copyIfStable(seq, [&] { seq.fetch_add(1); }));
+  seq.store(8);
+  EXPECT_FALSE(detail::copyIfStable(seq, [&] { seq.fetch_add(2); }));
+  EXPECT_TRUE(detail::copyIfStable(seq, [] {}));
+}
+
 TEST(FlightRecorder, AbortRequestWritesDump) {
   log::clearRing();
   fs::path dir = scratchDir("abort_dump");

@@ -192,7 +192,10 @@ std::string counterVerilog(int bits) {
     v += "  always @(posedge clk) begin\n    if (a" + S(i - 1) +
          ") begin\n      if (b" + S(i) + " == zero) b" + S(i) +
          " <= one; else b" + S(i) + " <= zero;\n    end\n  end\n";
-  for (int i = 0; i < bits; ++i) v += "  initial b" + S(i) + " = zero;\n";
+  // Every bit starts free, so every state is initial: the forward reach
+  // is one step, while EF of one state still needs 2^bits backward steps.
+  for (int i = 0; i < bits; ++i)
+    v += "  initial b" + S(i) + " = $ND(zero, one);\n";
   v += "endmodule\n";
   return v;
 }
@@ -210,11 +213,12 @@ TEST(ParBatch, WatchdogAbortsOnlyTheBreachingProperty) {
   ASSERT_TRUE(s.load(src));
   s.build();
 
-  // Heavy: EF of the all-ones state — 2^18 = 262144 fixpoint iterations
-  // with an abort poll in each. Even at well under a microsecond per
-  // iteration that is far past the 0.1s budget on any machine, so the
-  // watchdog breach is deterministic, and the property aborts mid-fixpoint
-  // rather than ever completing.
+  // Heavy: EF of the all-ones state — each counter state has one
+  // predecessor and every state is initial, so the backward fixpoint takes
+  // 2^18 = 262144 iterations with an abort poll in each. Even at well under
+  // a microsecond per iteration that is far past the 0.1s budget on any
+  // machine, so the watchdog breach is deterministic, and the property
+  // aborts mid-fixpoint rather than ever completing.
   std::string allOnes;
   for (int i = 0; i < kBits; ++i)
     allOnes += std::string(i > 0 ? " & " : "") + "b" + std::to_string(i) +
