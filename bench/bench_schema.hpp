@@ -7,12 +7,15 @@
 //     "git_sha": "f318b54",
 //     "obs_enabled": true,
 //     "config": {"repeat": 3, "warmup": 1},
+//     "host": {"nproc": 4, "cpu": "Intel(R) Xeon(R) Processor",
+//              "loadavg": 0.12, "compiler": "GNU 12.2.0",
+//              "build_type": "Release"},
 //     "cases": [
 //       {"name": "table1/philos",
 //        "runs": [{"wall_ms": 12.3, "user_ms": 11.9, "peak_rss_kb": 5120,
 //                  "aborted": null}, ...],
 //        "wall_ms_min": 12.3,
-//        "obs": { ...hsis-obs-v1 snapshot of the last run... }},
+//        "obs": { ...hsis-obs-v1 snapshot of the fastest run... }},
 //       ...
 //     ]
 //   }
@@ -21,14 +24,20 @@
 // min is the least noisy estimator of the true cost under scheduler
 // interference); a case regresses when newMin > oldMin * (1 + threshold%).
 // Aborted or missing cases are reported but never counted as regressions.
+// The host block (absent from older baselines) records where the numbers
+// were taken: CPU count and model, the 1-minute load average at the start
+// of the run, and the compiler and build type of the binary.
 #pragma once
 
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,7 +59,10 @@ struct RunStats {
 struct CaseResult {
   std::string name;
   std::vector<RunStats> runs;
-  std::string obsJson;  ///< hsis-obs-v1 snapshot of the last measured run
+  /// hsis-obs-v1 snapshot of the fastest measured run, so every figure of
+  /// the case comes from the run wall_ms_min names (of the last run when
+  /// every run aborted)
+  std::string obsJson;
 
   [[nodiscard]] bool anyAborted() const {
     for (const RunStats& r : runs)
@@ -96,12 +108,21 @@ struct CaseResult {
   }
 };
 
+struct HostInfo {
+  unsigned nproc = 0;
+  std::string cpu;
+  double loadavg = 0.0;  ///< 1-minute load average when the run started
+  std::string compiler;
+  std::string buildType;
+};
+
 struct BenchDoc {
   std::string suite;
   std::string gitSha;
   bool obsEnabled = hsis::obs::kEnabled;
   int repeat = 0;
   int warmup = 0;
+  std::optional<HostInfo> host;
   std::vector<CaseResult> cases;
 
   [[nodiscard]] const CaseResult* findCase(const std::string& name) const {
@@ -157,10 +178,13 @@ inline CaseResult runCase(const std::string& name,
     }
     stats.peakRssKb = hsis::obs::peakRssKb();
     bool aborted = stats.aborted;
+    bool fastest = !aborted && (result.obsJson.empty() ||
+                                stats.wallMs < result.wallMsMin());
     result.runs.push_back(std::move(stats));
+    if (fastest) result.obsJson = hsis::obs::snapshotJson();
     if (aborted) break;
   }
-  result.obsJson = hsis::obs::snapshotJson();
+  if (result.obsJson.empty()) result.obsJson = hsis::obs::snapshotJson();
   return result;
 }
 
@@ -202,6 +226,16 @@ inline std::string toJson(const BenchDoc& doc) {
   out += doc.obsEnabled ? "true" : "false";
   out += ",\n  \"config\": {\"repeat\": " + std::to_string(doc.repeat) +
          ", \"warmup\": " + std::to_string(doc.warmup) + "},\n";
+  if (doc.host) {
+    const HostInfo& h = *doc.host;
+    out += "  \"host\": {\"nproc\": " + std::to_string(h.nproc) + ", \"cpu\": ";
+    appendQuoted(out, h.cpu);
+    out += ", \"loadavg\": " + detail::fmt(h.loadavg) + ", \"compiler\": ";
+    appendQuoted(out, h.compiler);
+    out += ", \"build_type\": ";
+    appendQuoted(out, h.buildType);
+    out += "},\n";
+  }
   out += "  \"cases\": [";
   for (size_t i = 0; i < doc.cases.size(); ++i) {
     const CaseResult& c = doc.cases[i];
@@ -239,71 +273,95 @@ inline std::string toJson(const BenchDoc& doc) {
 
 // --------------------------------------------------------------- JSON read
 
-/// Parse a BENCH_*.json document (throws std::runtime_error on malformed
-/// input or a wrong schema tag). The nested obs snapshots are kept only as
-/// a presence check; compare works on the timing stats.
+/// Parse a BENCH_*.json document. Throws std::runtime_error on malformed
+/// input, a wrong schema tag, or a field of the wrong type or range; the
+/// message names the field. The nested obs snapshots are kept only as a
+/// presence check; compare works on the timing stats.
 inline BenchDoc parseBenchJson(const std::string& text) {
   namespace jl = hsis::obs::jsonlite;
+  constexpr const char* kSchema = "hsis-bench-v1";
   jl::Value root = jl::parse(text);
   if (!root.isObject()) throw std::runtime_error("bench json: not an object");
   const jl::Object& obj = root.object();
   const jl::Value* schema = jl::find(obj, "schema");
-  if (!schema || !schema->isString() || schema->str() != "hsis-bench-v1")
+  if (!schema || !schema->isString() || schema->str() != kSchema)
     throw std::runtime_error("bench json: schema is not hsis-bench-v1");
+  auto need = [&](const jl::Object& o, const char* key) -> const jl::Value& {
+    const jl::Value* v = jl::find(o, key);
+    if (!v) jl::fieldError(kSchema, key, "is missing");
+    return *v;
+  };
+  auto string = [&](const jl::Object& o, const char* key) {
+    return jl::str(need(o, key), kSchema, key);
+  };
+  auto each = [&](const jl::Object& o, const char* key) {
+    return jl::objects(need(o, key), kSchema, key);
+  };
+  auto millis = [&](const jl::Object& o, const char* key) {
+    double ms = jl::number(need(o, key), kSchema, key);
+    if (!(ms >= 0.0)) jl::fieldError(kSchema, key, "is negative");
+    return ms;
+  };
+
   BenchDoc doc;
-  if (const jl::Value* v = jl::find(obj, "suite"); v && v->isString())
-    doc.suite = v->str();
-  if (const jl::Value* v = jl::find(obj, "git_sha"); v && v->isString())
-    doc.gitSha = v->str();
-  if (const jl::Value* v = jl::find(obj, "obs_enabled"); v)
-    doc.obsEnabled = v->isNull() ? false : v->boolean();
-  if (const jl::Value* v = jl::find(obj, "config"); v && v->isObject()) {
-    if (const jl::Value* r = jl::find(v->object(), "repeat");
-        r && r->isNumber())
-      doc.repeat = static_cast<int>(r->number());
-    if (const jl::Value* w = jl::find(v->object(), "warmup");
-        w && w->isNumber())
-      doc.warmup = static_cast<int>(w->number());
+  if (const jl::Value* v = jl::find(obj, "suite"))
+    doc.suite = jl::str(*v, kSchema, "suite");
+  if (const jl::Value* v = jl::find(obj, "git_sha"))
+    doc.gitSha = jl::str(*v, kSchema, "git_sha");
+  if (const jl::Value* v = jl::find(obj, "obs_enabled"))
+    doc.obsEnabled = jl::boolean(*v, kSchema, "obs_enabled");
+  if (const jl::Value* v = jl::find(obj, "config")) {
+    const jl::Object& config = jl::object(*v, kSchema, "config");
+    if (const jl::Value* r = jl::find(config, "repeat"))
+      doc.repeat = jl::integer<int>(*r, kSchema, "repeat");
+    if (const jl::Value* w = jl::find(config, "warmup"))
+      doc.warmup = jl::integer<int>(*w, kSchema, "warmup");
   }
-  const jl::Value* cases = jl::find(obj, "cases");
-  if (!cases || !cases->isArray())
-    throw std::runtime_error("bench json: missing cases array");
-  for (const jl::Value& cv : cases->array()) {
-    if (!cv.isObject()) throw std::runtime_error("bench json: bad case");
-    const jl::Object& co = cv.object();
+  if (const jl::Value* v = jl::find(obj, "host")) {
+    const jl::Object& ho = jl::object(*v, kSchema, "host");
+    HostInfo host;
+    host.nproc = jl::integer<unsigned>(need(ho, "nproc"), kSchema, "nproc");
+    host.cpu = string(ho, "cpu");
+    host.loadavg = jl::number(need(ho, "loadavg"), kSchema, "loadavg");
+    host.compiler = string(ho, "compiler");
+    host.buildType = string(ho, "build_type");
+    doc.host = std::move(host);
+  }
+  for (const jl::Object* co : each(obj, "cases")) {
     CaseResult c;
-    if (const jl::Value* v = jl::find(co, "name"); v && v->isString())
-      c.name = v->str();
-    if (const jl::Value* runs = jl::find(co, "runs"); runs && runs->isArray()) {
-      for (const jl::Value& rv : runs->array()) {
-        if (!rv.isObject()) continue;
-        const jl::Object& ro = rv.object();
-        RunStats run;
-        if (const jl::Value* v = jl::find(ro, "wall_ms"); v && v->isNumber())
-          run.wallMs = v->number();
-        if (const jl::Value* v = jl::find(ro, "user_ms"); v && v->isNumber())
-          run.userMs = v->number();
-        if (const jl::Value* v = jl::find(ro, "peak_rss_kb");
-            v && v->isNumber())
-          run.peakRssKb = static_cast<uint64_t>(v->number());
-        if (const jl::Value* v = jl::find(ro, "aborted");
-            v && v->isObject()) {
-          run.aborted = true;
-          if (const jl::Value* r2 = jl::find(v->object(), "reason");
-              r2 && r2->isString())
-            run.abortReason = r2->str();
-          if (const jl::Value* p2 = jl::find(v->object(), "phase");
-              p2 && p2->isString())
-            run.abortPhase = p2->str();
-        }
-        c.runs.push_back(std::move(run));
+    c.name = string(*co, "name");
+    for (const jl::Object* ro : each(*co, "runs")) {
+      RunStats run;
+      run.wallMs = millis(*ro, "wall_ms");
+      run.userMs = millis(*ro, "user_ms");
+      run.peakRssKb = jl::integer<uint64_t>(need(*ro, "peak_rss_kb"), kSchema,
+                                            "peak_rss_kb");
+      if (const jl::Value& a = need(*ro, "aborted"); !a.isNull()) {
+        const jl::Object& ao = jl::object(a, kSchema, "aborted");
+        run.aborted = true;
+        run.abortReason = string(ao, "reason");
+        run.abortPhase = string(ao, "phase");
       }
+      c.runs.push_back(std::move(run));
     }
-    if (const jl::Value* v = jl::find(co, "obs"); v && v->isObject())
+    if (const jl::Value* v = jl::find(*co, "obs")) {
+      (void)jl::object(*v, kSchema, "obs");
       c.obsJson = "{}";  // presence marker; timings are what compare reads
+    }
     doc.cases.push_back(std::move(c));
   }
   return doc;
+}
+
+/// `text` as a T when all of it is one, else nullopt: how hsis_bench and
+/// perf_compare read their numeric flags.
+template <typename T>
+std::optional<T> parseNumber(const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || ptr == text) return std::nullopt;
+  return value;
 }
 
 // ----------------------------------------------------------------- compare

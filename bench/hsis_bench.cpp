@@ -1,8 +1,12 @@
-// hsis_bench: the unified benchmark runner. Subsumes the per-experiment
-// drivers (bench_table1, bench_reach, ...) behind a declarative scenario
-// table, runs each case warmup+repeat times with a clean metrics registry,
-// and writes a BENCH_<suite>.json baseline (schema hsis-bench-v1, see
-// bench_schema.hpp) that perf_compare can diff against a later run.
+// hsis_bench: the benchmark harness. Each of the paper's experiments is a
+// suite of cases in one declarative table (smoke, table1, reach,
+// quantify, efd, dontcare, lc_vs_mc, bdd, parallel); hsis_bench runs each
+// case warmup+repeat times with a clean metrics registry and writes a
+// BENCH_<suite>.json baseline (schema hsis-bench-v1, see bench_schema.hpp)
+// that perf_compare can diff against a later run. A case's figures other
+// than its time (reached states, TR nodes, bisimulation classes, ...) are
+// in the hsis-obs-v1 snapshot each case embeds: the engine's own metrics,
+// plus a bench.* gauge where the engine keeps none.
 //
 //   hsis_bench --list
 //   hsis_bench --suite table1 --repeat 3 --stats-json out/
@@ -10,12 +14,14 @@
 //
 // --stats-json takes either a directory (gets BENCH_<suite>.json inside)
 // or an explicit .json path. --trace-out DIR writes one Chrome trace
-// (phase spans plus profiler counter tracks) per case as
+// (phase spans plus profiler counter tracks) of each case's last run as
 // TRACE_<case>.json, mirroring how --stats-json names baselines. The
 // shared obs flags (--heartbeat, --timeout-s, --mem-limit-mb, --profile)
 // work like in every other driver; a watchdog abort stops the suite but
 // the baseline written so far is still valid, with the aborted case
-// marked, and the exit code is 3.
+// marked, and the exit code is 3. --list builds every suite's table:
+// each design is compiled, each seeded bug's patch site found, and the
+// synthetic netlist built, without running a case.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -23,17 +29,20 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_schema.hpp"
-#include "hsis/environment.hpp"
+#include "fsm/quantify.hpp"
 #include "hsis/session.hpp"
 #include "minimize/bisim.hpp"
 #include "models/models.hpp"
 #include "obs/control.hpp"
 #include "obs/version.hpp"
+#include "paper_cases.hpp"
 #include "par/batch.hpp"
 #include "vl2mv/vl2mv.hpp"
 
@@ -42,24 +51,28 @@ namespace {
 struct Case {
   std::string name;
   std::function<void()> body;
+  /// Too slow to repeat (seconds per run): runs once, with no warmup,
+  /// whatever --repeat and --warmup say.
+  bool once = false;
 };
 
 // ------------------------------------------------------------ case bodies
+
+void setGauge(const char* name, double value) {
+  hsis::obs::gauge(name).set(static_cast<int64_t>(value));
+}
 
 void verifyModel(const hsis::models::ModelDef& model) {
   // Runs on hsis::Session directly — the same load/build/check path an
   // hsis_serve worker takes, so these numbers transfer to the service.
   hsis::Session session;
-  hsis::Session::DesignSource src;
-  src.kind = hsis::Session::DesignSource::Kind::Verilog;
-  src.text = std::string(model.verilog);
-  src.top = std::string(model.top);
-  session.load(src);
-  session.build();
+  hsisbench::loadVerilog(session, std::string(model.verilog), model.top);
   hsis::PifFile pif = hsis::parsePif(std::string(model.pif));
   session.setFairness(pif.fairness);
   (void)session.reachedStates();
   for (const hsis::PifProperty& p : pif.properties) (void)session.check(p);
+  setGauge("bench.lines.verilog", session.linesVerilog());
+  setGauge("bench.lines.blifmv", session.linesBlifMv());
 }
 
 /// Compiled+flattened design shared across the repeats of a case so the
@@ -89,12 +102,59 @@ hsis::Bdd randomFunction(hsis::BddManager& m, std::mt19937& rng, uint32_t vars,
   return f;
 }
 
+/// The paper's Section-4 data point: "around 1600 relations had to be
+/// multiplied and 1500 variables had to be quantified out. Determining the
+/// schedule and performing the multiplication and quantification takes
+/// only several seconds." A netlist of that scale: 100 latches, each fed
+/// by a cone of 15 two-input gates chained through fresh wires (the
+/// quantified variables) and mixing in a neighbour latch.
+struct SyntheticNetlist {
+  hsis::BddManager mgr;
+  std::vector<hsis::Bdd> relations;
+  std::vector<bool> quantifiable;
+
+  SyntheticNetlist() {
+    constexpr uint32_t kLatches = 100;
+    constexpr uint32_t kDepth = 15;  // wires per latch cone
+    // Present/next rails interleaved (the ordering rule of [1]); wires
+    // below them.
+    std::vector<hsis::BddVar> state, next, wires;
+    for (uint32_t l = 0; l < kLatches; ++l) {
+      state.push_back(mgr.newVar());
+      next.push_back(mgr.newVar());
+    }
+    auto equiv = [&](hsis::BddVar out, const hsis::Bdd& fn) {
+      hsis::Bdd fo = mgr.bddVar(out);
+      return (fo & fn) | ((!fo) & !fn);
+    };
+    for (uint32_t l = 0; l < kLatches; ++l) {
+      hsis::BddVar prev = state[l];
+      for (uint32_t d = 0; d < kDepth; ++d) {
+        hsis::BddVar w = mgr.newVar();
+        hsis::Bdd a = mgr.bddVar(prev);
+        hsis::Bdd b = mgr.bddVar(state[(l + d % 2) % kLatches]);
+        relations.push_back(
+            equiv(w, d % 3 == 0 ? (a & b) : d % 3 == 1 ? (a | b) : (a ^ b)));
+        wires.push_back(w);
+        prev = w;
+      }
+      relations.push_back(equiv(next[l], mgr.bddVar(prev)));
+    }
+    quantifiable.assign(mgr.numVars(), false);
+    for (hsis::BddVar w : wires) quantifiable[w] = true;
+  }
+};
+
 // --------------------------------------------------------------- the table
 
 std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
   std::vector<Case> cases;
-  auto add = [&](std::string name, std::function<void()> body) {
-    cases.push_back({std::move(name), std::move(body)});
+  auto add = [&](std::string name, std::function<void()> body,
+                 bool once = false) {
+    cases.push_back({std::move(name), std::move(body), once});
+  };
+  auto caseName = [&](std::string_view design, const std::string& rest) {
+    return suite + "/" + std::string(design) + "/" + rest;
   };
 
   if (suite == "smoke") {
@@ -117,16 +177,19 @@ std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
     });
   } else if (suite == "table1") {
     // The paper's Table 1: every bundled design through read + build +
-    // reachability + all of its PIF properties.
+    // reachability + all of its PIF properties. The columns are in the
+    // snapshot: bench.lines.*, env.read.micros, env.reached.states,
+    // env.props.{lc,ctl} and env.{lc,mc}.micros.
     for (const auto& model : hsis::models::all()) {
       add(std::string("table1/") + std::string(model.name),
           [&model] { verifyModel(model); });
     }
   } else if (suite == "reach") {
-    // Monolithic vs partitioned transition relations (bench_reach).
-    for (const char* name : {"philos", "pingpong", "gigamax"}) {
-      const auto* model = hsis::models::find(name);
-      FlatPtr flat = flatten(*model);
+    // Monolithic vs partitioned transition relations for reachability and
+    // one preimage of the reached set (the paper's future-work item 4).
+    // 2mdlc/part-500 is the clustering cliff: seconds per run, so once.
+    for (const auto& model : hsis::models::all()) {
+      FlatPtr flat = flatten(model);
       struct Config {
         const char* label;
         bool partitioned;
@@ -135,102 +198,139 @@ std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
       for (const Config& cfg : {Config{"monolithic", false, 0},
                                 Config{"part-5000", true, 5000},
                                 Config{"part-500", true, 500}}) {
-        add(std::string("reach/") + name + "/" + cfg.label, [flat, cfg] {
-          hsis::BddManager mgr;
-          hsis::Fsm fsm(mgr, *flat);
-          auto tr = cfg.partitioned
-                        ? hsis::TransitionRelation::partitioned(fsm, cfg.limit)
-                        : hsis::TransitionRelation::monolithic(fsm);
-          auto rr = hsis::reachableStates(tr, fsm.initialStates());
-          (void)tr.preimage(rr.reached);
-        });
+        add(caseName(model.name, cfg.label),
+            [flat, cfg] {
+              hsis::BddManager mgr;
+              hsis::Fsm fsm(mgr, *flat);
+              auto tr =
+                  cfg.partitioned
+                      ? hsis::TransitionRelation::partitioned(fsm, cfg.limit)
+                      : hsis::TransitionRelation::monolithic(fsm);
+              auto rr = hsis::reachableStates(tr, fsm.initialStates());
+              (void)tr.preimage(rr.reached);
+            },
+            model.name == "2mdlc" && cfg.limit == 500);
       }
     }
   } else if (suite == "quantify") {
-    // Early-quantification planners on the monolithic product.
-    for (const char* name : {"philos", "pingpong", "gigamax"}) {
-      const auto* model = hsis::models::find(name);
-      FlatPtr flat = flatten(*model);
-      for (hsis::QuantMethod method :
-           {hsis::QuantMethod::Greedy, hsis::QuantMethod::Tree}) {
-        add(std::string("quantify/") + name + "/" + toString(method),
-            [flat, method] {
-              hsis::BddManager mgr;
-              hsis::Fsm fsm(mgr, *flat);
-              (void)hsis::TransitionRelation::monolithic(fsm, method);
+    // Early quantification (Section 4): the monolithic product under each
+    // planner, the naive baseline where it does not explode, and the
+    // synthetic netlist at the paper's scale.
+    for (const auto& model : hsis::models::all()) {
+      FlatPtr flat = flatten(model);
+      std::vector<hsis::QuantMethod> methods{hsis::QuantMethod::Greedy,
+                                             hsis::QuantMethod::Tree};
+      if (model.name == "philos" || model.name == "pingpong")
+        methods.push_back(hsis::QuantMethod::Naive);
+      for (hsis::QuantMethod method : methods) {
+        add(caseName(model.name, toString(method)), [flat, method] {
+          hsis::BddManager mgr;
+          hsis::Fsm fsm(mgr, *flat);
+          hsis::QuantExecStats stats;
+          (void)hsis::TransitionRelation::monolithic(fsm, method, &stats);
+          setGauge("bench.quant.relations", fsm.relations().size());
+          setGauge("bench.quant.vars", mgr.support(fsm.nonStateCube()).size());
+          setGauge("bench.quant.peak_nodes", stats.peakIntermediateNodes);
+        });
+      }
+    }
+    auto net = std::make_shared<SyntheticNetlist>();
+    for (hsis::QuantMethod method :
+         {hsis::QuantMethod::Greedy, hsis::QuantMethod::Tree}) {
+      add(caseName("synthetic", toString(method)), [net, method] {
+        net->mgr.clearCaches();
+        hsis::QuantPlan plan = hsis::planQuantification(
+            net->mgr, net->relations, net->quantifiable, method);
+        hsis::QuantExecStats stats;
+        hsis::Bdd t = hsis::executePlan(net->mgr, plan, net->relations, &stats);
+        setGauge("bench.quant.relations", net->relations.size());
+        setGauge("bench.quant.vars",
+                 std::count(net->quantifiable.begin(),
+                            net->quantifiable.end(), true));
+        setGauge("bench.quant.peak_nodes", stats.peakIntermediateNodes);
+        setGauge("bench.quant.result_nodes", t.nodeCount());
+      });
+    }
+  } else if (suite == "efd") {
+    // Early failure detection (Section 5.4) on the seeded bugs: every
+    // invariant fails; bench.efd.steps is how many reachability steps the
+    // check took before it did.
+    for (const hsisbench::SeededBug& bug : hsisbench::kSeededBugs) {
+      std::string verilog = hsisbench::seededVerilog(bug);
+      for (bool efd : {true, false}) {
+        add(caseName(bug.design, efd ? "efd-on" : "efd-off"),
+            [&bug, verilog, efd] {
+              hsisbench::SeededRun run =
+                  hsisbench::checkSeeded(bug, verilog, efd);
+              setGauge("bench.efd.steps", run.steps);
             });
       }
     }
-  } else if (suite == "efd") {
-    // Early failure detection on a seeded gigamax bug (bench_efd).
-    std::string verilog(hsis::models::find("gigamax")->verilog);
-    const char* from = "if (st == owned) st <= shared;   // supply data, demote";
-    size_t pos = verilog.find(from);
-    if (pos != std::string::npos)
-      verilog.replace(pos, std::strlen(from), "st <= st;");
-    const char* property =
-        "AG ((p0.st=owned -> (p1.st=invalid & p2.st=invalid)) & "
-        "(p1.st=owned -> (p0.st=invalid & p2.st=invalid)) & "
-        "(p2.st=owned -> (p0.st=invalid & p1.st=invalid)))";
-    for (bool efd : {true, false}) {
-      add(std::string("efd/gigamax/") + (efd ? "efd-on" : "efd-off"),
-          [verilog, property, efd] {
-            hsis::Environment::Options opts;
-            opts.earlyFailureDetection = efd;
-            opts.wantTraces = false;
-            hsis::Environment env(opts);
-            env.readVerilog(verilog);
-            env.build();
-            (void)env.verifyCtl("seeded", hsis::parseCtl(property));
-          });
-    }
   } else if (suite == "dontcare") {
-    // Restrict-minimized transition relations plus a bisimulation pass.
-    for (const char* name : {"pingpong", "philos", "gigamax"}) {
-      const auto* model = hsis::models::find(name);
-      FlatPtr flat = flatten(*model);
-      add(std::string("dontcare/") + name + "/minimize", [flat] {
+    // Don't cares (Section 2, item 3): restrict-minimizing the TR by the
+    // reached set, model checking with and without reached don't cares,
+    // and bisimulation classes as don't cares.
+    for (const auto& model : hsis::models::all()) {
+      FlatPtr flat = flatten(model);
+      add(caseName(model.name, "minimize"), [flat] {
         hsis::BddManager mgr;
         hsis::Fsm fsm(mgr, *flat);
         auto tr = hsis::TransitionRelation::partitioned(fsm);
         auto rr = hsis::reachableStates(tr, fsm.initialStates());
-        (void)tr.minimized(rr.reached);
+        setGauge("bench.dontcare.minimized_nodes",
+                 tr.minimized(rr.reached).totalNodes());
       });
-      add(std::string("dontcare/") + name + "/bisim", [flat] {
+      for (bool dc : {true, false}) {
+        add(caseName(model.name, dc ? "mc-dc" : "mc-nodc"), [flat, dc] {
+          hsis::BddManager mgr;
+          hsis::Fsm fsm(mgr, *flat);
+          auto tr = hsis::TransitionRelation::partitioned(fsm);
+          hsis::McOptions opts;
+          opts.useReachedDontCares = dc;
+          opts.wantTrace = false;
+          hsis::CtlChecker mc(fsm, tr, {}, opts);
+          (void)mc.check(hsis::parseCtl(
+              "AG EF " + fsm.latchName(0) + "=" +
+              fsm.space().valueName(fsm.stateVar(0), 0)));
+        });
+      }
+    }
+    // dcnew's bisimulation takes seconds, so it runs once.
+    for (const char* name : {"pingpong", "philos", "gigamax", "dcnew"}) {
+      FlatPtr flat = flatten(*hsis::models::find(name));
+      add(caseName(name, "bisim"), [flat] {
         hsis::BddManager mgr;
         hsis::Fsm fsm(mgr, *flat);
         auto tr = hsis::TransitionRelation::monolithic(fsm);
         auto rr = hsis::reachableStates(tr, fsm.initialStates());
+        // Observe the first latch's zero value, a typical property atom,
+        // and shrink its reached (class-closed) set to representatives.
         std::vector<hsis::Bdd> obs{fsm.space().literal(fsm.stateVar(0), 0)};
-        (void)hsis::bisimulation(fsm, tr, obs, rr.reached);
-      });
+        hsis::BisimResult bisim = hsis::bisimulation(fsm, tr, obs, rr.reached);
+        hsis::Bdd set = obs[0] & rr.reached;
+        hsis::Bdd shrunk = hsis::shrinkToRepresentatives(fsm, bisim, set);
+        setGauge("bench.bisim.states", fsm.countStates(rr.reached));
+        setGauge("bench.bisim.classes", bisim.classCount);
+        setGauge("bench.bisim.set_nodes", set.nodeCount());
+        setGauge("bench.bisim.shrunk_nodes", shrunk.nodeCount());
+      }, std::strcmp(name, "dcnew") == 0);
     }
   } else if (suite == "lc_vs_mc") {
-    // The matched pingpong invariance pair from bench_lc_vs_mc.
-    const char* ctl = R"PIF(ctl p "AG !(ball=ping_side & ball=pong_side)";)PIF";
-    const char* automaton =
-        R"PIF(automaton p { state ok init; state bad;
-          edge ok -> ok on "!(ping_has & pong_has)";
-          edge ok -> bad on "ping_has & pong_has";
-          edge bad -> bad on "1"; accept stay ok; })PIF";
-    const auto* model = hsis::models::find("pingpong");
-    for (bool mc : {true, false}) {
-      std::string prop = mc ? ctl : automaton;
-      add(std::string("lc_vs_mc/pingpong/") + (mc ? "mc" : "lc"),
-          [model, prop] {
-            hsis::Environment env;
-            env.readVerilog(std::string(model->verilog),
-                            std::string(model->top));
-            env.build();
-            (void)env.reachedStates();
-            hsis::PifFile pif = hsis::parsePif(prop);
-            (void)env.verify(pif.properties.at(0));
-          });
+    // Section 5.2: each matched pair's requirement checked as CTL (mc) and
+    // as an automaton (lc), after reachability.
+    for (const hsisbench::MatchedPair& pair : hsisbench::kMatchedPairs) {
+      for (bool mc : {true, false}) {
+        std::string kind = std::string(pair.kind) + (mc ? "/mc" : "/lc");
+        add(caseName(pair.design, kind),
+            [&pair, mc] { (void)hsisbench::checkMatched(pair, mc); });
+      }
     }
   } else if (suite == "bdd") {
-    // BDD package micros (a subset of bench_bdd, without google-benchmark).
+    // BDD package micros: the primitive operations every algorithm is
+    // built from.
     for (uint32_t nv : {16u, 32u}) {
-      add("bdd/ite/" + std::to_string(nv), [nv] {
+      const std::string n = std::to_string(nv);
+      add("bdd/ite/" + n, [nv] {
         hsis::BddManager m(nv);
         std::mt19937 rng(1);
         hsis::Bdd f = randomFunction(m, rng, nv, 32);
@@ -241,7 +341,7 @@ std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
           m.clearCaches();
         }
       });
-      add("bdd/and-exists/" + std::to_string(nv), [nv] {
+      add("bdd/and-exists/" + n, [nv] {
         hsis::BddManager m(nv);
         std::mt19937 rng(2);
         hsis::Bdd f = randomFunction(m, rng, nv, 32);
@@ -253,7 +353,7 @@ std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
           m.clearCaches();
         }
       });
-      add("bdd/not/" + std::to_string(nv), [nv] {
+      add("bdd/not/" + n, [nv] {
         // With complement edges negation is a bit flip: this case should
         // stay flat no matter how big the operand gets.
         hsis::BddManager m(nv);
@@ -261,7 +361,56 @@ std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
         hsis::Bdd f = randomFunction(m, rng, nv, 32);
         for (int i = 0; i < 4096; ++i) f = !f;
       });
+      add("bdd/permute/" + n, [nv] {
+        // Swap the two halves of the variables, as the present/next rails
+        // are swapped after an image.
+        hsis::BddManager m(nv);
+        std::mt19937 rng(3);
+        hsis::Bdd f = randomFunction(m, rng, nv / 2, 32);
+        std::vector<hsis::BddVar> map(nv);
+        for (hsis::BddVar v = 0; v < nv / 2; ++v) {
+          map[v] = v + nv / 2;
+          map[v + nv / 2] = v;
+        }
+        for (int i = 0; i < 32; ++i) {
+          (void)m.permute(f, map);
+          m.clearCaches();
+        }
+      });
     }
+    for (int cubes : {16, 128}) {
+      add("bdd/satcount/" + std::to_string(cubes), [cubes] {
+        hsis::BddManager m(24);
+        std::mt19937 rng(4);
+        hsis::Bdd f = randomFunction(m, rng, 24, cubes);
+        for (int i = 0; i < 64; ++i) (void)m.satCount(f, 24);
+      });
+    }
+    add("bdd/sift", [] {
+      // The interleaved conjunction x0&x1 | x2&x3 | ... built under the
+      // adversarial order (evens, then odds), then sifted.
+      for (int i = 0; i < 16; ++i) {
+        hsis::BddManager m(16);
+        std::vector<hsis::BddVar> badOrder;
+        for (hsis::BddVar v = 0; v < 16; v += 2) badOrder.push_back(v);
+        for (hsis::BddVar v = 1; v < 16; v += 2) badOrder.push_back(v);
+        m.setOrder(badOrder);
+        hsis::Bdd f = m.bddZero();
+        for (hsis::BddVar v = 0; v < 16; v += 2)
+          f |= m.bddVar(v) & m.bddVar(v + 1);
+        m.sift();
+      }
+    });
+    add("bdd/gc", [] {
+      // One live function and rounds of 2000 dead ones, collected.
+      hsis::BddManager m(16);
+      std::mt19937 rng(5);
+      hsis::Bdd keep = randomFunction(m, rng, 16, 64);
+      for (int round = 0; round < 4; ++round) {
+        for (int i = 0; i < 2000; ++i) (void)randomFunction(m, rng, 16, 4);
+        m.gc();
+      }
+    });
     add("bdd/gc-churn", [] {
       // A fixpoint-shaped loop in the band where a collector that waits
       // for a fixed total node count collects most often: ~10K nodes stay
@@ -308,12 +457,8 @@ std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
         add("parallel/batch/" + std::string(name) + "/j" + std::to_string(k),
             [model, k] {
               hsis::Session session;
-              hsis::Session::DesignSource src;
-              src.kind = hsis::Session::DesignSource::Kind::Verilog;
-              src.text = std::string(model->verilog);
-              src.top = std::string(model->top);
-              session.load(src);
-              session.build();
+              hsisbench::loadVerilog(session, std::string(model->verilog),
+                                     model->top);
               hsis::PifFile pif = hsis::parsePif(std::string(model->pif));
               session.setFairness(pif.fairness);
               (void)hsis::par::checkBatch(session, pif.properties,
@@ -323,6 +468,25 @@ std::vector<Case> makeSuite(const std::string& suite, int maxThreads = 4) {
     }
   }
   return cases;
+}
+
+/// The host block of a baseline: read once, when the run starts.
+hsisbench::HostInfo currentHost() {
+  hsisbench::HostInfo host;
+  host.nproc = std::thread::hardware_concurrency();
+  host.cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      size_t start = line.find_first_not_of(" \t:", line.find(':'));
+      if (start != std::string::npos) host.cpu = line.substr(start);
+      break;
+    }
+  }
+  std::ifstream("/proc/loadavg") >> host.loadavg;
+  host.compiler = HSIS_BENCH_COMPILER;
+  host.buildType = HSIS_BENCH_BUILD_TYPE;
+  return host;
 }
 
 const char* const kSuites[] = {"smoke",    "table1",   "reach",
@@ -341,7 +505,8 @@ int usage(const char* argv0) {
       "          [--ledger PATH] [--flight-dir DIR]\n"
       "suites: smoke table1 reach quantify efd dontcare lc_vs_mc bdd "
       "parallel\n"
-      "--threads caps the parallel suite's thread sweep (default 4)\n",
+      "--threads caps the parallel suite's thread sweep (default 4)\n"
+      "a case listed as (runs once) ignores --repeat and --warmup\n",
       argv0);
   return 2;
 }
@@ -373,11 +538,21 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&]() {
+      const char* text = value();
+      std::optional<int> n = hsisbench::parseNumber<int>(text);
+      if (!n) {
+        std::fprintf(stderr, "%s needs a whole number, got '%s'\n",
+                     arg.c_str(), text);
+        std::exit(usage(argv[0]));
+      }
+      return *n;
+    };
     if (arg == "--suite") suite = value();
-    else if (arg == "--repeat") repeat = std::atoi(value());
-    else if (arg == "--warmup") warmup = std::atoi(value());
+    else if (arg == "--repeat") repeat = count();
+    else if (arg == "--warmup") warmup = count();
     else if (arg == "--filter") filter = value();
-    else if (arg == "--threads") threads = std::atoi(value());
+    else if (arg == "--threads") threads = count();
     else if (arg == "--trace-out") traceOut = value();
     else if (arg == "--list") list = true;
     else return usage(argv[0]);
@@ -386,15 +561,6 @@ int main(int argc, char** argv) {
   if (warmup < 0) warmup = 0;
   if (threads < 1) threads = 1;
 
-  if (list) {
-    for (const char* s : kSuites) {
-      std::printf("%s\n", s);
-      for (const Case& c : makeSuite(s, threads))
-        std::printf("  %s\n", c.name.c_str());
-    }
-    return 0;
-  }
-
   bool known = false;
   for (const char* s : kSuites) known |= suite == s;
   if (!known) {
@@ -402,7 +568,24 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  std::vector<Case> cases = makeSuite(suite, threads);
+  // Building a table compiles its designs and patches the seeded bugs; a
+  // design or patch site that no longer fits is reported here.
+  std::vector<Case> cases;
+  try {
+    if (list) {
+      for (const char* s : kSuites) {
+        std::printf("%s\n", s);
+        for (const Case& c : makeSuite(s, threads))
+          std::printf("  %s%s\n", c.name.c_str(),
+                      c.once ? "  (runs once)" : "");
+      }
+      return 0;
+    }
+    cases = makeSuite(suite, threads);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "hsis_bench: %s\n", e.what());
+    return 2;
+  }
   if (!filter.empty()) {
     std::erase_if(cases, [&](const Case& c) {
       return c.name.find(filter) == std::string::npos;
@@ -418,6 +601,7 @@ int main(int argc, char** argv) {
   doc.gitSha = hsis::obs::gitSha();
   doc.repeat = repeat;
   doc.warmup = warmup;
+  doc.host = currentHost();
 
   bool aborted = false;
   std::printf("suite %s: %zu cases, repeat=%d warmup=%d%s\n", suite.c_str(),
@@ -428,7 +612,8 @@ int main(int argc, char** argv) {
     std::printf("%-40s ", c.name.c_str());
     std::fflush(stdout);
     hsisbench::CaseResult result =
-        hsisbench::runCase(c.name, c.body, repeat, warmup);
+        hsisbench::runCase(c.name, c.body, c.once ? 1 : repeat,
+                           c.once ? 0 : warmup);
     if (result.anyAborted()) {
       const hsisbench::RunStats& last = result.runs.back();
       std::printf("ABORTED (%s)\n", last.abortReason.c_str());

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -59,15 +60,23 @@ int main(int argc, char** argv) {
   double noisePct = 0.0;
   bool reportOnly = false;
   for (int i = 1; i < argc; ++i) {
+    auto percent = [&](double& out) {
+      std::optional<double> v;
+      if (i + 1 < argc) v = hsisbench::parseNumber<double>(argv[i + 1]);
+      if (!v) {
+        std::fprintf(stderr, "perf_compare: %s needs a number\n", argv[i]);
+        return false;
+      }
+      out = *v;
+      ++i;
+      return true;
+    };
     if (std::strcmp(argv[i], "--threshold") == 0) {
-      if (i + 1 >= argc) return usage();
-      threshold = std::atof(argv[++i]);
+      if (!percent(threshold)) return usage();
     } else if (std::strcmp(argv[i], "--mem-threshold") == 0) {
-      if (i + 1 >= argc) return usage();
-      memThreshold = std::atof(argv[++i]);
+      if (!percent(memThreshold)) return usage();
     } else if (std::strcmp(argv[i], "--noise-pct") == 0) {
-      if (i + 1 >= argc) return usage();
-      noisePct = std::atof(argv[++i]);
+      if (!percent(noisePct)) return usage();
     } else if (std::strcmp(argv[i], "--report-only") == 0) {
       reportOnly = true;
     } else if (!oldPath) {
@@ -103,6 +112,16 @@ int main(int argc, char** argv) {
     std::printf(
         "note: comparing an obs-enabled build against an obs-disabled one; "
         "absolute times are not like-for-like\n");
+  }
+  if (oldDoc.host && newDoc.host &&
+      (oldDoc.host->nproc != newDoc.host->nproc ||
+       oldDoc.host->cpu != newDoc.host->cpu ||
+       oldDoc.host->buildType != newDoc.host->buildType)) {
+    std::printf("note: baselines from different hosts (%u x %s, %s vs %u x "
+                "%s, %s); absolute times are not like-for-like\n",
+                oldDoc.host->nproc, oldDoc.host->cpu.c_str(),
+                oldDoc.host->buildType.c_str(), newDoc.host->nproc,
+                newDoc.host->cpu.c_str(), newDoc.host->buildType.c_str());
   }
   char memBuf[32] = "off";
   if (memThreshold > 0.0)

@@ -11,7 +11,7 @@
 //    (stderr table or JSONL) every N ms, with deltas, so a stuck
 //    `fsm.reach` or `lc.hull` is visible while it runs.
 //  - shared `--heartbeat/--timeout-s/--mem-limit-mb/--stats-json` flag
-//    handling for every driver (bench drivers, hsis_cli, hsis_bench).
+//    handling for every driver (hsis_cli, hsis_bench, the tools).
 //
 // One thread, the TICKER (`obs.ticker`), does all obs timing: the
 // heartbeat, the sampling profiler (obs/prof) and every Watchdog are
@@ -362,7 +362,7 @@ void stopObsThreads();
 // abort and returns exit code 3; the atexit exporters then still run.
 
 struct DriverObsInit {
-  std::string driverName;    ///< ledger "driver" field, e.g. "bench_reach"
+  std::string driverName;    ///< ledger "driver" field, e.g. "hsis_bench"
   bool ownStatsJson = false; ///< driver interprets --stats-json itself
   bool ownLedger = false;    ///< driver appends per-case ledger records
 };

@@ -38,7 +38,7 @@ namespace hsis::obs::ledger {
 struct Record {
   std::string runId;      ///< "<unix-seconds>-<pid>"; shared by one process
   std::string time;       ///< ISO-8601 UTC, e.g. "2026-08-07T12:34:56Z"
-  std::string driver;     ///< "hsis_cli", "hsis_bench", "bench_reach", ...
+  std::string driver;     ///< "hsis_cli", "hsis_bench", "hsis_serve", ...
   std::string subject;    ///< design / "suite/case" / property name
   std::string result;     ///< "pass" | "fail" | "aborted" | "crashed" |
                           ///< "completed" (no pass/fail semantics)

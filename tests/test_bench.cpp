@@ -8,7 +8,9 @@
 // HSIS_OBS_DISABLE build (live-value assertions are gated on obs::kEnabled).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_schema.hpp"
@@ -17,6 +19,7 @@
 #include "obs/control.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/obs.hpp"
+#include "paper_cases.hpp"
 
 namespace hsisbench {
 namespace {
@@ -103,6 +106,91 @@ TEST(BenchSchema, EmbeddedObsSnapshotStaysParseable) {
   EXPECT_EQ(schema->str(), "hsis-obs-v1");
 }
 
+/// The reader's error for `json` with `from` replaced by `to` ("" when it
+/// parses).
+std::string errorWith(std::string json, const std::string& from,
+                      const std::string& to) {
+  size_t pos = json.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  if (pos == std::string::npos) return "";
+  json.replace(pos, from.size(), to);
+  try {
+    (void)parseBenchJson(json);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BenchSchema, RejectsStringWallMs) {
+  // Read as 0 ms, it would switch off the case's regression check.
+  EXPECT_EQ(errorWith(toJson(sampleDoc()), "\"wall_ms\": 10.000",
+                      "\"wall_ms\": \"10\""),
+            "hsis-bench-v1: field 'wall_ms' is not a number");
+  EXPECT_EQ(errorWith(toJson(sampleDoc()), "\"wall_ms\": 10.000",
+                      "\"wall_ms\": -10"),
+            "hsis-bench-v1: field 'wall_ms' is negative");
+}
+
+TEST(BenchSchema, RejectsNegativePeakRss) {
+  EXPECT_NE(errorWith(toJson(sampleDoc()), "\"peak_rss_kb\": 4096",
+                      "\"peak_rss_kb\": -4096")
+                .find("field 'peak_rss_kb' is not an integer"),
+            std::string::npos);
+}
+
+TEST(BenchSchema, RejectsOutOfRangeRepeat) {
+  EXPECT_NE(errorWith(toJson(sampleDoc()), "\"repeat\": 2", "\"repeat\": 1e12")
+                .find("field 'repeat' is not an integer"),
+            std::string::npos);
+  EXPECT_NE(errorWith(toJson(sampleDoc()), "\"warmup\": 1", "\"warmup\": 0.5")
+                .find("field 'warmup' is not an integer"),
+            std::string::npos);
+}
+
+TEST(BenchSchema, RejectsNonBooleanObsEnabled) {
+  BenchDoc doc = sampleDoc();
+  doc.obsEnabled = true;
+  EXPECT_EQ(errorWith(toJson(doc), "\"obs_enabled\": true",
+                      "\"obs_enabled\": 1"),
+            "hsis-bench-v1: field 'obs_enabled' is not a boolean");
+}
+
+TEST(BenchSchema, RejectsMissingRunFieldsAndBadAbortMarker) {
+  std::string json = toJson(sampleDoc());
+  EXPECT_EQ(errorWith(json, "\"wall_ms\": 10.000, ", ""),
+            "hsis-bench-v1: field 'wall_ms' is missing");
+  EXPECT_EQ(errorWith(json, "\"aborted\": null", "\"aborted\": true"),
+            "hsis-bench-v1: field 'aborted' is not an object");
+}
+
+TEST(BenchSchema, HostBlockRoundTripsAndIsOptional) {
+  BenchDoc doc = sampleDoc();
+  EXPECT_FALSE(parseBenchJson(toJson(doc)).host.has_value());
+
+  doc.host = HostInfo{4, "Some \"quoted\" CPU", 0.25, "GNU 12.2.0", "Release"};
+  BenchDoc back = parseBenchJson(toJson(doc));
+  ASSERT_TRUE(back.host.has_value());
+  EXPECT_EQ(back.host->nproc, 4u);
+  EXPECT_EQ(back.host->cpu, "Some \"quoted\" CPU");
+  EXPECT_DOUBLE_EQ(back.host->loadavg, 0.25);
+  EXPECT_EQ(back.host->compiler, "GNU 12.2.0");
+  EXPECT_EQ(back.host->buildType, "Release");
+  EXPECT_EQ(errorWith(toJson(doc), "\"nproc\": 4", "\"nproc\": -4")
+                .rfind("hsis-bench-v1: field 'nproc'", 0),
+            0u);
+}
+
+TEST(BenchArgs, ParseNumberTakesTheWholeText) {
+  EXPECT_EQ(parseNumber<int>("5"), 5);
+  EXPECT_EQ(parseNumber<int>("-3"), -3);
+  EXPECT_DOUBLE_EQ(parseNumber<double>("2.5").value_or(0), 2.5);
+  for (const char* junk : {"", "abc", "5x", " 5", "1.5"})
+    EXPECT_FALSE(parseNumber<int>(junk).has_value()) << '"' << junk << '"';
+  EXPECT_FALSE(parseNumber<int>("99999999999").has_value());
+  EXPECT_FALSE(parseNumber<double>("ten").has_value());
+}
+
 // -------------------------------------------------------------- runCase
 
 TEST(BenchRunCase, RecordsTimingsPerRun) {
@@ -122,6 +210,23 @@ TEST(BenchRunCase, RecordsTimingsPerRun) {
   }
   EXPECT_FALSE(result.anyAborted());
   EXPECT_GT(result.wallMsMin(), 0.0);
+}
+
+TEST(BenchRunCase, KeepsTheFastestRunsSnapshot) {
+  hsis::obs::clearAbort();
+  int calls = 0;
+  CaseResult result = runCase("unit/fastest", [&calls] {
+    ++calls;
+    hsis::obs::gauge("test.bench.run").set(calls);
+    if (calls != 2)
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }, 3, 0);
+  ASSERT_EQ(result.runs.size(), 3u);
+  EXPECT_DOUBLE_EQ(result.wallMsMin(), result.runs[1].wallMs);
+  if (hsis::obs::kEnabled) {
+    EXPECT_NE(result.obsJson.find("\"test.bench.run\": 2"), std::string::npos)
+        << result.obsJson;
+  }
 }
 
 TEST(BenchRunCase, MarksAbortedRunsAndStops) {
@@ -187,6 +292,43 @@ TEST(BenchCompare, HandlesMissingCasesWithoutFailing) {
   }
   EXPECT_TRUE(onlyOld);
   EXPECT_TRUE(onlyNew);
+}
+
+// ------------------------------------------------ the paper's case tables
+//
+// The seeded bugs and matched pairs hsis_bench times: each patch site is
+// found, each seeded invariant fails with early failure detection on and
+// off (EFD in no more steps), and each pair's CTL formula and automaton
+// get the same verdict.
+
+TEST(BenchCases, SeededBugsFailWithAndWithoutEfd) {
+  for (const SeededBug& bug : kSeededBugs) {
+    SCOPED_TRACE(bug.design);
+    std::string verilog;
+    ASSERT_NO_THROW(verilog = seededVerilog(bug));
+    EXPECT_NE(verilog, std::string(hsis::models::find(bug.design)->verilog));
+    SeededRun efd = checkSeeded(bug, verilog, true);
+    SeededRun full = checkSeeded(bug, verilog, false);
+    EXPECT_FALSE(efd.holds);
+    EXPECT_FALSE(full.holds);
+    EXPECT_LE(efd.steps, full.steps);
+  }
+}
+
+TEST(BenchCases, MissingPatchSiteIsAnError) {
+  SeededBug moved = kSeededBugs[0];
+  moved.patchFrom = "no such line in the design";
+  EXPECT_THROW((void)seededVerilog(moved), std::runtime_error);
+}
+
+TEST(BenchCases, MatchedPairsAgreeUnderCtlAndLc) {
+  for (const MatchedPair& pair : kMatchedPairs) {
+    SCOPED_TRACE(std::string(pair.design) + " " + pair.kind);
+    hsis::BugReport mc = checkMatched(pair, true);
+    hsis::BugReport lc = checkMatched(pair, false);
+    EXPECT_EQ(mc.holds, lc.holds);
+    EXPECT_TRUE(mc.holds);  // every pair states a requirement that holds
+  }
 }
 
 // ------------------------------------------- abort unwinding (reach, LC)

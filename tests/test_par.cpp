@@ -17,24 +17,12 @@
 #include "models/models.hpp"
 #include "obs/control.hpp"
 #include "par/batch.hpp"
+#include "test_support.hpp"
 
 namespace {
 
 using namespace hsis;
-
-Session::DesignSource modelSource(const char* name) {
-  const models::ModelDef* m = models::find(name);
-  EXPECT_NE(m, nullptr) << name;
-  Session::DesignSource src;
-  src.kind = Session::DesignSource::Kind::Verilog;
-  src.text = std::string(m->verilog);
-  src.top = std::string(m->top);
-  return src;
-}
-
-PifFile modelPif(const char* name) {
-  return parsePif(std::string(models::find(name)->pif));
-}
+using namespace hsistest;
 
 /// Properties the session settles from its reached set before any replica
 /// is built: propositional AG invariants (early failure detection is on by

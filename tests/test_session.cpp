@@ -9,24 +9,12 @@
 #include "models/models.hpp"
 #include "obs/control.hpp"
 #include "obs/prof.hpp"
+#include "test_support.hpp"
 
 namespace {
 
 using namespace hsis;
-
-Session::DesignSource modelSource(const char* name) {
-  const models::ModelDef* m = models::find(name);
-  EXPECT_NE(m, nullptr) << name;
-  Session::DesignSource src;
-  src.kind = Session::DesignSource::Kind::Verilog;
-  src.text = std::string(m->verilog);
-  src.top = std::string(m->top);
-  return src;
-}
-
-PifFile modelPif(const char* name) {
-  return parsePif(std::string(models::find(name)->pif));
-}
+using namespace hsistest;
 
 TEST(Session, LoadBuildCheckThenResidentReloadIsNoOp) {
   Session s;

@@ -3,17 +3,11 @@
 // timing invariants, the stats-stream protocol, slow-request auto-capture,
 // and the `hsis_report requests` rendering.
 #include <gtest/gtest.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -27,10 +21,12 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/telemetry.hpp"
+#include "test_support.hpp"
 
 namespace {
 
 using namespace hsis::serve;
+using namespace hsistest;
 namespace obs = hsis::obs;
 namespace jl = hsis::obs::jsonlite;
 
@@ -98,48 +94,6 @@ TEST(TraceContext, FlightDumpCarriesActiveTraces) {
 }
 
 // ----------------------------------------------------- propagation helpers
-
-CheckRequest modelCheck(const char* name, const char* id) {
-  const hsis::models::ModelDef* m = hsis::models::find(name);
-  EXPECT_NE(m, nullptr) << name;
-  CheckRequest c;
-  c.id = id;
-  c.name = name;
-  c.design.kind = hsis::Session::DesignSource::Kind::Verilog;
-  c.design.text = std::string(m->verilog);
-  c.design.top = std::string(m->top);
-  c.pif = std::string(m->pif);
-  return c;
-}
-
-struct FrameLog {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<Frame> frames;
-  bool done = false;
-
-  FrameSink sink() {
-    return [this](const std::string& line) {
-      Frame f = parseFrame(line);
-      std::lock_guard<std::mutex> lock(mu);
-      if (f.event == "done" || f.event == "error") done = true;
-      frames.push_back(std::move(f));
-      cv.notify_all();
-    };
-  }
-  bool waitDone(int seconds = 60) {
-    std::unique_lock<std::mutex> lock(mu);
-    return cv.wait_for(lock, std::chrono::seconds(seconds),
-                       [&] { return done; });
-  }
-  const Frame* find(const char* event) {
-    std::lock_guard<std::mutex> lock(mu);
-    for (const Frame& f : frames) {
-      if (f.event == event) return &f;
-    }
-    return nullptr;
-  }
-};
 
 std::string frameTraceId(const Frame& f) {
   const jl::Value* v = jl::find(f.body.object(), "trace_id");
@@ -270,40 +224,6 @@ TEST(ServeTelemetry, StageMicrosSumStaysWithinReportedWall) {
 }
 
 // ------------------------------------------------------------ stats-stream
-
-int connectTo(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0)
-      << strerror(errno);
-  return fd;
-}
-
-void sendLine(int fd, std::string line) {
-  line += '\n';
-  ASSERT_EQ(::send(fd, line.data(), line.size(), 0),
-            static_cast<ssize_t>(line.size()));
-}
-
-std::string readLine(int fd, std::string& buf) {
-  for (;;) {
-    size_t nl = buf.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buf.substr(0, nl);
-      buf.erase(0, nl + 1);
-      return line;
-    }
-    char chunk[4096];
-    ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n <= 0) return "";
-    buf.append(chunk, static_cast<size_t>(n));
-  }
-}
 
 TEST(ServeTelemetry, StatsStreamTicksMatchSchema) {
   ServerOptions opts;
