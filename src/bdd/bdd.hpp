@@ -150,6 +150,11 @@ class BddManager {
 
   Bdd ite(const Bdd& f, const Bdd& g, const Bdd& h);
   Bdd andOp(const Bdd& f, const Bdd& g);
+  /// f & g, or a null Bdd once the conjunction has created more than
+  /// `maxNew` fresh nodes (CUDD's Cudd_bddAndLimit). Each fresh node is a
+  /// node of the result, so a null return means |f & g| > maxNew; an
+  /// aborted call leaves only garbage for the next collection.
+  Bdd andLimit(const Bdd& f, const Bdd& g, size_t maxNew);
   Bdd orOp(const Bdd& f, const Bdd& g);
   Bdd xorOp(const Bdd& f, const Bdd& g);
   /// O(1): flips the complement bit, allocates nothing.
@@ -460,6 +465,8 @@ class BddManager {
   // recursive workers (raw edges; no GC may run while these are active)
   uint32_t iteRec(uint32_t f, uint32_t g, uint32_t h);
   uint32_t andRec(uint32_t f, uint32_t g);
+  /// andRec that returns kNil once created_ passes `stopAt`.
+  uint32_t andLimitRec(uint32_t f, uint32_t g, uint64_t stopAt);
   uint32_t xorRec(uint32_t f, uint32_t g);
   uint32_t orRec(uint32_t f, uint32_t g) { return eNot(andRec(eNot(f), eNot(g))); }
   uint32_t existsRec(uint32_t f, uint32_t cube);

@@ -141,6 +141,50 @@ uint32_t BddManager::andRec(uint32_t f, uint32_t g) {
   return res;
 }
 
+Bdd BddManager::andLimit(const Bdd& f, const Bdd& g, size_t maxNew) {
+  maybeGcOrSift();
+  ScopedOp guard(this);
+  uint32_t res = andLimitRec(f.index(), g.index(), created_ + maxNew);
+  return res == kNil ? Bdd() : makeHandle(res);
+}
+
+uint32_t BddManager::andLimitRec(uint32_t f, uint32_t g, uint64_t stopAt) {
+  // andRec with a node budget: past `stopAt` fresh nodes the recursion
+  // unwinds with kNil (never a valid edge). What it built so far is
+  // unreferenced and goes at the next collection; the cache keeps only
+  // finished sub-products, which are the same ones andRec computes.
+  if (f == kZeroEdge || g == kZeroEdge) return kZeroEdge;
+  if (f == kOneEdge) return g;
+  if (g == kOneEdge) return f;
+  if (f == g) return f;
+  if (f == eNot(g)) return kZeroEdge;
+
+  if (f > g) std::swap(f, g);
+
+  uint32_t out;
+  CacheProbe probe;
+  if (cacheLookup(Op::And, f, g, 0, out, probe)) return out;
+
+  uint32_t lf = nodeLevel(f), lg = nodeLevel(g);
+  uint32_t top = std::min(lf, lg);
+  BddVar v = invPerm_[top];
+
+  uint32_t sf = eSign(f), sg = eSign(g);
+  uint32_t f0 = lf == top ? nodes_[eIdx(f)].lo ^ sf : f;
+  uint32_t f1 = lf == top ? nodes_[eIdx(f)].hi ^ sf : f;
+  uint32_t g0 = lg == top ? nodes_[eIdx(g)].lo ^ sg : g;
+  uint32_t g1 = lg == top ? nodes_[eIdx(g)].hi ^ sg : g;
+
+  uint32_t lo = andLimitRec(f0, g0, stopAt);
+  if (lo == kNil) return kNil;
+  uint32_t hi = andLimitRec(f1, g1, stopAt);
+  if (hi == kNil) return kNil;
+  uint32_t res = mkNode(v, lo, hi);
+  if (created_ > stopAt) return kNil;
+  cacheInsert(probe, res);
+  return res;
+}
+
 uint32_t BddManager::xorRec(uint32_t f, uint32_t g) {
   // Terminal rules.
   if (f == g) return kZeroEdge;

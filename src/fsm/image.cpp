@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "obs/control.hpp"
 #include "obs/log.hpp"
@@ -38,50 +37,38 @@ TransitionRelation TransitionRelation::monolithic(const Fsm& fsm,
 TransitionRelation TransitionRelation::partitioned(const Fsm& fsm,
                                                    size_t clusterLimit) {
   obs::Span span("fsm.tr.build");
+  static obs::Histogram& clusterNodes = obs::histogram("fsm.tr.cluster.nodes");
   TransitionRelation tr(fsm);
   BddManager& mgr = fsm.mgr();
 
-  // Execute the greedy early-quantification plan, but emit any intermediate
-  // result that exceeds the size cap as a standalone cluster instead of
-  // conjoining it further. A variable scheduled for quantification higher
-  // up in the plan is only quantified there if no emitted cluster still
-  // mentions it; the rest are quantified during image computation
-  // (computeStepCubes).
+  // Quantify every non-state variable first, so each piece relates present
+  // to next state only; then merge consecutive pieces while the product
+  // stays no larger than its operands together (and under the cap).
   std::vector<bool> nonState(mgr.numVars(), false);
   for (BddVar v : mgr.support(fsm.nonStateCube())) nonState[v] = true;
-  const std::vector<Bdd>& rels = fsm.relations();
-
-  QuantPlan plan = planQuantification(mgr, rels, nonState, QuantMethod::Greedy);
-
-  std::vector<bool> emittedSupport(mgr.numVars(), false);
-  auto emitIfBig = [&](Bdd f) -> Bdd {
-    if (f.nodeCount() <= clusterLimit) return f;
-    static obs::Histogram& clusterNodes =
-        obs::histogram("fsm.tr.cluster.nodes");
-    clusterNodes.record(f.nodeCount());
-    for (BddVar v : mgr.support(f)) emittedSupport[v] = true;
-    tr.clusters_.push_back(std::move(f));
-    return mgr.bddOne();
+  Bdd cur;
+  size_t curNodes = 0;
+  auto emit = [&] {
+    clusterNodes.record(curNodes);
+    tr.clusters_.push_back(std::move(cur));
   };
-  std::function<Bdd(const QuantPlanNode*)> exec =
-      [&](const QuantPlanNode* node) -> Bdd {
-    Bdd result;
-    if (node->relation >= 0) {
-      result = rels[node->relation];
-      if (!node->quantifyHere.empty())
-        result = mgr.exists(result, mgr.cube(node->quantifyHere));
-      return emitIfBig(std::move(result));
+  for (Bdd& piece : quantifiedPieces(mgr, fsm.relations(), nonState)) {
+    size_t pieceNodes = piece.nodeCount();
+    if (!cur.isNull()) {
+      size_t bound = std::min(curNodes + pieceNodes, clusterLimit);
+      Bdd merged = mgr.andLimit(cur, piece, bound);
+      size_t mergedNodes = merged.nodeCount();
+      if (!merged.isNull() && mergedNodes <= bound) {
+        cur = std::move(merged);
+        curNodes = mergedNodes;
+        continue;
+      }
+      emit();
     }
-    Bdd l = exec(node->left.get());
-    Bdd r = exec(node->right.get());
-    std::vector<BddVar> quantify;
-    for (BddVar v : node->quantifyHere)
-      if (!emittedSupport[v]) quantify.push_back(v);
-    result = mgr.andExists(l, r, mgr.cube(quantify));
-    return emitIfBig(std::move(result));
-  };
-  Bdd top = exec(plan.root.get());
-  if (!top.isOne() || tr.clusters_.empty()) tr.clusters_.push_back(std::move(top));
+    cur = std::move(piece);
+    curNodes = pieceNodes;
+  }
+  emit();
 
   tr.computeStepCubes();
   noteTrBuilt(tr);
@@ -177,9 +164,9 @@ Bdd TransitionRelation::preimage(const Bdd& statesX) const {
   obs::WallTimer timer;
   BddManager& mgr = fsm_->mgr();
   Bdd acc = fsm_->presentToNext(statesX);
-  // Reverse cluster order: the greedy segmentation puts "early" (top of the
-  // dependency order) relations first, so walking backwards kills next-state
-  // variables as aggressively as the forward walk kills present-state ones.
+  // Reverse cluster order: image walks the clusters forward and quantifies
+  // each present-state variable after its last cluster; walking backwards
+  // quantifies each next-state variable after its first one.
   for (size_t i = clusters_.size(); i-- > 0;) {
     acc = mgr.andExists(acc, clusters_[i], preCubes_[i]);
   }

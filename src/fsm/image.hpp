@@ -21,14 +21,13 @@ class TransitionRelation {
                                        QuantMethod method = QuantMethod::Greedy,
                                        QuantExecStats* stats = nullptr);
 
-  /// Cluster the conjuncts along the greedy early-quantification plan: an
-  /// intermediate product is emitted as a cluster as soon as it exceeds
-  /// `clusterLimit` nodes. `clusterLimit` is the emit threshold, not a cap:
-  /// one conjunction of two operands under the limit can land far above it
-  /// (2mdlc at 5000 holds a 54,445-node cluster, from a 3,128- and a
-  /// 1,940-node operand). Emitting the two operands separately instead
-  /// measured no faster on 2mdlc. Non-state variables local to one cluster
-  /// are quantified inside it, the rest during image computation.
+  /// Cluster the relations: quantify every non-state variable first
+  /// (quantifiedPieces), then walk the pieces smallest support first and
+  /// conjoin each into the current cluster only while the product is no
+  /// larger than min(|cluster| + |piece|, clusterLimit). `clusterLimit`
+  /// caps merges only: a single piece above it is a cluster of its own.
+  /// Present-state variables are quantified during image computation,
+  /// next-state ones during preimage (computeStepCubes).
   static TransitionRelation partitioned(const Fsm& fsm,
                                         size_t clusterLimit = 5000);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <unordered_map>
 
 #include "obs/obs.hpp"
@@ -29,6 +28,18 @@ Support supportMask(BddManager& mgr, const Bdd& f) {
   Support s(mgr.numVars(), false);
   for (BddVar v : mgr.support(f)) s[v] = true;
   return s;
+}
+
+/// Each relation's support, and the indices of those that are not constant
+/// one (at least one index: a product of ones plans as relation 0).
+void supportsOf(BddManager& mgr, const std::vector<Bdd>& relations,
+                std::vector<Support>& supp, std::vector<int>& active) {
+  supp.reserve(relations.size());
+  for (size_t i = 0; i < relations.size(); ++i) {
+    supp.push_back(supportMask(mgr, relations[i]));
+    if (!relations[i].isOne()) active.push_back(static_cast<int>(i));
+  }
+  if (active.empty()) active.push_back(0);
 }
 
 std::unique_ptr<QuantPlanNode> leaf(int i) {
@@ -81,10 +92,14 @@ std::unique_ptr<QuantPlanNode> combine(std::vector<std::unique_ptr<QuantPlanNode
   return std::move(nodes[0]);
 }
 
-QuantPlan planByElimination(BddManager& mgr, const std::vector<bool>& quantifiable,
-                            const std::vector<int>& active,
-                            const std::vector<Support>& suppIn,
-                            QuantMethod method) {
+/// Run the elimination until every quantifiable variable is scheduled and
+/// return the quantifier-free pieces left, stable-sorted by support size,
+/// smallest first. A variable is quantified only once every piece that
+/// mentions it has been merged, so the pieces are exact.
+std::vector<Pending> eliminate(BddManager& mgr, const std::vector<bool>& quantifiable,
+                               const std::vector<int>& active,
+                               const std::vector<Support>& suppIn,
+                               QuantMethod method) {
   uint32_t nv = mgr.numVars();
   bool minWidth = method == QuantMethod::Tree;
 
@@ -168,19 +183,24 @@ QuantPlan planByElimination(BddManager& mgr, const std::vector<bool>& quantifiab
     mergeGroup(group);
   }
 
-  // Conjoin the remaining quantifier-free pieces, small supports first.
-  std::vector<size_t> order(pending.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return pending[a].vars.size() < pending[b].vars.size();
-  });
-  std::vector<std::unique_ptr<QuantPlanNode>> rest;
-  rest.reserve(order.size());
-  for (size_t k : order) rest.push_back(std::move(pending[k].node));
-  std::unique_ptr<QuantPlanNode> root = combine(std::move(rest), false);
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const Pending& a, const Pending& b) {
+                     return a.vars.size() < b.vars.size();
+                   });
+  return pending;
+}
 
+QuantPlan planByElimination(BddManager& mgr, const std::vector<bool>& quantifiable,
+                            const std::vector<int>& active,
+                            const std::vector<Support>& supp,
+                            QuantMethod method) {
+  // Conjoin the quantifier-free pieces, small supports first.
+  std::vector<Pending> pieces = eliminate(mgr, quantifiable, active, supp, method);
+  std::vector<std::unique_ptr<QuantPlanNode>> rest;
+  rest.reserve(pieces.size());
+  for (Pending& p : pieces) rest.push_back(std::move(p.node));
   QuantPlan plan;
-  plan.root = std::move(root);
+  plan.root = combine(std::move(rest), false);
   plan.method = method;
   return plan;
 }
@@ -213,13 +233,8 @@ QuantPlan planQuantification(BddManager& mgr, const std::vector<Bdd>& relations,
                              const std::vector<bool>& quantifiable,
                              QuantMethod method) {
   std::vector<Support> supp;
-  supp.reserve(relations.size());
   std::vector<int> active;
-  for (size_t i = 0; i < relations.size(); ++i) {
-    supp.push_back(supportMask(mgr, relations[i]));
-    if (!relations[i].isOne()) active.push_back(static_cast<int>(i));
-  }
-  if (active.empty()) active.push_back(0);  // degenerate: product of ones
+  supportsOf(mgr, relations, supp, active);
 
   switch (method) {
     case QuantMethod::Greedy:
@@ -265,6 +280,21 @@ Bdd executePlan(BddManager& mgr, const QuantPlan& plan,
                 const std::vector<Bdd>& relations, QuantExecStats* stats) {
   obs::Span span("fsm.quant.exec");
   return execNode(mgr, plan.root.get(), relations, stats);
+}
+
+std::vector<Bdd> quantifiedPieces(BddManager& mgr, const std::vector<Bdd>& relations,
+                                  const std::vector<bool>& quantifiable) {
+  std::vector<Support> supp;
+  std::vector<int> active;
+  supportsOf(mgr, relations, supp, active);
+  std::vector<Pending> pieces =
+      eliminate(mgr, quantifiable, active, supp, QuantMethod::Tree);
+  obs::Span span("fsm.quant.exec");
+  std::vector<Bdd> out;
+  out.reserve(pieces.size());
+  for (const Pending& p : pieces)
+    out.push_back(execNode(mgr, p.node.get(), relations, nullptr));
+  return out;
 }
 
 Bdd productAndQuantify(BddManager& mgr, const std::vector<Bdd>& relations,

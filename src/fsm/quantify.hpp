@@ -59,6 +59,18 @@ Bdd executePlan(BddManager& mgr, const QuantPlan& plan,
                 const std::vector<Bdd>& relations,
                 QuantExecStats* stats = nullptr);
 
+/// Early quantification stopped before the final conjunction: eliminate
+/// until every quantifiable variable is quantified, and return the
+/// quantifier-free products left, stable-sorted by support size, smallest
+/// first. Their conjunction is what productAndQuantify returns. The pieces
+/// themselves do not depend on the elimination order (each is one group of
+/// relations linked through quantifiable variables); the min-width (Tree)
+/// order builds them, since min-degree (Greedy) blows up on rings:
+/// philos-6 peaks at 97,627 intermediate nodes under Greedy, 1,457 under
+/// Tree.
+std::vector<Bdd> quantifiedPieces(BddManager& mgr, const std::vector<Bdd>& relations,
+                                  const std::vector<bool>& quantifiable);
+
 /// Convenience: plan + execute.
 Bdd productAndQuantify(BddManager& mgr, const std::vector<Bdd>& relations,
                        const Bdd& quantifyCube, QuantMethod method,

@@ -371,6 +371,70 @@ TEST(Bdd, ComputedCacheSurvivesGc) {
   EXPECT_EQ(viaCache, m2.andExists(p, r, q2));
 }
 
+/// f at one assignment (bit v of `minterm` is variable v), by walking the
+/// edges: no BDD operation, so it is an oracle for the apply kernels.
+bool evalAt(Bdd f, uint32_t minterm) {
+  while (!f.isConstant()) f = (minterm >> f.var() & 1) != 0 ? f.high() : f.low();
+  return f.isOne();
+}
+
+TEST(Bdd, AndLimitIsAndWithinBudgetAndNullPastIt) {
+  constexpr BddVar kVars = 12;
+  BddManager m(kVars);
+  std::mt19937 rng(17);
+  auto randomFn = [&] {
+    Bdd f = m.bddZero();
+    for (int k = 0; k < 20; ++k) {
+      Bdd cube = m.bddOne();
+      for (BddVar v = 0; v < kVars; ++v) {
+        if (rng() % 3 == 0) cube &= m.bddVar(v);
+        else if (rng() % 2 == 0) cube &= !m.bddVar(v);
+      }
+      f |= cube;
+    }
+    return f;
+  };
+  auto expectProduct = [&](const Bdd& fg, const Bdd& f, const Bdd& g, int trial) {
+    for (uint32_t minterm = 0; minterm < (1u << kVars); ++minterm) {
+      ASSERT_EQ(evalAt(fg, minterm), evalAt(f, minterm) && evalAt(g, minterm))
+          << "trial " << trial << ", minterm " << minterm;
+    }
+  };
+  int aborted = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    Bdd f = randomFn(), g = randomFn();
+    size_t productNodes = m.andOp(f, g).nodeCount();
+    // Drop the product and its cache entries, so each call below builds it
+    // afresh.
+    auto forget = [&] {
+      m.clearCaches();
+      m.gc();
+    };
+    // A generous budget, the product's size: every fresh node is one of
+    // the product's nodes, so the call cannot run out.
+    forget();
+    Bdd limited = m.andLimit(f, g, productNodes);
+    ASSERT_FALSE(limited.isNull()) << "trial " << trial;
+    expectProduct(limited, f, g, trial);
+    limited = Bdd();
+
+    // Past the budget: null, no reference leaked, and the partial work
+    // left in the computed cache serves a later andOp correctly.
+    forget();
+    size_t live = m.liveNodeCount();
+    Bdd none = m.andLimit(f, g, productNodes / 4);
+    if (!none.isNull()) continue;  // the product reused most nodes of f, g
+    ++aborted;
+    m.gc();
+    EXPECT_EQ(m.liveNodeCount(), live) << "trial " << trial;
+    expectProduct(m.andOp(f, g), f, g, trial);
+  }
+  EXPECT_GT(aborted, 10);
+  // A budget of zero refuses any product that needs a node.
+  EXPECT_TRUE(m.andLimit(m.bddVar(0), m.bddVar(1), 0).isNull());
+  EXPECT_EQ(m.andLimit(m.bddVar(0), m.bddOne(), 0), m.bddVar(0));
+}
+
 /// A random cube over all of `m`'s variables: one op, a fresh chain of up
 /// to numVars() nodes.
 Bdd randomCube(BddManager& m, std::mt19937& rng) {

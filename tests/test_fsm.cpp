@@ -1,9 +1,13 @@
 // Tests for the symbolic FSM layer: construction, early quantification,
 // image computation, reachability, and trace generation.
 #include <gtest/gtest.h>
+#include <algorithm>
 #include <cstdint>
+#include <ostream>
+#include <string>
 
 #include "blifmv/blifmv.hpp"
+#include "designs.hpp"
 #include "fsm/fsm.hpp"
 #include "fsm/image.hpp"
 #include "fsm/quantify.hpp"
@@ -261,10 +265,8 @@ TEST(Image, MonolithicAndPartitionedAgree) {
     EXPECT_EQ(mono.preimage(s), part.preimage(s)) << "step " << i;
     s = mono.image(s);
   }
-  if (!part.isMonolithic()) {
-    EXPECT_GT(part.clusterCount(), 1u);
-    EXPECT_THROW((void)part.monolithicRelation(), std::logic_error);
-  }
+  EXPECT_GT(part.clusterCount(), 1u);
+  EXPECT_THROW((void)part.monolithicRelation(), std::logic_error);
 }
 
 TEST(Image, ImagePreimageGaloisConnection) {
@@ -378,14 +380,15 @@ void expectScheduleCoversOnce(const Fsm& fsm, const TransitionRelation& tr,
   }
 }
 
-// gtest prints this parameter byte by byte into the test's ctest name, so
-// it holds no pointer: the name stays the same whatever the string layout
-// of the test binary.
 struct PinnedTr {
   uint32_t clusters;
   uint32_t nodes;
   char model[16];
 };
+
+// gtest prints the parameter into the test's ctest name; the model name
+// keeps that name readable and stable when a pin changes.
+void PrintTo(const PinnedTr& pin, std::ostream* os) { *os << pin.model; }
 
 class TableOneSchedule : public ::testing::TestWithParam<PinnedTr> {};
 
@@ -411,10 +414,50 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PinnedTr{1, 178, "philos"}, PinnedTr{1, 5, "pingpong"},
                       PinnedTr{1, 127, "gigamax"},
                       PinnedTr{1, 1363, "scheduler"},
-                      PinnedTr{1, 327, "dcnew"}, PinnedTr{2, 56384, "2mdlc"}),
+                      PinnedTr{1, 327, "dcnew"}, PinnedTr{2, 7007, "2mdlc"}),
     [](const ::testing::TestParamInfo<PinnedTr>& info) {
       return std::string(info.param.model);
     });
+
+blifmv::Model flatOfDesign(const std::string& verilog, const std::string& top) {
+  return blifmv::flatten(vl2mv::compile(verilog, top));
+}
+
+// The clustering has no cliff: it merges two pieces only when the product
+// is no larger than the two together, so raising the cap can only let
+// such merges through. A cluster larger than the cap is one fully
+// quantified piece, never a merge.
+TEST(Image, PartitionedClustersDoNotDependOnACliff) {
+  const models::ModelDef* m = models::find("2mdlc");
+  ASSERT_NE(m, nullptr);
+  auto flat = flatOfDesign(std::string(m->verilog), std::string(m->top));
+  BddManager mgr;
+  Fsm fsm(mgr, flat);
+  std::vector<bool> nonState(mgr.numVars(), false);
+  for (BddVar v : mgr.support(fsm.nonStateCube())) nonState[v] = true;
+  std::vector<Bdd> pieces = quantifiedPieces(mgr, fsm.relations(), nonState);
+  auto mono = TransitionRelation::monolithic(fsm);
+
+  perfbench::Design eight = perfbench::philos(8, false);
+  auto philosFlat = flatOfDesign(eight.verilog, eight.top);
+  BddManager philosMgr;
+  Fsm philos(philosMgr, philosFlat);
+
+  for (size_t limit : {2500, 5000, 10000, 60000}) {
+    auto tr = TransitionRelation::partitioned(fsm, limit);
+    EXPECT_LE(tr.totalNodes(), 7007u) << "limit " << limit;
+    for (const Bdd& c : tr.clusters()) {
+      bool piece = std::find(pieces.begin(), pieces.end(), c) != pieces.end();
+      EXPECT_TRUE(piece || c.nodeCount() <= limit)
+          << "limit " << limit << ": a merged cluster of " << c.nodeCount()
+          << " nodes";
+    }
+    Bdd s = fsm.initialStates();
+    EXPECT_EQ(tr.image(s), mono.image(s)) << "limit " << limit;
+    EXPECT_EQ(TransitionRelation::partitioned(philos, limit).clusterCount(), 1u)
+        << "philos-8, limit " << limit;
+  }
+}
 
 // ------------------------------------------------------------------ trace
 

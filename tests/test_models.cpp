@@ -176,26 +176,21 @@ TEST(Models, ParameterizedFamiliesHaveClosedFormBddSizes) {
   // Exact sizes under the default order and clustering: a change to the
   // variable order, the cluster schedule or cube building shows here and
   // names the N where it broke, not as timing noise.
-  for (size_t n : {8, 16, 24, 32, 40, 56}) {
+  for (size_t n : {8, 16, 24, 32, 40, 56, 64}) {
     BddSizes b = bddSizes(perfbench::scheduler(static_cast<int>(n), false));
     EXPECT_EQ(b.reachedNodes, 10 * n - 5) << "scheduler-" << n;
     EXPECT_EQ(b.rings, 2 * n + 4) << "scheduler-" << n;
-    // One cluster up to N = 32; from N = 40 the TR splits in two.
-    if (n <= 32) {
-      EXPECT_EQ(b.trClusters, 1u) << "scheduler-" << n;
-      EXPECT_EQ(b.trNodes, 162 * n - 257) << "scheduler-" << n;
-    } else {
-      EXPECT_EQ(b.trClusters, 2u) << "scheduler-" << n;
-      EXPECT_EQ(b.trNodes, n == 40 ? 5855u : 7583u) << "scheduler-" << n;
-    }
+    // From N = 40 one cluster would pass the 5000-node cap, so the TR
+    // stays in two; their shared node count keeps the same closed form.
+    EXPECT_EQ(b.trClusters, n < 40 ? 1u : 2u) << "scheduler-" << n;
+    EXPECT_EQ(b.trNodes, 162 * n - 257) << "scheduler-" << n;
   }
-  const size_t philosTr[][2] = {{1, 88}, {1, 178}, {2, 6332}, {2, 7904}};
-  for (size_t n = 3; n <= 6; ++n) {
+  for (size_t n = 3; n <= 8; ++n) {
     BddSizes b = bddSizes(perfbench::philos(static_cast<int>(n), false));
     EXPECT_EQ(b.reachedNodes, 6 * n - 7) << "philos-" << n;
     EXPECT_EQ(b.rings, 4u) << "philos-" << n;
-    EXPECT_EQ(b.trClusters, philosTr[n - 3][0]) << "philos-" << n;
-    EXPECT_EQ(b.trNodes, philosTr[n - 3][1]) << "philos-" << n;
+    EXPECT_EQ(b.trClusters, 1u) << "philos-" << n;
+    EXPECT_EQ(b.trNodes, n == 3 ? 88u : 100 * n - 222) << "philos-" << n;
   }
 }
 
