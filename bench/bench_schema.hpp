@@ -32,7 +32,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -351,17 +350,6 @@ inline BenchDoc parseBenchJson(const std::string& text) {
     doc.cases.push_back(std::move(c));
   }
   return doc;
-}
-
-/// `text` as a T when all of it is one, else nullopt: how hsis_bench and
-/// perf_compare read their numeric flags.
-template <typename T>
-std::optional<T> parseNumber(const char* text) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || ptr == text) return std::nullopt;
-  return value;
 }
 
 // ----------------------------------------------------------------- compare

@@ -538,7 +538,7 @@ int main(int argc, char** argv) {
     };
     auto count = [&]() {
       const char* text = value();
-      std::optional<int> n = hsisbench::parseNumber<int>(text);
+      std::optional<int> n = hsis::obs::parseNumber<int>(text);
       if (!n) {
         std::fprintf(stderr, "%s needs a whole number, got '%s'\n",
                      arg.c_str(), text);

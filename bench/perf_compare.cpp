@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     auto percent = [&](double& out) {
       std::optional<double> v;
-      if (i + 1 < argc) v = hsisbench::parseNumber<double>(argv[i + 1]);
+      if (i + 1 < argc) v = hsis::obs::parseNumber<double>(argv[i + 1]);
       if (!v) {
         std::fprintf(stderr, "perf_compare: %s needs a number\n", argv[i]);
         return false;

@@ -8,7 +8,7 @@
 #include <cstring>
 
 #include "debug/mcdebug.hpp"
-#include "hsis/environment.hpp"
+#include "hsis/session.hpp"
 #include "models/models.hpp"
 
 int main(int argc, char** argv) {
@@ -25,17 +25,18 @@ int main(int argc, char** argv) {
   }
   verilog.replace(pos, std::strlen(good), "st <= st;  // BUG: no demotion");
 
-  hsis::Environment env;
-  env.readVerilog(verilog);
+  hsis::Session session;
+  session.load({hsis::Session::DesignSource::Kind::Verilog, verilog, ""});
   hsis::CtlRef property = hsis::parseCtl(
       "AG ((p0.st=owned -> (p1.st=invalid & p2.st=invalid)) & "
       "(p1.st=owned -> (p0.st=invalid & p2.st=invalid)))");
-  hsis::BugReport report = env.verifyCtl("owner_excludes_others", property);
+  hsis::BugReport report =
+      session.checkCtl("owner_excludes_others", property);
   std::printf("property %s: %s\n\n", report.propertyName.c_str(),
               report.holds ? "PASS" : "FAIL");
   if (report.holds) return 0;
 
-  hsis::McDebugSession dbg(env.checker(), property);
+  hsis::McDebugSession dbg(session.checker(), property);
   for (int depth = 0; depth < 12; ++depth) {
     std::printf("%s\n", dbg.describe().c_str());
     if (dbg.atLeaf()) {
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
 
   std::printf("\npath walked while debugging:\n");
   for (const auto& s : dbg.pathSoFar()) {
-    std::printf("  %s\n", env.fsm().formatState(s).c_str());
+    std::printf("  %s\n", session.fsm().formatState(s).c_str());
   }
   return 0;
 }

@@ -5,10 +5,10 @@
 //   hsis_cli design.v properties.pif
 //   hsis_cli --blifmv design.mv properties.pif
 //   hsis_cli --model philos          # run a bundled Table-1 design
-//   hsis_cli --jobs 4 --model table1 # property batch on 4 worker threads
+//   hsis_cli --jobs 4 --model philos # property batch on 4 worker threads
 //
 // Every form also accepts the shared observability flags:
-//   --stats-json FILE    dump the full snapshot after verification
+//   --stats-json FILE    dump the full snapshot (and FILE.trace.json) at exit
 //   --heartbeat MS       one-line progress records on stderr every MS ms
 //   --heartbeat-file F   ... as JSONL appended to F instead
 //   --timeout-s S        abort the run past S seconds of wall clock
@@ -34,7 +34,9 @@
 // and exits with code 3. Every invocation appends one hsis-ledger-v1
 // record (pass/fail/aborted/crashed, wall, peak RSS) that hsis_report
 // queries. A malformed design or property file (a parse or elaboration
-// error) ends with "error: MESSAGE" on stderr and exit code 2.
+// error) or a numeric flag value that is not a number ends with
+// "error: MESSAGE" on stderr and exit code 2.
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -43,7 +45,7 @@
 
 #include "cex/cex.hpp"
 #include "cov/cov.hpp"
-#include "hsis/environment.hpp"
+#include "hsis/session.hpp"
 #include "models/models.hpp"
 #include "obs/control.hpp"
 #include "obs/version.hpp"
@@ -80,26 +82,15 @@ int usage() {
   return 2;
 }
 
-void writeStats(const hsis::Environment& env, const std::string& path) {
-  if (path.empty()) return;
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  out << env.statsJson();
-  std::printf("observability snapshot written to %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
   if (hsis::obs::handleVersionFlag(argc, argv, "hsis_cli")) return 0;
-  // hsis_cli owns --stats-json (the Environment adds derived metrics to the
-  // snapshot); the process-level ledger record is written by the exit
-  // exporters, with the verdict set via noteRunResult below.
-  hsis::obs::ObsCliOptions obsOpts = hsis::obs::initDriverObs(
-      argc, argv, {.driverName = "hsis_cli", .ownStatsJson = true});
+  // The exit exporters write the --stats-json snapshot and the
+  // process-level ledger record, with the verdict set via noteRunResult
+  // below.
+  hsis::obs::ObsCliOptions obsOpts =
+      hsis::obs::initDriverObs(argc, argv, {.driverName = "hsis_cli"});
 
   // --cov-spec, --cex-dir, and --jobs are cli-local (the shared strip
   // covers --cov-json only).
@@ -116,8 +107,7 @@ int main(int argc, char** argv) try {
       for (int j = i; j + 2 <= argc; ++j) argv[j] = argv[j + 2];
       argc -= 2;
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[i + 1]);
-      if (jobs < 1) jobs = 1;
+      jobs = std::max(1, hsis::obs::flagNumber<int>("--jobs", argv[i + 1]));
       for (int j = i; j + 2 <= argc; ++j) argv[j] = argv[j + 2];
       argc -= 2;
     } else {
@@ -125,11 +115,11 @@ int main(int argc, char** argv) try {
     }
   }
 
-  hsis::Environment env;
   // Remembered for --cex-dir: artifacts embed the design source so they
   // replay standalone.
   hsis::Session::DesignSource designSrc;
   std::string designName;
+  std::string pifText;
 
   if (argc == 3 && std::strcmp(argv[1], "--model") == 0) {
     const hsis::models::ModelDef* m = hsis::models::find(argv[2]);
@@ -138,58 +128,63 @@ int main(int argc, char** argv) try {
     designName = argv[2];
     designSrc = {hsis::Session::DesignSource::Kind::Verilog,
                  std::string(m->verilog), std::string(m->top)};
-    env.readVerilog(designSrc.text, designSrc.top);
-    env.readPif(std::string(m->pif));
+    pifText = m->pif;
   } else if (argc == 4 && std::strcmp(argv[1], "--blifmv") == 0) {
     hsis::obs::noteRunSubject(argv[2]);
     designName = argv[2];
     designSrc = {hsis::Session::DesignSource::Kind::BlifMv, slurp(argv[2]),
                  ""};
-    env.readBlifMv(designSrc.text);
-    env.readPif(slurp(argv[3]));
+    pifText = slurp(argv[3]);
   } else if (argc == 3) {
     hsis::obs::noteRunSubject(argv[1]);
     designName = argv[1];
     designSrc = {hsis::Session::DesignSource::Kind::Verilog, slurp(argv[1]),
                  ""};
-    env.readVerilog(designSrc.text);
-    env.readPif(slurp(argv[2]));
+    pifText = slurp(argv[2]);
   } else {
     return usage();
   }
+  hsis::Session session;
+  session.load(designSrc);
+  hsis::PifFile pif = hsis::parsePif(pifText);
+  session.addFairness(pif.fairness);
 
   int failures = 0;
   std::string failing;  // comma-joined failing property names
   return hsis::obs::driverGuard([&] {
-    env.build();
+    session.build();
     std::printf("read: %zu Verilog lines, %zu BLIF-MV lines (%.2fs)\n",
-                env.metrics().linesVerilog, env.metrics().linesBlifMv,
-                env.metrics().readSeconds);
-    for (const std::string& n : env.notes())
+                session.linesVerilog(), session.linesBlifMv(),
+                static_cast<double>(session.lastBuildMicros()) * 1e-6);
+    for (const std::string& n : session.notes())
       std::printf("note: %s\n", n.c_str());
-    std::printf("reachable states: %.0f\n\n", env.reachedStates());
+    std::printf("reachable states: %.0f\n\n", session.reachedStates());
 
-    // --jobs N>1: check the property batch on up to N workers, this thread
-    // on the session and each other worker on its own replica manager;
-    // reports come back in input order so everything downstream
-    // (rendering, cex artifacts) is unchanged.
-    std::vector<hsis::BugReport> reports;
-    if (jobs > 1) {
-      hsis::par::BatchReport batch = hsis::par::checkBatch(
-          env.session(), env.properties(), {.jobs = jobs});
+    // The property list on up to --jobs workers: this thread on the
+    // session, each other worker on its own replica manager. Reports come
+    // back in input order.
+    hsis::par::BatchReport batch =
+        hsis::par::checkBatch(session, pif.properties, {.jobs = jobs});
+    if (jobs > 1)
       std::printf("parallel batch: %zu properties on %zu workers, "
                   "%.2fs wall (%.2fs replica setup), busy speedup %.2fx\n\n",
-                  env.properties().size(), batch.workerBusyMicros.size(),
+                  pif.properties.size(), batch.workerBusyMicros.size(),
                   batch.wallMicros / 1e6, batch.transferMicros / 1e6,
                   batch.theoreticalSpeedup());
-      reports = std::move(batch.reports);
-    } else {
-      reports = env.verifyAll();
-    }
 
+    const hsis::Fsm& fsm = session.fsm();
     bool cexDisabledNoted = false;
-    for (const hsis::BugReport& report : reports) {
-      std::printf("%s\n", renderBugReport(report, env.fsm()).c_str());
+    size_t nCtl = 0, nLc = 0;
+    double sCtl = 0.0, sLc = 0.0;
+    for (const hsis::BugReport& report : batch.reports) {
+      if (report.paradigm == hsis::BugReport::Paradigm::ModelChecking) {
+        ++nCtl;
+        sCtl += report.seconds;
+      } else {
+        ++nLc;
+        sLc += report.seconds;
+      }
+      std::printf("%s\n", renderBugReport(report, fsm).c_str());
       if (!report.holds) {
         ++failures;
         if (!failing.empty()) failing += ", ";
@@ -215,9 +210,8 @@ int main(int argc, char** argv) try {
                 : "blifmv";
         bi.designTop = designSrc.top;
         bi.designText = designSrc.text;
-        hsis::cex::Artifact art =
-            hsis::cex::build(env.fsm(), *report.trace, bi);
-        hsis::cex::verifyAndStamp(art, env.fsm(), env.tr());
+        hsis::cex::Artifact art = hsis::cex::build(fsm, *report.trace, bi);
+        hsis::cex::verifyAndStamp(art, fsm, session.tr());
         std::string base = report.propertyName.empty() ? "unnamed"
                                                        : report.propertyName;
         for (char& c : base)
@@ -235,22 +229,6 @@ int main(int argc, char** argv) try {
       }
     }
 
-    // The parallel path bypasses Environment::verify*, so fold the batch
-    // reports into the same Table-1 shape the serial path accumulates.
-    size_t nCtl = env.metrics().numCtlFormulas;
-    size_t nLc = env.metrics().numLcProps;
-    double sCtl = env.metrics().mcSeconds, sLc = env.metrics().lcSeconds;
-    if (jobs > 1) {
-      for (const hsis::BugReport& r : reports) {
-        if (r.paradigm == hsis::BugReport::Paradigm::ModelChecking) {
-          ++nCtl;
-          sCtl += r.seconds;
-        } else {
-          ++nLc;
-          sLc += r.seconds;
-        }
-      }
-    }
     std::printf("summary: %zu CTL formulas (%.2fs), %zu LC properties "
                 "(%.2fs), %d failing\n",
                 nCtl, sCtl, nLc, sLc, failures);
@@ -259,11 +237,11 @@ int main(int argc, char** argv) try {
       hsis::cov::Options co;
       if (!covSpecPath.empty())
         co.points =
-            hsis::cov::parseCoverSpec(slurp(covSpecPath.c_str()), env.fsm());
+            hsis::cov::parseCoverSpec(slurp(covSpecPath.c_str()), fsm);
       // Concrete differential pass, capped so huge designs degrade to
       // symbolic-only instead of enumerating forever.
       co.simMaxStates = 5000;
-      hsis::cov::Report rep = env.coverage(co);
+      hsis::cov::Report rep = session.coverage(co);
       if (rep.enabled) {
         std::printf(
             "coverage: %.1f%% of state space, latch values %llu/%llu, "
@@ -293,7 +271,6 @@ int main(int argc, char** argv) try {
       }
     }
 
-    writeStats(env, obsOpts.statsJsonPath);
     if (failures == 0) {
       hsis::obs::noteRunResult("pass", "");
       return 0;

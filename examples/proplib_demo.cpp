@@ -3,19 +3,20 @@
 // knowledge needed at the call sites.
 #include <cstdio>
 
-#include "hsis/environment.hpp"
+#include "hsis/session.hpp"
 #include "models/models.hpp"
 #include "proplib/proplib.hpp"
 
 using namespace hsis;
 
 int main() {
-  Environment env;
-  env.readVerilog(std::string(models::find("dcnew")->verilog));
+  Session session;
+  session.load({Session::DesignSource::Kind::Verilog,
+                std::string(models::find("dcnew")->verilog), ""});
   // requesters do not idle forever
-  env.addFairness(proplib::noStarvation(parseSigExpr("ch0.st=idle")));
-  env.addFairness(proplib::noStarvation(parseSigExpr("ch1.st=idle")));
-  env.addFairness(proplib::noStarvation(parseSigExpr("ch2.st=idle")));
+  session.addFairness(proplib::noStarvation(parseSigExpr("ch0.st=idle")));
+  session.addFairness(proplib::noStarvation(parseSigExpr("ch1.st=idle")));
+  session.addFairness(proplib::noStarvation(parseSigExpr("ch2.st=idle")));
 
   const PifProperty props[] = {
       proplib::mutualExclusion("bus_exclusive_01",
@@ -39,7 +40,7 @@ int main() {
   };
 
   for (const PifProperty& p : props) {
-    BugReport r = env.verify(p);
+    BugReport r = session.check(p);
     std::printf("%-25s [%s]  %s\n", r.propertyName.c_str(),
                 p.kind == PifProperty::Kind::Ctl ? "ctl" : "lc",
                 r.holds ? "PASS" : "FAIL");

@@ -2,11 +2,11 @@
 //
 // A small mutual-exclusion design is written in the HSIS Verilog subset
 // (with $ND non-determinism and enumerated types), its properties in PIF —
-// both a CTL formula and an ω-automaton — and the environment runs both
+// both a CTL formula and an ω-automaton — and a Session runs both
 // verification paradigms and prints the resulting bug reports.
 #include <cstdio>
 
-#include "hsis/environment.hpp"
+#include "hsis/session.hpp"
 
 static const char* kDesign = R"(
 // two clients and a priority arbiter
@@ -56,17 +56,18 @@ automaton never_both_critical {
 )PIF";
 
 int main() {
-  hsis::Environment env;
-  env.readVerilog(kDesign);
-  env.readPif(kProperties);
+  hsis::Session session;
+  session.load({hsis::Session::DesignSource::Kind::Verilog, kDesign, ""});
+  hsis::PifFile pif = hsis::parsePif(kProperties);
+  session.addFairness(pif.fairness);
 
   std::printf("design: %zu Verilog lines -> %zu BLIF-MV lines\n",
-              env.metrics().linesVerilog, env.metrics().linesBlifMv);
-  std::printf("reachable states: %.0f\n\n", env.reachedStates());
+              session.linesVerilog(), session.linesBlifMv());
+  std::printf("reachable states: %.0f\n\n", session.reachedStates());
 
-  for (const hsis::BugReport& report : env.verifyAll()) {
-    std::printf("%s", renderBugReport(report, env.fsm()).c_str());
-    std::printf("\n");
+  for (const hsis::PifProperty& p : pif.properties) {
+    hsis::BugReport report = session.check(p);
+    std::printf("%s\n", renderBugReport(report, session.fsm()).c_str());
   }
   return 0;
 }

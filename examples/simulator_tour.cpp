@@ -3,20 +3,22 @@
 // take a random walk, and enumerate the first reachable states.
 #include <cstdio>
 
-#include "hsis/environment.hpp"
+#include "hsis/session.hpp"
 #include "models/models.hpp"
 
 int main() {
-  hsis::Environment env;
-  env.readVerilog(std::string(hsis::models::find("2mdlc")->verilog));
-  hsis::Simulator sim = env.makeSimulator(/*seed=*/2026);
+  hsis::Session session;
+  session.load({hsis::Session::DesignSource::Kind::Verilog,
+                std::string(hsis::models::find("2mdlc")->verilog), ""});
+  hsis::Simulator sim = session.makeSimulator(/*seed=*/2026);
+  const hsis::Fsm& fsm = session.fsm();
 
   std::printf("initial state:\n  %s\n\n", sim.show().c_str());
 
   std::printf("successors of the initial state:\n");
   auto succ = sim.successors(4);
   for (size_t i = 0; i < succ.size(); ++i) {
-    std::printf("  [%zu] %s\n", i, env.fsm().formatState(succ[i]).c_str());
+    std::printf("  [%zu] %s\n", i, fsm.formatState(succ[i]).c_str());
   }
 
   std::printf("\nstepping into successor 0 three times:\n");
@@ -34,7 +36,7 @@ int main() {
 
   std::printf("\nbreadth-first enumeration of the first 8 states:\n");
   sim.enumerate(8, [&](const std::vector<int8_t>& s) {
-    std::printf("  %s\n", env.fsm().formatState(s).c_str());
+    std::printf("  %s\n", fsm.formatState(s).c_str());
   });
 
   std::printf("\ntotal reachable states: %.0f\n", sim.reachableCount());

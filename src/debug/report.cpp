@@ -14,64 +14,6 @@ std::string renderTrace(const Trace& trace, const Fsm& fsm) {
   return os.str();
 }
 
-std::string renderSourceMap(const Fsm& fsm) {
-  std::ostringstream os;
-  bool any = false;
-  for (size_t l = 0; l < fsm.numLatches(); ++l) {
-    if (fsm.latchLine(l) <= 0) continue;
-    if (!any) os << "source map (signal -> HDL line):\n";
-    any = true;
-    os << "  " << fsm.latchName(l) << " -> line " << fsm.latchLine(l) << "\n";
-  }
-  return any ? os.str() : std::string();
-}
-
-namespace {
-
-/// Append the "changes: latch (line N), ..." annotation for one
-/// transition; `label` distinguishes forward edges from the lasso's back
-/// edge. Prints nothing when no latch changes.
-void appendChanges(std::ostringstream& os, const Fsm& fsm,
-                   const std::vector<int8_t>& from,
-                   const std::vector<int8_t>& to, const char* label) {
-  std::vector<uint32_t> cur = fsm.decodeState(from);
-  std::vector<uint32_t> nxt = fsm.decodeState(to);
-  bool anyChange = false;
-  for (size_t l = 0; l < fsm.numLatches(); ++l) {
-    if (cur[l] == nxt[l]) continue;
-    if (anyChange) {
-      os << ", ";
-    } else {
-      os << "        " << label << ": ";
-    }
-    anyChange = true;
-    os << fsm.latchName(l);
-    if (fsm.latchLine(l) > 0) os << " (line " << fsm.latchLine(l) << ")";
-  }
-  if (anyChange) os << "\n";
-}
-
-}  // namespace
-
-std::string renderTraceWithSource(const Trace& trace, const Fsm& fsm) {
-  std::ostringstream os;
-  for (size_t i = 0; i < trace.states.size(); ++i) {
-    if (trace.cycleStart == static_cast<int>(i)) os << "  -- cycle --\n";
-    os << "  step " << i << ": " << fsm.formatState(trace.states[i]) << "\n";
-    if (i + 1 < trace.states.size())
-      appendChanges(os, fsm, trace.states[i], trace.states[i + 1], "changes");
-  }
-  if (trace.isLasso()) {
-    // The back edge is a real transition too: annotate what it flips on
-    // re-entry, same source-line marking as the forward edges.
-    appendChanges(os, fsm, trace.states.back(),
-                  trace.states[static_cast<size_t>(trace.cycleStart)],
-                  "back-edge changes");
-    os << "  (loops back to step " << trace.cycleStart << ")\n";
-  }
-  return os.str();
-}
-
 std::string renderBugReport(const BugReport& report, const Fsm& fsm) {
   std::ostringstream os;
   os << "=== bug report: " << report.propertyName << " ===\n";

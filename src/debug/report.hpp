@@ -28,18 +28,9 @@ struct BugReport {
 /// FSM for MC, the product FSM for LC).
 std::string renderBugReport(const BugReport& report, const Fsm& fsm);
 
-/// Render a trace alone.
+/// Render a trace alone. Source-level debugging (paper Section 8, item
+/// 7) — each latch attributed to its HDL line — is the hsis-cex-v1
+/// artifact's view (cex/cex.hpp: build + renderMarkdown).
 std::string renderTrace(const Trace& trace, const Fsm& fsm);
-
-/// Source-level debugging (paper Section 8, item 7): the mapping from the
-/// design's state-holding signals back to the HDL lines that declared them,
-/// as carried by .lineinfo annotations through vl2mv and flattening.
-/// Returns an empty string when no line information is available.
-std::string renderSourceMap(const Fsm& fsm);
-
-/// Trace rendering that marks, at each step, which latches changed and the
-/// HDL source line of each changed latch — "the sequence of instructions
-/// that led to the faulty behavior".
-std::string renderTraceWithSource(const Trace& trace, const Fsm& fsm);
 
 }  // namespace hsis

@@ -18,7 +18,7 @@ class TransitionRelation {
  public:
   /// Build the monolithic T(x,y) = ∃ nonstate . ∏ relations.
   static TransitionRelation monolithic(const Fsm& fsm,
-                                       QuantMethod method = QuantMethod::Greedy,
+                                       QuantMethod method = QuantMethod::Tree,
                                        QuantExecStats* stats = nullptr);
 
   /// Cluster the relations: quantify every non-state variable first

@@ -7,10 +7,12 @@
 // Two planners are provided (the paper: "we have implemented two different
 // packages for this problem"), plus a naive baseline for ablation:
 //  - Greedy: left-deep multiplication order chosen by a dead-variable /
-//    introduced-variable cost function (IWLS95 style).
+//    introduced-variable cost function (IWLS95 style). Only on request
+//    (the two-package ablation): it blows up on rings (see
+//    quantifiedPieces).
 //  - Tree: balanced binary clustering over relations sorted by the top
 //    level of their support, quantifying at the lowest subtree that
-//    encloses all occurrences of a variable.
+//    encloses all occurrences of a variable. The default everywhere.
 //  - Naive: multiply everything in the given order, quantify at the end.
 #pragma once
 

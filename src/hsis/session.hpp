@@ -1,5 +1,7 @@
-// hsis::Session — the reusable verification session underneath
-// hsis::Environment and the hsis_serve worker pool.
+// hsis::Session — the paper's Figure-1 toolflow (read a design, build the
+// machine, check in either paradigm, hand a bug report to the debugger)
+// as one reusable object: what hsis_cli, the examples, par::checkBatch
+// and the hsis_serve worker pool drive.
 //
 // A Session owns one BddManager plus everything derived from a loaded
 // design (flattened model, FSM, transition relation, CTL checker) and
@@ -48,7 +50,7 @@ class Session {
   struct Options {
     bool partitionedTr = true;
     size_t clusterLimit = 5000;
-    QuantMethod quantMethod = QuantMethod::Greedy;
+    QuantMethod quantMethod = QuantMethod::Tree;
     bool earlyFailureDetection = true;  ///< CTL invariants only
     bool useReachedDontCares = true;
     bool wantTraces = true;

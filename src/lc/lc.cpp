@@ -44,7 +44,7 @@ Bdd guardFunction(const Fsm& fsm, MvVarId v) {
     }
   }
   if (rels.empty()) return mgr.bddOne();  // a free input: any value
-  return productAndQuantify(mgr, rels, space.cube(inner), QuantMethod::Greedy);
+  return productAndQuantify(mgr, rels, space.cube(inner), QuantMethod::Tree);
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ struct LcOptions {
   bool wantTrace = true;
   bool partitionedTr = true;
   size_t clusterLimit = 5000;
-  QuantMethod quantMethod = QuantMethod::Greedy;
+  QuantMethod quantMethod = QuantMethod::Tree;
 };
 
 struct LcStats {

@@ -515,18 +515,16 @@ ObsCliOptions stripObsCliFlags(int& argc, char** argv) {
       opts.statsJsonPath = argv[i + 1];
       eraseArgs(argc, argv, i, 2);
     } else if (std::strcmp(a, "--heartbeat") == 0 && hasValue) {
-      opts.heartbeatMs =
-          static_cast<uint64_t>(std::strtoull(argv[i + 1], nullptr, 10));
+      opts.heartbeatMs = flagNumber<uint64_t>(a, argv[i + 1]);
       eraseArgs(argc, argv, i, 2);
     } else if (std::strcmp(a, "--heartbeat-file") == 0 && hasValue) {
       opts.heartbeatFile = argv[i + 1];
       eraseArgs(argc, argv, i, 2);
     } else if (std::strcmp(a, "--timeout-s") == 0 && hasValue) {
-      opts.timeoutSeconds = std::strtod(argv[i + 1], nullptr);
+      opts.timeoutSeconds = flagNumber<double>(a, argv[i + 1]);
       eraseArgs(argc, argv, i, 2);
     } else if (std::strcmp(a, "--mem-limit-mb") == 0 && hasValue) {
-      opts.memLimitMb =
-          static_cast<uint64_t>(std::strtoull(argv[i + 1], nullptr, 10));
+      opts.memLimitMb = flagNumber<uint64_t>(a, argv[i + 1]);
       eraseArgs(argc, argv, i, 2);
     } else if (std::strcmp(a, "--profile") == 0) {
       opts.profile = true;
@@ -537,8 +535,7 @@ ObsCliOptions stripObsCliFlags(int& argc, char** argv) {
       eraseArgs(argc, argv, i, 2);
     } else if (std::strcmp(a, "--profile-interval-ms") == 0 && hasValue) {
       opts.profile = true;
-      opts.profileIntervalMs =
-          static_cast<uint64_t>(std::strtoull(argv[i + 1], nullptr, 10));
+      opts.profileIntervalMs = flagNumber<uint64_t>(a, argv[i + 1]);
       eraseArgs(argc, argv, i, 2);
     } else if (std::strcmp(a, "--log-level") == 0 && hasValue) {
       opts.logLevel = argv[i + 1];
@@ -716,7 +713,15 @@ std::string gitSha() {
 
 ObsCliOptions initDriverObs(int& argc, char** argv,
                             const DriverObsInit& init) {
-  ObsCliOptions opts = stripObsCliFlags(argc, argv);
+  ObsCliOptions opts;
+  try {
+    opts = stripObsCliFlags(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    // A malformed flag value is a usage error, reported before anything
+    // is armed.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
   ExitState& st = exitState();
   {
     std::lock_guard<std::mutex> lock(st.mu);

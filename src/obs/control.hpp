@@ -26,8 +26,10 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -330,7 +332,32 @@ struct ObsCliOptions {
   std::string covJsonPath;
 };
 
+/// `text` as a T when all of it is one, else nullopt: how every driver
+/// reads its numeric flags ("5x", " 5", "-1" as an unsigned and
+/// out-of-range values are not numbers).
+template <typename T>
+std::optional<T> parseNumber(const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || ptr == text) return std::nullopt;
+  return value;
+}
+
+/// The value of numeric flag `flag`; throws std::invalid_argument
+/// ("FLAG needs a number, got 'TEXT'") when `text` is not one, which the
+/// drivers report as "error: ..." with exit code 2.
+template <typename T>
+T flagNumber(const char* flag, const char* text) {
+  std::optional<T> v = parseNumber<T>(text);
+  if (!v)
+    throw std::invalid_argument(std::string(flag) + " needs a number, got '" +
+                                text + "'");
+  return *v;
+}
+
 /// Scan argv, remove every recognized flag (and value), return the result.
+/// A malformed numeric value throws std::invalid_argument (flagNumber).
 ObsCliOptions stripObsCliFlags(int& argc, char** argv);
 /// Start heartbeat/watchdog/profiler/logger/flight recorder per the
 /// options (names the calling thread "main" for trace exports) and
@@ -369,6 +396,7 @@ struct DriverObsInit {
 
 /// Strip + apply the shared flags and set up the exit exporters for a
 /// driver process. Call first thing in main, before other arg parsing.
+/// A malformed numeric flag value prints "error: ..." and exits with 2.
 ObsCliOptions initDriverObs(int& argc, char** argv,
                             const DriverObsInit& init);
 

@@ -1,5 +1,6 @@
-# CTest script: hsis_cli rejects malformed input with "error: MESSAGE" on
-# stderr and exit code 2 (no abort, no silent acceptance). Registered as
+# CTest script: hsis_cli rejects malformed input — a design, or a numeric
+# flag value — with "error: MESSAGE" on stderr and exit code 2 (no abort,
+# no silent acceptance). Registered as
 # the `cli_input_errors` test in tests/CMakeLists.txt:
 #
 #   cmake -DHSIS_CLI=... -DWORK_DIR=... -P cli_input_errors.cmake
@@ -33,3 +34,9 @@ expect_error("error: vl2mv parse error (line 4): ';' after declaration"
              ${WORK_DIR}/no_semicolon.v ${WORK_DIR}/empty.pif)
 expect_error("error: blifmv parse error (line 2): model m has no .end"
              --blifmv ${WORK_DIR}/truncated.mv ${WORK_DIR}/empty.pif)
+# A numeric flag that is not a number: hsis_cli's own --jobs and a shared
+# obs flag. Neither may fall back to a default (one worker, no timeout).
+expect_error("error: --jobs needs a number, got 'two'"
+             --jobs two --model philos)
+expect_error("error: --timeout-s needs a number, got 'soon'"
+             --timeout-s soon --model philos)

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench_schema.hpp"
-#include "hsis/environment.hpp"
+#include "hsis/session.hpp"
 #include "models/models.hpp"
 #include "obs/control.hpp"
 #include "obs/jsonlite.hpp"
@@ -182,6 +182,7 @@ TEST(BenchSchema, HostBlockRoundTripsAndIsOptional) {
 }
 
 TEST(BenchArgs, ParseNumberTakesTheWholeText) {
+  using hsis::obs::parseNumber;
   EXPECT_EQ(parseNumber<int>("5"), 5);
   EXPECT_EQ(parseNumber<int>("-3"), -3);
   EXPECT_DOUBLE_EQ(parseNumber<double>("2.5").value_or(0), 2.5);
@@ -189,6 +190,20 @@ TEST(BenchArgs, ParseNumberTakesTheWholeText) {
     EXPECT_FALSE(parseNumber<int>(junk).has_value()) << '"' << junk << '"';
   EXPECT_FALSE(parseNumber<int>("99999999999").has_value());
   EXPECT_FALSE(parseNumber<double>("ten").has_value());
+  EXPECT_FALSE(parseNumber<uint64_t>("-1").has_value());
+
+  // The shared obs flags go through the same parser: a bad value throws
+  // instead of reading as 0 (no timeout, no heartbeat).
+  const char* raw[] = {"prog", "--timeout-s", "soon"};
+  int argc = 3;
+  char* argv[4] = {};
+  for (int i = 0; i < argc; ++i) argv[i] = const_cast<char*>(raw[i]);
+  try {
+    (void)hsis::obs::stripObsCliFlags(argc, argv);
+    ADD_FAILURE() << "--timeout-s soon was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--timeout-s needs a number, got 'soon'");
+  }
 }
 
 // -------------------------------------------------------------- runCase
@@ -335,39 +350,41 @@ TEST(BenchCases, MatchedPairsAgreeUnderCtlAndLc) {
 //
 // The contract hsis_bench and the watchdog rely on: an abort raised while
 // reachability or the LC hull is running unwinds cleanly, and after
-// clearAbort() the same Environment-level computation succeeds with the
+// clearAbort() the same Session-level computation succeeds with the
 // correct answer — no BDD-manager state was corrupted by the unwind.
 
 TEST(BenchAbort, ReachabilityUnwindsAndRecovers) {
   const auto* model = hsis::models::find("philos");
   ASSERT_NE(model, nullptr);
 
+  const hsis::Session::DesignSource src{
+      hsis::Session::DesignSource::Kind::Verilog, std::string(model->verilog),
+      std::string(model->top)};
+
   hsis::obs::clearAbort();
   double expected;
   {
-    hsis::Environment env;
-    env.readVerilog(std::string(model->verilog), std::string(model->top));
-    env.build();
-    expected = env.reachedStates();
+    hsis::Session s;
+    s.load(src);
+    expected = s.reachedStates();
     EXPECT_GT(expected, 0.0);
   }
 
-  hsis::Environment env;
-  env.readVerilog(std::string(model->verilog), std::string(model->top));
+  hsis::Session s;
+  s.load(src);
   hsis::obs::requestAbort("test: kill reach", "test.phase");
   EXPECT_THROW(
       {
-        env.build();  // TR build + reach both poll the abort flag
-        (void)env.reachedStates();
+        s.build();  // TR build + reach both poll the abort flag
+        (void)s.reachedStates();
       },
       hsis::obs::AbortedError);
 
-  // Recovery: same process, fresh environment, correct fixpoint.
+  // Recovery: same process, fresh session, correct fixpoint.
   hsis::obs::clearAbort();
-  hsis::Environment env2;
-  env2.readVerilog(std::string(model->verilog), std::string(model->top));
-  env2.build();
-  EXPECT_DOUBLE_EQ(env2.reachedStates(), expected);
+  hsis::Session s2;
+  s2.load(src);
+  EXPECT_DOUBLE_EQ(s2.reachedStates(), expected);
 }
 
 TEST(BenchAbort, LanguageContainmentUnwindsAndRecovers) {
@@ -380,18 +397,18 @@ TEST(BenchAbort, LanguageContainmentUnwindsAndRecovers) {
   ASSERT_NE(model, nullptr);
 
   hsis::obs::clearAbort();
-  hsis::Environment env;
-  env.readVerilog(std::string(model->verilog), std::string(model->top));
-  env.build();
+  hsis::Session s;
+  s.load({hsis::Session::DesignSource::Kind::Verilog,
+          std::string(model->verilog), std::string(model->top)});
+  s.build();
   hsis::PifFile pif = hsis::parsePif(kAutomaton);
 
   hsis::obs::requestAbort("test: kill lc", "test.phase");
-  EXPECT_THROW((void)env.verify(pif.properties.at(0)),
-               hsis::obs::AbortedError);
+  EXPECT_THROW((void)s.check(pif.properties.at(0)), hsis::obs::AbortedError);
 
-  // Recovery on the SAME environment: the unwind left its manager usable.
+  // Recovery on the SAME session: the unwind left its manager usable.
   hsis::obs::clearAbort();
-  hsis::BugReport report = env.verify(pif.properties.at(0));
+  hsis::BugReport report = s.check(pif.properties.at(0));
   EXPECT_TRUE(report.holds);
 }
 

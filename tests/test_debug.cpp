@@ -2,12 +2,20 @@
 #include <gtest/gtest.h>
 
 #include "blifmv/blifmv.hpp"
+#include "cex/cex.hpp"
 #include "debug/mcdebug.hpp"
 #include "debug/report.hpp"
 #include "vl2mv/vl2mv.hpp"
 
 namespace hsis {
 namespace {
+
+/// Source-level view of a trace (paper Section 8, item 7): the hsis-cex-v1
+/// artifact's Markdown step table, one column per latch headed by its HDL
+/// line.
+std::string sourceView(const Fsm& fsm, const Trace& trace) {
+  return cex::renderMarkdown(cex::build(fsm, trace, {}));
+}
 
 struct DebugFixture : ::testing::Test {
   void SetUp() override {
@@ -142,16 +150,15 @@ TEST_F(DebugFixture, LassoRendering) {
 TEST_F(DebugFixture, SourceRenderingOnLassoWithoutLineInfo) {
   // AF s=3 fails: the 0-1-2 cycle never visits 3, so the checker yields a
   // fair lasso. BLIF-MV input carries no .lineinfo, so the source-level
-  // renderer must fall back to bare change annotations — no "(line N)".
+  // view must name the latch bare — no "(line N)".
   McResult r = mc->check(parseCtl("AF s=3"));
   ASSERT_FALSE(r.holds);
   ASSERT_TRUE(r.counterexample.has_value());
   ASSERT_TRUE(r.counterexample->isLasso());
-  std::string text = renderTraceWithSource(*r.counterexample, *fsm);
-  EXPECT_NE(text.find("-- cycle --"), std::string::npos);
-  EXPECT_NE(text.find("(loops back to step"), std::string::npos);
-  EXPECT_NE(text.find("back-edge changes"), std::string::npos);
-  EXPECT_NE(text.find("changes:"), std::string::npos);
+  std::string text = sourceView(*fsm, *r.counterexample);
+  EXPECT_NE(text.find("| step | s |"), std::string::npos);
+  EXPECT_NE(text.find("(cycle)"), std::string::npos);
+  EXPECT_NE(text.find("loops back to step"), std::string::npos);
   EXPECT_EQ(text.find("(line"), std::string::npos);
 }
 
@@ -184,24 +191,26 @@ endmodule
     if (fsm.latchName(l) == "a") EXPECT_EQ(fsm.latchLine(l), 4);
     if (fsm.latchName(l) == "b") EXPECT_EQ(fsm.latchLine(l), 5);
   }
-  std::string map = renderSourceMap(fsm);
-  EXPECT_NE(map.find("a -> line 4"), std::string::npos);
 
-  // a failing invariant's trace annotated with source lines
+  // a failing invariant's trace attributed to source lines
   auto tr = TransitionRelation::monolithic(fsm);
   CtlChecker mc(fsm, tr);
   McResult r = mc.check(parseCtl("AG b!=2"));
   ASSERT_FALSE(r.holds);
   ASSERT_TRUE(r.counterexample.has_value());
-  std::string annotated = renderTraceWithSource(*r.counterexample, fsm);
-  EXPECT_NE(annotated.find("changes:"), std::string::npos);
-  EXPECT_NE(annotated.find("(line 5)"), std::string::npos);
+  cex::Artifact art = cex::build(fsm, *r.counterexample, {});
+  ASSERT_EQ(art.latches.size(), 2u);
+  for (const cex::SignalInfo& latch : art.latches)
+    EXPECT_EQ(latch.sourceLine, latch.name == "a" ? 4 : 5) << latch.name;
+  std::string annotated = cex::renderMarkdown(art);
+  EXPECT_NE(annotated.find("a (line 4)"), std::string::npos);
+  EXPECT_NE(annotated.find("b (line 5)"), std::string::npos);
 }
 
 TEST(SourceLevel, LassoRenderingCarriesLineInfo) {
   // b advances only under the free input en, so AF b=2 fails: the lasso
-  // holds en=0 forever while a keeps toggling. The cycle's change
-  // annotations must carry a's declaration line.
+  // holds en=0 forever while a keeps toggling. The step table marks the
+  // cycle and heads a's column with its declaration line.
   auto design = vl2mv::compile(R"(
 module m;
   wire clk;
@@ -225,9 +234,9 @@ endmodule
   ASSERT_FALSE(r.holds);
   ASSERT_TRUE(r.counterexample.has_value());
   ASSERT_TRUE(r.counterexample->isLasso());
-  std::string text = renderTraceWithSource(*r.counterexample, fsm);
-  EXPECT_NE(text.find("-- cycle --"), std::string::npos);
-  EXPECT_NE(text.find("(line 5)"), std::string::npos);  // reg a
+  std::string text = sourceView(fsm, *r.counterexample);
+  EXPECT_NE(text.find("(cycle)"), std::string::npos);
+  EXPECT_NE(text.find("a (line 5)"), std::string::npos);  // reg a
 }
 
 TEST(SourceLevel, PrefixedLinesAcrossHierarchy) {

@@ -5,9 +5,9 @@
 #include <string>
 
 #include "designs.hpp"
-#include "hsis/environment.hpp"
 #include "hsis/session.hpp"
 #include "models/models.hpp"
+#include "par/batch.hpp"
 
 namespace hsis {
 namespace {
@@ -80,10 +80,13 @@ class ModelSuite : public ::testing::TestWithParam<const char*> {};
 TEST_P(ModelSuite, AllVerdictsAsDesigned) {
   const models::ModelDef* m = models::find(GetParam());
   ASSERT_NE(m, nullptr);
-  Environment env;
-  env.readVerilog(std::string(m->verilog), std::string(m->top));
-  env.readPif(std::string(m->pif));
-  std::vector<BugReport> reports = env.verifyAll();
+  Session s;
+  s.load({Session::DesignSource::Kind::Verilog, std::string(m->verilog),
+          std::string(m->top)});
+  PifFile pif = parsePif(std::string(m->pif));
+  s.addFairness(pif.fairness);
+  std::vector<BugReport> reports =
+      par::checkBatch(s, pif.properties).reports;
 
   size_t checked = 0;
   for (const BugReport& r : reports) {
@@ -101,7 +104,7 @@ TEST_P(ModelSuite, AllVerdictsAsDesigned) {
     }
   }
   EXPECT_EQ(checked, reports.size()) << "every property has an expectation";
-  EXPECT_GT(env.reachedStates(), 0.0);
+  EXPECT_GT(s.reachedStates(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1, ModelSuite,
@@ -115,15 +118,15 @@ TEST(Models, Table1Shape) {
   size_t mdlcLines = 0, maxOtherLines = 0;
   double schedulerStates = 0, maxOtherStates = 0;
   for (const auto& m : models::all()) {
-    Environment env;
-    env.readVerilog(std::string(m.verilog), std::string(m.top));
-    env.build();
-    EXPECT_GT(env.metrics().linesBlifMv, env.metrics().linesVerilog) << m.name;
-    double states = env.reachedStates();
+    Session s;
+    s.load({Session::DesignSource::Kind::Verilog, std::string(m.verilog),
+            std::string(m.top)});
+    EXPECT_GT(s.linesBlifMv(), s.linesVerilog()) << m.name;
+    double states = s.reachedStates();
     if (m.name == "2mdlc") {
-      mdlcLines = env.metrics().linesBlifMv;
+      mdlcLines = s.linesBlifMv();
     } else {
-      maxOtherLines = std::max(maxOtherLines, env.metrics().linesBlifMv);
+      maxOtherLines = std::max(maxOtherLines, s.linesBlifMv());
     }
     if (m.name == "scheduler") {
       schedulerStates = states;
@@ -140,10 +143,9 @@ TEST(Models, ReachedStateCountsAreExact) {
   // count that read those edges as 1 - d drifted (2mdlc) or cancelled to 0
   // (scheduler-40).
   auto reached = [](const std::string& verilog, const std::string& top) {
-    Environment env;
-    env.readVerilog(verilog, top);
-    env.build();
-    return env.reachedStates();
+    Session s;
+    s.load({Session::DesignSource::Kind::Verilog, verilog, top});
+    return s.reachedStates();
   };
   const models::ModelDef* mdlc = models::find("2mdlc");
   EXPECT_EQ(reached(std::string(mdlc->verilog), std::string(mdlc->top)),

@@ -22,12 +22,13 @@
 #include <thread>
 #include <vector>
 
-#include "hsis/environment.hpp"
+#include "hsis/session.hpp"
 #include "obs/control.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
 #include "obs/prof.hpp"
+#include "par/batch.hpp"
 
 namespace hsis::obs {
 namespace {
@@ -430,12 +431,11 @@ TEST(ObsThreads, ConcurrentCountsAreExact) {
   }
 }
 
-// ------------------------------------- Environment metrics equivalence
+// ------------------------------------------- env.* metrics equivalence
 //
-// Environment::Metrics is now derived from the same microsecond readings
-// that feed the registry's env.* metrics; on a small model the two views
-// must agree (satellite requirement: registry-derived metrics match the
-// legacy hand-threaded timers).
+// Session mirrors its Table-1 readings into the registry's env.*
+// (environment) metrics; on a small model each must equal the session's
+// own figure and the sum over the returned reports.
 
 TEST(ObsEnvironment, MetricsMatchRegistry) {
   const char* kToggleVerilog = R"(
@@ -446,45 +446,54 @@ module top;
   initial b = 0;
 endmodule
 )";
-  const char* kTogglePif = R"PIF(ctl live "AG (AF b=1)";)PIF";
+  const char* kTogglePif = R"PIF(
+ctl live "AG (AF b=1)";
+automaton toggles {
+  state A init;
+  edge A -> A on "1";
+  accept stay A;
+}
+)PIF";
 
   resetAll();
-  Environment env;
-  env.readVerilog(kToggleVerilog);
-  env.readPif(kTogglePif);
-  env.build();
-  std::vector<BugReport> reports = env.verifyAll();
-  ASSERT_EQ(reports.size(), 1u);
+  Session session;
+  session.load({Session::DesignSource::Kind::Verilog, kToggleVerilog, ""});
+  PifFile pif = parsePif(kTogglePif);
+  session.build();
+  std::vector<BugReport> reports =
+      par::checkBatch(session, pif.properties).reports;
+  ASSERT_EQ(reports.size(), 2u);
   EXPECT_TRUE(reports[0].holds);
+  EXPECT_TRUE(reports[1].holds);
+  const double reached = session.reachedStates();
+  EXPECT_DOUBLE_EQ(reached, 2.0);
 
-  const Environment::Metrics& m = env.metrics();
+  // The registry keeps whole microseconds, rounded per check.
+  auto micros = [](double seconds) {
+    return static_cast<uint64_t>(std::llround(seconds * 1e6));
+  };
   if (kEnabled) {
-    // Both views derive from the same microsecond ticks, so the seconds
-    // figures agree to within one rounding of the shared integer.
-    EXPECT_DOUBLE_EQ(
-        m.readSeconds,
-        static_cast<double>(gauge("env.read.micros").value()) * 1e-6);
-    EXPECT_NEAR(m.mcSeconds,
-                static_cast<double>(counter("env.mc.micros").value()) * 1e-6,
-                1e-9);
-    EXPECT_EQ(counter("env.props.ctl").value(), m.numCtlFormulas);
-    EXPECT_EQ(counter("env.props.lc").value(), m.numLcProps);
+    EXPECT_EQ(static_cast<uint64_t>(gauge("env.read.micros").value()),
+              session.lastBuildMicros());
+    EXPECT_EQ(counter("env.mc.micros").value(), micros(reports[0].seconds));
+    EXPECT_EQ(counter("env.lc.micros").value(), micros(reports[1].seconds));
+    EXPECT_EQ(counter("env.props.ctl").value(), 1u);
+    EXPECT_EQ(counter("env.props.lc").value(), 1u);
     EXPECT_EQ(static_cast<double>(gauge("env.reached.states").value()),
-              env.reachedStates());
+              reached);
     // The verification phases left their marks in the shared registry.
     EXPECT_GT(counter("bdd.nodes.created").value(), 0u);
     EXPECT_GT(counter("fsm.reach.iterations").value(), 0u);
   } else {
-    // Disabled instrumentation must not break the legacy metrics: they
-    // are computed from a real wall clock either way.
-    EXPECT_GE(m.readSeconds, 0.0);
+    // Disabled instrumentation leaves the registry empty; the session's
+    // own readings come from a real wall clock either way.
+    EXPECT_GT(session.lastBuildMicros(), 0u);
     EXPECT_EQ(counter("env.mc.micros").value(), 0u);
     EXPECT_EQ(gauge("env.reached.states").value(), 0);
   }
-  EXPECT_EQ(m.numCtlFormulas, 1u);
 
-  // statsJson() is valid JSON in both modes.
-  JsonValue doc = parseJson(env.statsJson());
+  // The snapshot is valid JSON in both modes.
+  JsonValue doc = parseJson(snapshotJson());
   EXPECT_EQ(doc.object().at("enabled").boolean(), kEnabled);
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dead_states.hpp"
-#include "hsis/environment.hpp"
+#include "hsis/session.hpp"
 #include "proplib/proplib.hpp"
 
 namespace hsis {
@@ -36,10 +36,10 @@ endmodule
 
 struct ProplibFixture : ::testing::Test {
   void SetUp() override {
-    env.readVerilog(kDesign);
+    session.load({Session::DesignSource::Kind::Verilog, kDesign, ""});
   }
-  bool verify(const PifProperty& p) { return env.verify(p).holds; }
-  Environment env;
+  bool verify(const PifProperty& p) { return session.check(p).holds; }
+  Session session;
 };
 
 TEST_F(ProplibFixture, Invariant) {
@@ -99,7 +99,7 @@ TEST_F(ProplibFixture, Recurrence) {
   EXPECT_FALSE(verify(proplib::recurrence("rec3", parseSigExpr("req=1"))));
   EXPECT_FALSE(verify(proplib::recurrenceCtl("rec4", parseSigExpr("req=1"))));
   // ...unless fairness forbids starving the requester
-  env.addFairness(proplib::noStarvation(parseSigExpr("req=0")));
+  session.addFairness(proplib::noStarvation(parseSigExpr("req=0")));
   EXPECT_TRUE(verify(proplib::recurrence("rec5", parseSigExpr("req=1"))));
   EXPECT_TRUE(verify(proplib::recurrenceCtl("rec6", parseSigExpr("req=1"))));
 }

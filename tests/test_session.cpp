@@ -1,6 +1,8 @@
-// hsis::Session — the reusable verification session under Environment and
-// the hsis_serve worker pool: digest-keyed load (the compiled-design cache
-// primitive), abort safety, and multi-session isolation.
+// hsis::Session — the paper's Figure-1 toolflow (read a design and its
+// PIF, build the machine, check in either paradigm, report) and the
+// reusable session under hsis_cli, par::checkBatch and the hsis_serve
+// worker pool: digest-keyed load (the compiled-design cache primitive),
+// abort safety, and multi-session isolation.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -8,6 +10,7 @@
 #include "hsis/session.hpp"
 #include "models/models.hpp"
 #include "obs/control.hpp"
+#include "par/batch.hpp"
 #include "obs/prof.hpp"
 #include "test_support.hpp"
 
@@ -179,6 +182,178 @@ TEST(Session, TwoConcurrentSessionsStayIndependent) {
   // gigamax is a much larger design than pingpong; if the managers shared
   // state the counts could not stay this far apart.
   EXPECT_NE(r1.census.liveNodes, r2.census.liveNodes);
+}
+
+// ---- the Figure-1 toolflow on small designs ----
+
+const char* kMutexVerilog = R"(
+module top;
+  wire clk;
+  enum { idle, trying, critical } p0, p1;
+  wire grant0, grant1, req0, req1;
+  assign req0 = $ND(0, 1);
+  assign req1 = $ND(0, 1);
+  assign grant0 = (p0 == trying) && !(p1 == critical);
+  assign grant1 = (p1 == trying) && !(p0 == critical) && !grant0;
+  always @(posedge clk) begin
+    case (p0)
+      idle:     if (req0) p0 <= trying;
+      trying:   if (grant0) p0 <= critical;
+      critical: p0 <= idle;
+    endcase
+  end
+  always @(posedge clk) begin
+    case (p1)
+      idle:     if (req1) p1 <= trying;
+      trying:   if (grant1) p1 <= critical;
+      critical: p1 <= idle;
+    endcase
+  end
+  initial p0 = idle;
+  initial p1 = idle;
+endmodule
+)";
+
+const char* kMutexPif = R"PIF(
+ctl mutex "AG !(p0=critical & p1=critical)";
+ctl no_both_trying "AG !(p0=trying & p1=trying)";
+automaton never_both {
+  state A init;
+  state B;
+  edge A -> A on "!(p0=critical & p1=critical)";
+  edge A -> B on "p0=critical & p1=critical";
+  edge B -> B on "1";
+  accept stay A;
+}
+)PIF";
+
+Session::DesignSource verilog(const char* text, const char* top = "") {
+  return {Session::DesignSource::Kind::Verilog, text, top};
+}
+
+Session::DesignSource blifMv(const char* text) {
+  return {Session::DesignSource::Kind::BlifMv, text, ""};
+}
+
+TEST(Session, FullFlow) {
+  // Read, check the whole property list as hsis_cli does, report.
+  Session s;
+  s.load(verilog(kMutexVerilog));
+  PifFile pif = parsePif(kMutexPif);
+  s.addFairness(pif.fairness);
+  std::vector<BugReport> reports =
+      par::checkBatch(s, pif.properties).reports;
+  ASSERT_EQ(reports.size(), 3u);
+  EXPECT_TRUE(reports[0].holds);
+  EXPECT_EQ(reports[0].paradigm, BugReport::Paradigm::ModelChecking);
+  EXPECT_FALSE(reports[1].holds);
+  EXPECT_TRUE(reports[1].trace.has_value());
+  EXPECT_TRUE(reports[2].holds);
+  EXPECT_EQ(reports[2].paradigm, BugReport::Paradigm::LanguageContainment);
+
+  EXPECT_GT(s.linesVerilog(), 0u);
+  EXPECT_GT(s.linesBlifMv(), s.linesVerilog());
+  EXPECT_GT(s.lastBuildMicros(), 0u);
+  EXPECT_DOUBLE_EQ(s.reachedStates(), 8.0);
+}
+
+TEST(Session, ReadBlifMvDirectly) {
+  Session s;
+  s.load(blifMv(R"(
+.model counter
+.mv s, ns 4
+.table s ns
+0 1
+1 2
+2 3
+3 0
+.latch ns s
+.reset s
+0
+.end
+)"));
+  EXPECT_DOUBLE_EQ(s.reachedStates(), 4.0);
+  EXPECT_EQ(s.linesVerilog(), 0u);
+  BugReport r = s.checkCtl("loops", parseCtl("AG EF s=0"));
+  EXPECT_TRUE(r.holds);
+}
+
+TEST(Session, FairnessAppliesAcrossParadigms) {
+  Session s;
+  s.load(blifMv(R"(
+.model stall
+.mv s, ns 2
+.table s ns
+0 (0,1)
+1 0
+.latch ns s
+.reset s
+0
+.end
+)"));
+  // without fairness the liveness fails
+  EXPECT_FALSE(s.checkCtl("live", parseCtl("AG (s=0 -> AF s=1)")).holds);
+  s.addFairness(parsePif("fairness { nostay \"s=0\"; }").fairness);
+  EXPECT_TRUE(s.checkCtl("live", parseCtl("AG (s=0 -> AF s=1)")).holds);
+
+  // the same fairness feeds language containment
+  Automaton live("live");
+  live.addState("wait");
+  live.addState("seen");
+  live.addEdge("wait", "seen", parseSigExpr("s=1"));
+  live.addEdge("wait", "wait", parseSigExpr("s!=1"));
+  live.addEdge("seen", "seen", parseSigExpr("s=1"));
+  live.addEdge("seen", "wait", parseSigExpr("s!=1"));
+  live.setBuchiAcceptance({"seen"});
+  EXPECT_TRUE(s.checkAutomaton("keeps_visiting", live).holds);
+}
+
+TEST(Session, SimulatorAccess) {
+  Session s;
+  s.load(verilog(kMutexVerilog));
+  Simulator sim = s.makeSimulator(3);
+  EXPECT_GE(sim.successors().size(), 1u);
+  EXPECT_DOUBLE_EQ(sim.reachableCount(), 8.0);
+}
+
+TEST(Session, ErrorsWithoutDesign) {
+  Session s;
+  EXPECT_THROW(s.build(), std::runtime_error);
+}
+
+TEST(Session, OptionsRespected) {
+  Session::Options opts;
+  opts.partitionedTr = false;
+  opts.quantMethod = QuantMethod::Tree;
+  opts.earlyFailureDetection = false;
+  opts.wantTraces = false;
+  Session s(opts);
+  s.load(verilog(kMutexVerilog));
+  BugReport r = s.checkCtl("fails", parseCtl("AG !(p0=trying & p1=trying)"));
+  EXPECT_FALSE(r.holds);
+  EXPECT_FALSE(r.trace.has_value());
+  EXPECT_FALSE(r.usedEarlyFailure);
+  EXPECT_TRUE(s.tr().isMonolithic());
+}
+
+TEST(Session, VerilogTopSelection) {
+  Session s;
+  s.load(verilog(R"(
+module one;
+  wire clk;
+  reg r;
+  always @(posedge clk) r <= !r;
+  initial r = 0;
+endmodule
+module two;
+  wire clk;
+  reg [1:0] q;
+  always @(posedge clk) q <= q + 1;
+  initial q = 0;
+endmodule
+)",
+                 "two"));
+  EXPECT_DOUBLE_EQ(s.reachedStates(), 4.0);
 }
 
 }  // namespace

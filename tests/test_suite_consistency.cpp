@@ -3,7 +3,8 @@
 // the reachable state count of every bundled design.
 #include <gtest/gtest.h>
 
-#include "hsis/environment.hpp"
+#include "blifmv/blifmv.hpp"
+#include "fsm/image.hpp"
 #include "models/models.hpp"
 #include "vl2mv/vl2mv.hpp"
 
@@ -21,7 +22,9 @@ TEST_P(SuiteConsistency, TrFormsAgreeOnReachability) {
   double counts[3];
   size_t depths[3];
   int i = 0;
-  for (auto build : {+[](Fsm& f) { return TransitionRelation::monolithic(f); },
+  for (auto build : {+[](Fsm& f) {
+                       return TransitionRelation::monolithic(f, QuantMethod::Greedy);
+                     },
                      +[](Fsm& f) {
                        return TransitionRelation::monolithic(f, QuantMethod::Tree);
                      },

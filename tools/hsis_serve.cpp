@@ -32,7 +32,9 @@
 // ledger record, so `hsis_report list` shows server traffic like any other
 // driver's runs. See docs/serve.md.
 //
-// Exit codes: 0 clean shutdown, 2 usage/bind error.
+// Exit codes: 0 clean shutdown, 2 usage/bind error (a malformed numeric
+// flag value prints "error: ..." first).
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -65,13 +67,14 @@ int usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (hsis::obs::handleVersionFlag(argc, argv, "hsis_serve")) return 0;
   // ownLedger: the pool writes one record per request; the process-level
   // exit record still marks daemon start/stop in the same file.
   hsis::obs::initDriverObs(argc, argv,
                            {.driverName = "hsis_serve", .ownLedger = true});
 
+  using hsis::obs::flagNumber;
   hsis::serve::ServerOptions opts;
   opts.version = hsis::obs::versionString("hsis_serve");
   opts.pool.ledgerPath = hsis::obs::activeLedgerPath();
@@ -82,26 +85,23 @@ int main(int argc, char** argv) {
     if (std::strcmp(a, "--socket") == 0 && hasValue) {
       opts.socketPath = argv[++i];
     } else if (std::strcmp(a, "--workers") == 0 && hasValue) {
-      opts.pool.workers =
-          static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      opts.pool.workers = flagNumber<size_t>(a, argv[++i]);
     } else if (std::strcmp(a, "--max-queue") == 0 && hasValue) {
-      opts.pool.maxQueue =
-          static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      opts.pool.maxQueue = flagNumber<size_t>(a, argv[++i]);
     } else if (std::strcmp(a, "--default-wall-s") == 0 && hasValue) {
-      opts.pool.defaultBudget.wallSeconds = std::strtod(argv[++i], nullptr);
+      opts.pool.defaultBudget.wallSeconds = flagNumber<double>(a, argv[++i]);
     } else if (std::strcmp(a, "--default-rss-mb") == 0 && hasValue) {
-      opts.pool.defaultBudget.rssMb = std::strtoull(argv[++i], nullptr, 10);
+      opts.pool.defaultBudget.rssMb = flagNumber<uint64_t>(a, argv[++i]);
     } else if (std::strcmp(a, "--max-wall-s") == 0 && hasValue) {
-      opts.pool.maxBudget.wallSeconds = std::strtod(argv[++i], nullptr);
+      opts.pool.maxBudget.wallSeconds = flagNumber<double>(a, argv[++i]);
     } else if (std::strcmp(a, "--max-rss-mb") == 0 && hasValue) {
-      opts.pool.maxBudget.rssMb = std::strtoull(argv[++i], nullptr, 10);
+      opts.pool.maxBudget.rssMb = flagNumber<uint64_t>(a, argv[++i]);
     } else if (std::strcmp(a, "--slow-threshold-s") == 0 && hasValue) {
-      opts.pool.slowThresholdSeconds = std::strtod(argv[++i], nullptr);
+      opts.pool.slowThresholdSeconds = flagNumber<double>(a, argv[++i]);
     } else if (std::strcmp(a, "--artifact-dir") == 0 && hasValue) {
       opts.pool.artifactDir = argv[++i];
     } else if (std::strcmp(a, "--jobs") == 0 && hasValue) {
-      opts.pool.batchJobs = std::atoi(argv[++i]);
-      if (opts.pool.batchJobs < 1) opts.pool.batchJobs = 1;
+      opts.pool.batchJobs = std::max(1, flagNumber<int>(a, argv[++i]));
     } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       usage();
       return 0;
@@ -146,4 +146,7 @@ int main(int argc, char** argv) {
   hsis::obs::noteRunResult("completed",
                            "requests=" + std::to_string(s.accepted));
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return usage();
 }
