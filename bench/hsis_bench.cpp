@@ -10,13 +10,13 @@
 //
 //   hsis_bench --list
 //   hsis_bench --suite table1 --repeat 3 --stats-json out/
-//   hsis_bench --suite reach --filter gigamax --heartbeat 500 --timeout-s 60
+//   hsis_bench --suite reach --filter gigamax --profile --timeout-s 60
 //
 // --stats-json takes either a directory (gets BENCH_<suite>.json inside)
 // or an explicit .json path. --trace-out DIR writes one Chrome trace
 // (phase spans plus profiler counter tracks) of each case's last run as
 // TRACE_<case>.json, mirroring how --stats-json names baselines. The
-// shared obs flags (--heartbeat, --timeout-s, --mem-limit-mb, --profile)
+// shared obs flags (--timeout-s, --mem-limit-mb, --profile, --log-level)
 // work like in every other driver; a watchdog abort stops the suite but
 // the baseline written so far is still valid, with the aborted case
 // marked, and the exit code is 3. --list builds every suite's table:
@@ -497,10 +497,10 @@ int usage(const char* argv0) {
       "usage: %s [--suite NAME] [--repeat N] [--warmup N] [--filter SUBSTR]\n"
       "          [--threads N] [--stats-json DIR-or-FILE.json]\n"
       "          [--trace-out DIR] [--list]\n"
-      "          [--heartbeat MS] [--heartbeat-file F] [--timeout-s S]\n"
-      "          [--mem-limit-mb M] [--profile] [--profile-out BASE]\n"
-      "          [--profile-interval-ms N] [--log-level LVL] [--log-file F]\n"
-      "          [--ledger PATH] [--flight-dir DIR]\n"
+      "          [--timeout-s S] [--mem-limit-mb M] [--profile]\n"
+      "          [--profile-out BASE] [--profile-interval-ms N]\n"
+      "          [--log-level LVL] [--log-file F] [--ledger PATH]\n"
+      "          [--flight-dir DIR]\n"
       "suites: smoke table1 reach quantify efd dontcare lc_vs_mc bdd "
       "parallel\n"
       "--threads caps the parallel suite's thread sweep (default 4)\n"

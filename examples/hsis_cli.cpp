@@ -9,8 +9,6 @@
 //
 // Every form also accepts the shared observability flags:
 //   --stats-json FILE    dump the full snapshot (and FILE.trace.json) at exit
-//   --heartbeat MS       one-line progress records on stderr every MS ms
-//   --heartbeat-file F   ... as JSONL appended to F instead
 //   --timeout-s S        abort the run past S seconds of wall clock
 //   --mem-limit-mb M     abort the run past M MiB of peak RSS
 //   --profile            sampling profiler: hsis-prof.folded + .census.jsonl
@@ -71,9 +69,8 @@ int usage() {
   for (const auto& m : hsis::models::all())
     std::fprintf(stderr, " %s", std::string(m.name).c_str());
   std::fprintf(stderr,
-               ")\nOBS-FLAGS: --stats-json FILE | --heartbeat MS | "
-               "--heartbeat-file F |\n"
-               "           --timeout-s S | --mem-limit-mb M | --profile |\n"
+               ")\nOBS-FLAGS: --stats-json FILE | --timeout-s S | "
+               "--mem-limit-mb M | --profile |\n"
                "           --profile-out BASE | --profile-interval-ms N |\n"
                "           --log-level LVL | --log-file F | --ledger PATH |\n"
                "           --flight-dir DIR | --cov-json FILE | "

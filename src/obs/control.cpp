@@ -1,7 +1,7 @@
-// Abort flag, RSS probes, the obs ticker with its heartbeat and watchdog
-// entries, and the shared CLI flag handling. Compiled identically in
-// enabled and HSIS_OBS_DISABLE builds: cancelling a runaway run is control
-// flow, not measurement (see control.hpp).
+// Abort flag, RSS probes, the obs ticker with its watchdog entries, and
+// the shared CLI flag handling. Compiled identically in enabled and
+// HSIS_OBS_DISABLE builds: cancelling a runaway run is control flow, not
+// measurement (see control.hpp).
 #include "obs/control.hpp"
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <list>
 #include <mutex>
@@ -17,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/jsonlite.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
 #include "obs/prof.hpp"
@@ -278,131 +278,6 @@ void cancelTick(uint64_t id) {
 
 }  // namespace detail
 
-// -------------------------------------------------------------- heartbeat
-
-HeartbeatSource::HeartbeatSource() : startNs_(WallTimer::nowNs()) {}
-
-HeartbeatRecord HeartbeatSource::next() {
-  HeartbeatRecord r;
-  r.seq = seq_++;
-  r.tSeconds = static_cast<double>(WallTimer::nowNs() - startNs_) * 1e-9;
-  r.phase = currentPhase();
-  r.rssKb = currentRssKb();
-  r.liveNodes = gauge("bdd.unique.size").value();
-  r.nodesCreated = counter("bdd.nodes.created").value();
-  r.cacheLookups = counter("bdd.cache.lookups").value();
-  r.cacheHits = counter("bdd.cache.hits").value();
-  r.reachIterations = counter("fsm.reach.iterations").value();
-  r.frontierNodes = gauge("fsm.reach.frontier.last").value();
-  r.hullIterations = counter("lc.hull.iterations").value();
-
-  r.dNodesCreated = r.nodesCreated - lastNodesCreated_;
-  r.dReachIterations = r.reachIterations - lastReach_;
-  r.dHullIterations = r.hullIterations - lastHull_;
-  uint64_t dLookups = r.cacheLookups - lastLookups_;
-  uint64_t dHits = r.cacheHits - lastHits_;
-  r.cacheHitRate =
-      dLookups == 0 ? 0.0
-                    : static_cast<double>(dHits) / static_cast<double>(dLookups);
-
-  lastNodesCreated_ = r.nodesCreated;
-  lastLookups_ = r.cacheLookups;
-  lastHits_ = r.cacheHits;
-  lastReach_ = r.reachIterations;
-  lastHull_ = r.hullIterations;
-  return r;
-}
-
-std::string HeartbeatRecord::toTableLine() const {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "[hsis-hb %llu] t=%.1fs phase=%s rss=%s live=%lld "
-                "+nodes=%llu hit=%.1f%% reach=%llu(+%llu) frontier=%lld "
-                "hull=%llu(+%llu)",
-                static_cast<unsigned long long>(seq), tSeconds,
-                phase.empty() ? "-" : phase.c_str(), formatMb(rssKb).c_str(),
-                static_cast<long long>(liveNodes),
-                static_cast<unsigned long long>(dNodesCreated),
-                cacheHitRate * 100.0,
-                static_cast<unsigned long long>(reachIterations),
-                static_cast<unsigned long long>(dReachIterations),
-                static_cast<long long>(frontierNodes),
-                static_cast<unsigned long long>(hullIterations),
-                static_cast<unsigned long long>(dHullIterations));
-  return buf;
-}
-
-std::string HeartbeatRecord::toJsonl() const {
-  std::string out;
-  jsonlite::Writer w(out);
-  w.beginObject().key("seq").value(seq).key("t_s").value(tSeconds);
-  w.key("phase").value(phase).key("rss_kb").value(rssKb);
-  w.key("live_nodes").value(liveNodes);
-  w.key("nodes_created").value(nodesCreated);
-  w.key("d_nodes").value(dNodesCreated);
-  w.key("cache_hit_rate").value(cacheHitRate);
-  w.key("reach_iterations").value(reachIterations);
-  w.key("d_reach_iterations").value(dReachIterations);
-  w.key("frontier_nodes").value(frontierNodes);
-  w.key("hull_iterations").value(hullIterations);
-  w.key("d_hull_iterations").value(dHullIterations).endObject();
-  return out;
-}
-
-struct Heartbeat::Impl {
-  std::mutex mu;  ///< guards start/stop; the tick callback never takes it
-  uint64_t tick = 0;
-  HeartbeatSource source;
-  std::ofstream jsonl;
-};
-
-Heartbeat& Heartbeat::instance() {
-  static Heartbeat h;
-  return h;
-}
-
-Heartbeat::Impl& Heartbeat::impl() const {
-  static Impl* impl = new Impl;  // leaked, see registry.cpp
-  return *impl;
-}
-
-void Heartbeat::start(HeartbeatOptions options) {
-  stop();
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  im.source = HeartbeatSource();
-  if (!options.jsonlPath.empty()) {
-    im.jsonl.open(options.jsonlPath, std::ios::app);
-    if (!im.jsonl.is_open())
-      std::fprintf(stderr, "heartbeat: cannot write %s\n",
-                   options.jsonlPath.c_str());
-  }
-  const uint64_t intervalNs = detail::periodNs(options.intervalMs);
-  im.tick = detail::scheduleTick(
-      WallTimer::nowNs() + intervalNs, [&im, intervalNs](uint64_t now) {
-        HeartbeatRecord rec = im.source.next();
-        if (im.jsonl.is_open()) {
-          im.jsonl << rec.toJsonl() << '\n' << std::flush;
-        } else {
-          std::fprintf(stderr, "%s\n", rec.toTableLine().c_str());
-        }
-        return now + intervalNs;
-      });
-}
-
-void Heartbeat::stop() {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  detail::cancelTick(std::exchange(im.tick, 0));
-  im.jsonl = std::ofstream();
-}
-
-bool Heartbeat::running() const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  return im.tick != 0;
-}
-
 // --------------------------------------------------------------- watchdog
 
 struct Watchdog::Impl {
@@ -513,12 +388,6 @@ ObsCliOptions stripObsCliFlags(int& argc, char** argv) {
     const bool hasValue = i + 1 < argc;
     if (std::strcmp(a, "--stats-json") == 0 && hasValue) {
       opts.statsJsonPath = argv[i + 1];
-      eraseArgs(argc, argv, i, 2);
-    } else if (std::strcmp(a, "--heartbeat") == 0 && hasValue) {
-      opts.heartbeatMs = flagNumber<uint64_t>(a, argv[i + 1]);
-      eraseArgs(argc, argv, i, 2);
-    } else if (std::strcmp(a, "--heartbeat-file") == 0 && hasValue) {
-      opts.heartbeatFile = argv[i + 1];
       eraseArgs(argc, argv, i, 2);
     } else if (std::strcmp(a, "--timeout-s") == 0 && hasValue) {
       opts.timeoutSeconds = flagNumber<double>(a, argv[i + 1]);
@@ -652,12 +521,6 @@ void applyObsCliOptions(const ObsCliOptions& options) {
     std::lock_guard<std::mutex> lock(st.mu);
     flight::install(flightDir, st.driverName);
   }
-  if (options.heartbeatMs > 0 || !options.heartbeatFile.empty()) {
-    HeartbeatOptions ho;
-    ho.intervalMs = options.heartbeatMs > 0 ? options.heartbeatMs : 1000;
-    ho.jsonlPath = options.heartbeatFile;
-    Heartbeat::instance().start(ho);
-  }
   Watchdog::instance().start({.wallLimitSeconds = options.timeoutSeconds,
                               .memLimitKb = options.memLimitMb * 1024});
   if (options.profile) {
@@ -685,7 +548,6 @@ void applyObsCliOptions(const ObsCliOptions& options) {
 }
 
 void stopObsThreads() {
-  Heartbeat::instance().stop();
   Watchdog::instance().stop();
   prof::Profiler::instance().stop();
   stopTickerIfIdle();
@@ -721,6 +583,20 @@ ObsCliOptions initDriverObs(int& argc, char** argv,
     // is armed.
     std::fprintf(stderr, "error: %s\n", e.what());
     std::exit(2);
+  }
+  // An exporter-owned snapshot path is opened once here, so an unwritable
+  // one is a usage error before any work, not a note at exit. Appending
+  // leaves the file as it was: a run killed before exit leaves no empty
+  // snapshot behind.
+  if (const std::string& path = opts.statsJsonPath;
+      !init.ownStatsJson && !path.empty()) {
+    const bool existed = std::filesystem::exists(path);
+    if (!std::ofstream(path, std::ios::app)) {
+      std::fprintf(stderr, "error: --stats-json: cannot write %s\n",
+                   path.c_str());
+      std::exit(2);
+    }
+    if (!existed) std::filesystem::remove(path);
   }
   ExitState& st = exitState();
   {

@@ -7,22 +7,18 @@
 //    callers can still dump a valid stats snapshot with `"aborted"` set.
 //  - RESOURCE WATCHDOGS that trip the abort flag when a wall-clock or
 //    RSS limit is exceeded.
-//  - a HEARTBEAT reporter that emits a compact one-line progress record
-//    (stderr table or JSONL) every N ms, with deltas, so a stuck
-//    `fsm.reach` or `lc.hull` is visible while it runs.
-//  - shared `--heartbeat/--timeout-s/--mem-limit-mb/--stats-json` flag
+//  - shared `--timeout-s/--mem-limit-mb/--stats-json/--profile/...` flag
 //    handling for every driver (hsis_cli, hsis_bench, the tools).
 //
 // One thread, the TICKER (`obs.ticker`), does all obs timing: the
-// heartbeat, the sampling profiler (obs/prof) and every Watchdog are
-// entries in its list of due times, and it sleeps until the earliest.
+// sampling profiler (obs/prof) and every Watchdog are entries in its list
+// of due times, and it sleeps until the earliest.
 //
 // Unlike the metrics/span instrumentation, everything here stays LIVE
 // under HSIS_OBS_DISABLE: aborting a runaway run is control flow, not
-// measurement. In a disabled build the ticker still runs, the heartbeat
-// still ticks (wall time and RSS are real; registry-derived fields read
-// zero) and the watchdog still aborts — only the breach *phase* is empty,
-// because phase tracking rides on the compiled-out spans.
+// measurement. In a disabled build the ticker still runs and the watchdog
+// still aborts — only the breach *phase* is empty, because phase tracking
+// rides on the compiled-out spans.
 #pragma once
 
 #include <atomic>
@@ -129,8 +125,8 @@ inline void checkAbort() {
 
 // ----------------------------------------------------------- phase stack
 //
-// What each thread is running, for the watchdog, heartbeat, profiler and
-// flight recorder. Each thread's open spans live on its own stack
+// What each thread is running, for the abort flag, profiler and flight
+// recorder. Each thread's open spans live on its own stack
 // (obs/trace.cpp), which is in a registry while the thread lives; these
 // readers walk the registry. Empty under HSIS_OBS_DISABLE.
 
@@ -178,75 +174,6 @@ uint64_t periodNs(uint64_t ms);
 /// callback, nor while holding a lock that the callback takes.
 void cancelTick(uint64_t id);
 }  // namespace detail
-
-// -------------------------------------------------------------- heartbeat
-
-/// One progress tick: registry totals plus deltas since the previous tick.
-/// Field selection follows what a stuck verification run needs first:
-/// where it is (phase, reach/hull iterations), how big the frontier is,
-/// and whether memory is still growing (live nodes, RSS).
-struct HeartbeatRecord {
-  uint64_t seq = 0;
-  double tSeconds = 0.0;  ///< since the source was created
-  std::string phase;
-  uint64_t rssKb = 0;
-  int64_t liveNodes = 0;         ///< bdd.unique.size
-  uint64_t nodesCreated = 0;     ///< bdd.nodes.created (total)
-  uint64_t dNodesCreated = 0;    ///< ... delta this window
-  uint64_t cacheLookups = 0;     ///< bdd.cache.lookups (total)
-  uint64_t cacheHits = 0;        ///< bdd.cache.hits (total)
-  double cacheHitRate = 0.0;     ///< hits/lookups over the delta window
-  uint64_t reachIterations = 0;  ///< fsm.reach.iterations (total)
-  uint64_t dReachIterations = 0;
-  int64_t frontierNodes = 0;     ///< fsm.reach.frontier.last
-  uint64_t hullIterations = 0;   ///< lc.hull.iterations (total)
-  uint64_t dHullIterations = 0;
-
-  /// `[hsis-hb 3] t=1.5s phase=fsm.reach rss=120MB live=45k ...`
-  [[nodiscard]] std::string toTableLine() const;
-  /// One JSON object, no trailing newline.
-  [[nodiscard]] std::string toJsonl() const;
-};
-
-/// Produces HeartbeatRecords with correct deltas between successive
-/// next() calls. Separate from the ticker entry so tests can drive ticks
-/// deterministically.
-class HeartbeatSource {
- public:
-  HeartbeatSource();
-  HeartbeatRecord next();
-
- private:
-  uint64_t startNs_;
-  uint64_t seq_ = 0;
-  uint64_t lastNodesCreated_ = 0;
-  uint64_t lastLookups_ = 0;
-  uint64_t lastHits_ = 0;
-  uint64_t lastReach_ = 0;
-  uint64_t lastHull_ = 0;
-};
-
-struct HeartbeatOptions {
-  uint64_t intervalMs = 1000;
-  /// Append JSONL records here; empty = one-line table records on stderr.
-  std::string jsonlPath;
-};
-
-/// The opt-in reporter, one ticker entry. start() is idempotent (restarts
-/// with the new options); an unwritable jsonlPath prints `heartbeat:
-/// cannot write PATH` and falls back to stderr table lines.
-class Heartbeat {
- public:
-  static Heartbeat& instance();
-  void start(HeartbeatOptions options);
-  void stop();
-  [[nodiscard]] bool running() const;
-
- private:
-  Heartbeat() = default;
-  struct Impl;
-  Impl& impl() const;
-};
 
 // --------------------------------------------------------------- watchdog
 
@@ -297,8 +224,6 @@ class Watchdog {
 
 /// The shared observability flag set every driver understands:
 ///   --stats-json PATH        dump the hsis-obs-v1 snapshot at exit
-///   --heartbeat MS           start the heartbeat reporter (stderr)
-///   --heartbeat-file F       ... appending JSONL records to F instead
 ///   --timeout-s S            watchdog wall-clock limit
 ///   --mem-limit-mb M         watchdog peak-RSS limit
 ///   --profile                start the sampling profiler (obs/prof);
@@ -314,8 +239,6 @@ class Watchdog {
 ///                            land in DIR (default $HSIS_FLIGHT_DIR)
 struct ObsCliOptions {
   std::string statsJsonPath;
-  uint64_t heartbeatMs = 0;
-  std::string heartbeatFile;
   double timeoutSeconds = 0.0;
   uint64_t memLimitMb = 0;
   bool profile = false;            ///< --profile or --profile-out seen
@@ -359,11 +282,11 @@ T flagNumber(const char* flag, const char* text) {
 /// Scan argv, remove every recognized flag (and value), return the result.
 /// A malformed numeric value throws std::invalid_argument (flagNumber).
 ObsCliOptions stripObsCliFlags(int& argc, char** argv);
-/// Start heartbeat/watchdog/profiler/logger/flight recorder per the
+/// Start watchdog/profiler/logger/flight recorder per the
 /// options (names the calling thread "main" for trace exports) and
 /// register the exit exporters.
 void applyObsCliOptions(const ObsCliOptions& options);
-/// Stop the heartbeat, the process watchdog and the profiler, then join
+/// Stop the process watchdog and the profiler, then join
 /// the ticker thread if no other entry (a per-request watchdog) is left.
 void stopObsThreads();
 
@@ -375,7 +298,7 @@ void stopObsThreads();
 // run-ledger record for this process, and registers the EXIT EXPORTERS,
 // which run exactly once, in this fixed order (see docs/observability.md):
 //
-//   1. stop the ticker entries (heartbeat, watchdog, sampling profiler)
+//   1. stop the ticker entries (watchdog, sampling profiler)
 //      and the ticker thread, so nothing mutates the registry mid-export;
 //   2. profiler files (BASE.folded + BASE.census.jsonl) when --profile ran;
 //   3. the --stats-json snapshot + its .trace.json Chrome view (unless the

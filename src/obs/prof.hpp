@@ -1,7 +1,7 @@
 // hsis::obs::prof — the in-process sampling profiler.
 //
 // The sampler is one entry on the obs ticker (obs/control), the thread
-// that also drives the heartbeat and the watchdogs. Every `intervalMs`
+// that also drives the watchdogs. Every `intervalMs`
 // (default 10 ms) it records one ProfSample:
 //
 //  (a) the live per-thread phase stacks (obs/control) folded into

@@ -233,7 +233,7 @@ std::string statsFrame(std::string_view id,
 
 std::string statsTickFrame(std::string_view id, uint64_t seq,
                            std::string_view statsJsonObject) {
-  // Its own schema: consumers (hsis_top, CI asserts) key on it without
+  // Its own schema: consumers (hsis_client top, CI asserts) key on it without
   // caring about the request/response protocol version.
   std::string out;
   Writer w(out);

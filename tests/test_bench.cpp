@@ -193,7 +193,7 @@ TEST(BenchArgs, ParseNumberTakesTheWholeText) {
   EXPECT_FALSE(parseNumber<uint64_t>("-1").has_value());
 
   // The shared obs flags go through the same parser: a bad value throws
-  // instead of reading as 0 (no timeout, no heartbeat).
+  // instead of reading as 0 (no timeout).
   const char* raw[] = {"prog", "--timeout-s", "soon"};
   int argc = 3;
   char* argv[4] = {};

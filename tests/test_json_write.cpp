@@ -19,7 +19,6 @@
 #include "bench_schema.hpp"
 #include "cex/cex.hpp"
 #include "cov/cov.hpp"
-#include "obs/control.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/ledger.hpp"
 #include "obs/log.hpp"
@@ -116,23 +115,6 @@ TEST(JsonWrite, SchemasByteIdentical) {
   s.dGcRuns = 1;
   EXPECT_EQ(s.toJsonl(),
             R"j({"kind": "sample", "seq": 9, "t_s": 0.125, "rss_kb": 2048, "stacks": [], "census_seq": 4, "live_nodes": 10, "allocated_nodes": 20, "free_nodes": 5, "dead_nodes": 2, "dead_fraction": 0.2, "unique_buckets": 8, "unique_load": 1.25, "cache_entries": 64, "cache_used": 32, "cache_lookups": 100, "cache_hits": 40, "d_cache_lookups": 50, "d_cache_hits": 20, "gc_runs": 1, "d_gc_runs": 1, "reorder_count": 0, "d_reorder_count": 0, "peak_live_nodes": 12, "level_nodes": [6, 4]})j");
-
-  // ---- heartbeat JSONL (phase names are identifiers; pin the two
-  // characters the record has always escaped).
-  obs::HeartbeatRecord hb;
-  hb.seq = 3;
-  hb.tSeconds = 1.5;
-  hb.phase = "fsm.\"reach\\";
-  hb.rssKb = 100;
-  hb.liveNodes = -1;
-  hb.nodesCreated = 7;
-  hb.dNodesCreated = 2;
-  hb.cacheHitRate = 0.25;
-  hb.reachIterations = 5;
-  hb.dReachIterations = 1;
-  hb.frontierNodes = 9;
-  EXPECT_EQ(hb.toJsonl(),
-            R"j({"seq": 3, "t_s": 1.5, "phase": "fsm.\"reach\\", "rss_kb": 100, "live_nodes": -1, "nodes_created": 7, "d_nodes": 2, "cache_hit_rate": 0.25, "reach_iterations": 5, "d_reach_iterations": 1, "frontier_nodes": 9, "hull_iterations": 0, "d_hull_iterations": 0})j");
 
   // ---- hsis-serve-v1 requests, every op.
   serve::Request ping;

@@ -615,105 +615,6 @@ TEST(ObsAbort, PhaseDefaultsToActiveSpan) {
   EXPECT_EQ(currentPhase(), "");
 }
 
-// ------------------------------------------------------------ heartbeat
-
-TEST(ObsHeartbeat, SourceComputesDeltasBetweenTicks) {
-  resetAll();
-  HeartbeatSource source;
-
-  counter("bdd.nodes.created").add(100);
-  counter("bdd.cache.lookups").add(50);
-  counter("bdd.cache.hits").add(25);
-  counter("fsm.reach.iterations").add(3);
-  gauge("fsm.reach.frontier.last").set(42);
-  HeartbeatRecord first = source.next();
-  EXPECT_EQ(first.seq, 0u);
-  if (kEnabled) {
-    EXPECT_EQ(first.nodesCreated, 100u);
-    EXPECT_EQ(first.dNodesCreated, 100u);  // first window starts at zero
-    EXPECT_EQ(first.reachIterations, 3u);
-    EXPECT_EQ(first.dReachIterations, 3u);
-    EXPECT_EQ(first.frontierNodes, 42);
-    EXPECT_DOUBLE_EQ(first.cacheHitRate, 0.5);
-  }
-
-  counter("bdd.nodes.created").add(10);
-  counter("fsm.reach.iterations").add(1);
-  counter("bdd.cache.lookups").add(100);
-  counter("bdd.cache.hits").add(100);
-  HeartbeatRecord second = source.next();
-  EXPECT_EQ(second.seq, 1u);
-  EXPECT_GE(second.tSeconds, first.tSeconds);
-  if (kEnabled) {
-    EXPECT_EQ(second.nodesCreated, 110u);
-    EXPECT_EQ(second.dNodesCreated, 10u);  // delta, not total
-    EXPECT_EQ(second.dReachIterations, 1u);
-    // Hit rate is over the delta window: 100/100, not 125/150.
-    EXPECT_DOUBLE_EQ(second.cacheHitRate, 1.0);
-  }
-
-  // Idle window: totals hold, deltas drop to zero.
-  HeartbeatRecord third = source.next();
-  if (kEnabled) {
-    EXPECT_EQ(third.nodesCreated, 110u);
-    EXPECT_EQ(third.dNodesCreated, 0u);
-    EXPECT_EQ(third.dReachIterations, 0u);
-  }
-
-  // Both render formats always produce something sane.
-  EXPECT_NE(third.toTableLine().find("hsis-hb"), std::string::npos);
-  JsonValue line = parseJson(third.toJsonl());
-  EXPECT_EQ(line.object().at("seq").number(), 2.0);
-  resetAll();
-}
-
-TEST(ObsHeartbeat, ReporterThreadStartsAndStops) {
-  Heartbeat& hb = Heartbeat::instance();
-  EXPECT_FALSE(hb.running());
-  HeartbeatOptions opts;
-  opts.intervalMs = 5;
-  opts.jsonlPath = ::testing::TempDir() + "hsis_hb_test.jsonl";
-  hb.start(opts);
-  EXPECT_TRUE(hb.running());
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  hb.stop();
-  EXPECT_FALSE(hb.running());
-  // Each emitted line is one valid JSON object with increasing seq.
-  std::ifstream in(opts.jsonlPath);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  double prevSeq = -1.0;
-  size_t lines = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JsonValue record = parseJson(line);
-    double seq = record.object().at("seq").number();
-    EXPECT_GT(seq, prevSeq);
-    prevSeq = seq;
-    ++lines;
-  }
-  EXPECT_GE(lines, 1u);
-  in.close();
-  std::remove(opts.jsonlPath.c_str());
-}
-
-TEST(ObsHeartbeat, UnwritableFileSaysSo) {
-  const std::string dir = ::testing::TempDir() + "hsis_hb_missing_dir";
-  std::filesystem::remove_all(dir);
-  Heartbeat& hb = Heartbeat::instance();
-  HeartbeatOptions opts;
-  opts.intervalMs = 60000;
-  opts.jsonlPath = dir + "/hb.jsonl";
-  ::testing::internal::CaptureStderr();
-  hb.start(opts);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_TRUE(hb.running());  // still ticks, as stderr table lines
-  hb.stop();
-  EXPECT_NE(err.find("heartbeat: cannot write " + opts.jsonlPath),
-            std::string::npos)
-      << err;
-}
-
 // ------------------------------------------------------------- watchdog
 
 TEST(ObsWatchdog, TripsAbortOnTinyWallLimit) {
@@ -827,11 +728,10 @@ size_t osThreadCount() {
 }
 
 TEST(ObsTicker, OneThreadForEveryTimer) {
-  // The heartbeat, the profiler, the process watchdog and every own
-  // Watchdog are entries on one ticker thread, so arming all of them adds
-  // at most that thread (none if it already runs).
+  // The profiler, the process watchdog and every own Watchdog are entries
+  // on one ticker thread, so arming all of them adds at most that thread
+  // (none if it already runs).
   const size_t before = osThreadCount();
-  Heartbeat::instance().start({.intervalMs = 60000});
   prof::Profiler::instance().start({.intervalMs = 60000});
   Watchdog::instance().start({.wallLimitSeconds = 60.0});
   std::array<Watchdog, 8> dogs;
@@ -842,7 +742,6 @@ TEST(ObsTicker, OneThreadForEveryTimer) {
   Watchdog::instance().stop();
   prof::Profiler::instance().stop();
   prof::Profiler::instance().clear();
-  Heartbeat::instance().stop();
   EXPECT_FALSE(abortRequested());
 }
 

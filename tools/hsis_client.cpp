@@ -8,6 +8,7 @@
 //   hsis_client --socket PATH ping
 //   hsis_client --socket PATH stats
 //   hsis_client --socket PATH stats-stream [--interval-ms N] [--count N]
+//   hsis_client --socket PATH top [--interval-ms N] [--count N]
 //   hsis_client --socket PATH shutdown
 //
 // Streams the server's frames as they arrive: human-readable by default
@@ -18,7 +19,11 @@
 // one otherwise); the id comes back on every frame and the human rendering
 // shows it with the per-stage breakdown on the done line. stats-stream
 // subscribes to hsis-serve-stats-v1 ticks and prints each frame as one
-// JSON line; --count N exits 0 after N ticks (0 = stream until EOF).
+// JSON line; top subscribes the same way and prints each tick as a
+// one-screen table (request counters, worker/queue occupancy, cache hit
+// rate, RSS, per-stage latency quantiles in microseconds), repainting in
+// place when stdout is a terminal. For both, --count N exits 0 after N
+// ticks (0 = stream until EOF, a clean exit after at least one tick).
 //
 // When the server captured a counterexample artifact (hsis_cex, requires
 // the daemon's --artifact-dir), the done rendering prints its server-side
@@ -36,15 +41,18 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "models/models.hpp"
+#include "obs/control.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/version.hpp"
 #include "serve/protocol.hpp"
 
 namespace {
 
+namespace jl = hsis::obs::jsonlite;
 using hsis::serve::Frame;
 using hsis::serve::Request;
 
@@ -58,7 +66,7 @@ int usage() {
       " [--id ID]\n"
       "        [--trace HEX16] [--cex-out FILE]\n"
       "  ping | stats | shutdown\n"
-      "  stats-stream [--interval-ms N] [--count N]\n"
+      "  stats-stream | top [--interval-ms N] [--count N]\n"
       "common: --json (raw frames), --version\n"
       "exit codes: 0 all properties pass, 1 some property failed,\n"
       "            2 usage / connection / server error, 3 request aborted\n"
@@ -135,8 +143,8 @@ bool readLine(int fd, std::string& buf, std::string& line) {
   }
 }
 
-const hsis::obs::jsonlite::Value* field(const Frame& f, const char* key) {
-  return hsis::obs::jsonlite::find(f.body.object(), key);
+const jl::Value* field(const Frame& f, const char* key) {
+  return jl::find(f.body.object(), key);
 }
 
 std::string strField(const Frame& f, const char* key) {
@@ -144,9 +152,72 @@ std::string strField(const Frame& f, const char* key) {
   return v != nullptr && v->isString() ? v->str() : "";
 }
 
-double numField(const Frame& f, const char* key) {
-  const auto* v = field(f, key);
+double numField(const jl::Object& obj, const char* key) {
+  const jl::Value* v = jl::find(obj, key);
   return v != nullptr && v->isNumber() ? v->number() : 0.0;
+}
+
+double numField(const Frame& f, const char* key) {
+  return numField(f.body.object(), key);
+}
+
+const jl::Object* objField(const jl::Object& obj, const char* key) {
+  const jl::Value* v = jl::find(obj, key);
+  return v != nullptr && v->isObject() ? &v->object() : nullptr;
+}
+
+void renderLatencyRow(const jl::Object& latency, const char* stage) {
+  const jl::Object* row = objField(latency, stage);
+  if (row == nullptr) return;
+  std::printf("  %-8s %8.0f %10.0f %10.0f %10.0f %10.0f\n", stage,
+              numField(*row, "count"), numField(*row, "p50"),
+              numField(*row, "p90"), numField(*row, "p99"),
+              numField(*row, "max"));
+}
+
+/// The `top` rendering of one stats-tick frame.
+void renderTick(const std::string& socketPath, const Frame& tick) {
+  const jl::Value* body = field(tick, "stats");
+  if (body == nullptr || !body->isObject()) return;
+  const jl::Object& stats = body->object();
+  std::printf("hsis_client top — %s   up %.1fs   tick #%.0f\n",
+              socketPath.c_str(), numField(stats, "t_s"),
+              numField(tick, "seq"));
+  std::printf("workers: %.0f/%.0f busy   queue: %.0f   rss: %.1f MB\n",
+              numField(stats, "busy_workers"), numField(stats, "workers"),
+              numField(stats, "queue_depth"),
+              numField(stats, "rss_kb") / 1024.0);
+  if (const jl::Object* req = objField(stats, "requests")) {
+    std::printf(
+        "requests: accepted=%.0f completed=%.0f failed=%.0f aborted=%.0f "
+        "rejected=%.0f\n",
+        numField(*req, "accepted"), numField(*req, "completed"),
+        numField(*req, "failed"), numField(*req, "aborted"),
+        numField(*req, "rejected"));
+  }
+  if (const jl::Object* cache = objField(stats, "cache")) {
+    std::printf("cache: hits=%.0f misses=%.0f evictions=%.0f hit_rate=%.2f\n",
+                numField(*cache, "hits"), numField(*cache, "misses"),
+                numField(*cache, "evictions"),
+                numField(*cache, "hit_rate"));
+  }
+  if (const jl::Object* latency = objField(stats, "latency_us")) {
+    std::printf("  %-8s %8s %10s %10s %10s %10s\n", "stage", "count", "p50",
+                "p90", "p99", "max");
+    for (const char* stage :
+         {"queue", "parse", "tr", "reach", "check", "render", "total"}) {
+      renderLatencyRow(*latency, stage);
+    }
+  }
+  if (const jl::Object* cov = objField(stats, "coverage")) {
+    std::printf(
+        "coverage: reports=%.0f state=%.1f%% values=%.0f/%.0f "
+        "bins=%.0f/%.0f\n",
+        numField(*cov, "reports"),
+        numField(*cov, "state_fraction") * 100.0,
+        numField(*cov, "values_reached"), numField(*cov, "values_total"),
+        numField(*cov, "bins_hit"), numField(*cov, "bins_total"));
+  }
 }
 
 /// Handle one frame, printing the human rendering when `print` (--json
@@ -182,13 +253,12 @@ int handleFrame(const Frame& f, bool print, std::string* cexDirOut) {
     std::string cexPath, cexReplay;
     if (const auto* stats = field(f, "stats");
         stats != nullptr && stats->isObject()) {
-      if (const auto* cex = hsis::obs::jsonlite::find(stats->object(), "cex");
+      if (const auto* cex = jl::find(stats->object(), "cex");
           cex != nullptr && cex->isObject()) {
-        if (const auto* p = hsis::obs::jsonlite::find(cex->object(), "path");
+        if (const auto* p = jl::find(cex->object(), "path");
             p != nullptr && p->isString())
           cexPath = p->str();
-        if (const auto* r =
-                hsis::obs::jsonlite::find(cex->object(), "replay");
+        if (const auto* r = jl::find(cex->object(), "replay");
             r != nullptr && r->isString())
           cexReplay = r->str();
       }
@@ -200,16 +270,13 @@ int handleFrame(const Frame& f, bool print, std::string* cexDirOut) {
       std::string stages;  // "queue=1 parse=2 ..." in frame order
       if (const auto* stats = field(f, "stats");
           stats != nullptr && stats->isObject()) {
-        if (const auto* c =
-                hsis::obs::jsonlite::find(stats->object(), "cache");
+        if (const auto* c = jl::find(stats->object(), "cache");
             c != nullptr && c->isString())
           cache = c->str();
-        if (const auto* w =
-                hsis::obs::jsonlite::find(stats->object(), "wall_s");
+        if (const auto* w = jl::find(stats->object(), "wall_s");
             w != nullptr && w->isNumber())
           wall = w->number();
-        if (const auto* st =
-                hsis::obs::jsonlite::find(stats->object(), "stages");
+        if (const auto* st = jl::find(stats->object(), "stages");
             st != nullptr && st->isObject()) {
           for (const auto& [key, value] : st->object()) {
             if (!value.isNumber()) continue;
@@ -249,8 +316,9 @@ int handleFrame(const Frame& f, bool print, std::string* cexDirOut) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (hsis::obs::handleVersionFlag(argc, argv, "hsis_client")) return 0;
+  using hsis::obs::flagNumber;
 
   std::string socketPath;
   std::string command;
@@ -284,17 +352,17 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--id") == 0 && hasValue) {
       id = argv[++i];
     } else if (std::strcmp(a, "--wall-s") == 0 && hasValue) {
-      wallS = std::strtod(argv[++i], nullptr);
+      wallS = flagNumber<double>(a, argv[++i]);
     } else if (std::strcmp(a, "--rss-mb") == 0 && hasValue) {
-      rssMb = std::strtoull(argv[++i], nullptr, 10);
+      rssMb = flagNumber<uint64_t>(a, argv[++i]);
     } else if (std::strcmp(a, "--trace") == 0 && hasValue) {
       traceId = argv[++i];
     } else if (std::strcmp(a, "--cex-out") == 0 && hasValue) {
       cexOut = argv[++i];
     } else if (std::strcmp(a, "--interval-ms") == 0 && hasValue) {
-      intervalMs = std::strtoull(argv[++i], nullptr, 10);
+      intervalMs = flagNumber<uint64_t>(a, argv[++i]);
     } else if (std::strcmp(a, "--count") == 0 && hasValue) {
-      tickCount = std::strtoull(argv[++i], nullptr, 10);
+      tickCount = flagNumber<uint64_t>(a, argv[++i]);
     } else if (std::strcmp(a, "--no-trace") == 0) {
       wantTrace = false;
     } else if (std::strcmp(a, "--json") == 0) {
@@ -312,6 +380,7 @@ int main(int argc, char** argv) {
     }
   }
   if (socketPath.empty() || command.empty()) return usage();
+  const bool streaming = command == "stats-stream" || command == "top";
 
   Request req;
   req.id = id;
@@ -319,7 +388,7 @@ int main(int argc, char** argv) {
     req.op = Request::Op::Ping;
   } else if (command == "stats") {
     req.op = Request::Op::Stats;
-  } else if (command == "stats-stream") {
+  } else if (streaming) {
     req.op = Request::Op::StatsStream;
     req.statsIntervalMs = intervalMs;
   } else if (command == "shutdown") {
@@ -373,6 +442,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // top repaints in place on a terminal; piped, it prints every frame.
+  const bool ansi = ::isatty(STDOUT_FILENO) != 0;
   std::string buf, line;
   int exitCode = 2;  // EOF before a terminal frame = server died
   uint64_t ticksSeen = 0;
@@ -393,9 +464,16 @@ int main(int argc, char** argv) {
       break;
     }
     if (frame.event == "stats-tick") {
-      if (!rawJson) std::printf("%s\n", line.c_str());  // JSON either way
+      if (command == "top" && !rawJson) {
+        if (ansi) std::printf("\x1b[H\x1b[2J");  // home + clear: repaint
+        renderTick(socketPath, frame);
+        if (!ansi) std::printf("\n");
+      } else if (!rawJson) {
+        std::printf("%s\n", line.c_str());  // JSON either way
+      }
       std::fflush(stdout);  // consumers pipe the stream; don't batch it
-      if (tickCount > 0 && ++ticksSeen >= tickCount) {
+      ++ticksSeen;
+      if (tickCount > 0 && ticksSeen >= tickCount) {
         exitCode = 0;
         break;
       }
@@ -426,10 +504,12 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // An unbounded stats-stream ends at server EOF; that is a clean exit as
-  // long as the subscription actually delivered frames.
-  if (command == "stats-stream" && exitCode == 2 && ticksSeen > 0)
-    exitCode = 0;
+  // An unbounded stream ends at server EOF; that is a clean exit as long
+  // as the subscription actually delivered frames.
+  if (streaming && exitCode == 2 && ticksSeen > 0) exitCode = 0;
   ::close(fd);
   return exitCode;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -41,11 +41,13 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cex/cex.hpp"
 #include "cov/cov.hpp"
+#include "obs/control.hpp"
 #include "obs/ledger.hpp"
 #include "obs/version.hpp"
 
@@ -129,7 +131,7 @@ int runCex(const std::vector<std::string>& files, bool replay) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace hsis::obs;
   if (handleVersionFlag(argc, argv, "hsis_report")) return 0;
 
@@ -151,16 +153,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--markdown") == 0) {
       markdown = true;
     } else if (std::strcmp(a, "--threshold") == 0 && hasValue) {
-      wallPct = std::strtod(argv[++i], nullptr);
+      wallPct = flagNumber<double>(a, argv[++i]);
       thresholdSet = true;
     } else if (std::strcmp(a, "--mem-threshold") == 0 && hasValue) {
-      rssPct = std::strtod(argv[++i], nullptr);
+      rssPct = flagNumber<double>(a, argv[++i]);
     } else if (std::strcmp(a, "--report-only") == 0) {
       reportOnly = true;
     } else if (std::strcmp(a, "--replay") == 0) {
       replay = true;
     } else if (std::strcmp(a, "--limit") == 0 && hasValue) {
-      limit = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      limit = flagNumber<size_t>(a, argv[++i]);
     } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       usage();
       return 0;
@@ -282,5 +284,8 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "hsis_report: unknown command \"%s\"\n", cmd.c_str());
   usage();
+  return 2;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
   return 2;
 }

@@ -28,7 +28,7 @@
 // client `shutdown` request.
 //
 // The shared obs flags all apply (--ledger, --log-level, --stats-json,
-// --heartbeat, --flight-dir, ...); each finished request appends its own
+// --profile, --flight-dir, ...); each finished request appends its own
 // ledger record, so `hsis_report list` shows server traffic like any other
 // driver's runs. See docs/serve.md.
 //
