@@ -15,7 +15,9 @@
 // --stats-json takes either a directory (gets BENCH_<suite>.json inside)
 // or an explicit .json path. --trace-out DIR writes one Chrome trace
 // (phase spans plus profiler counter tracks) of each case's last run as
-// TRACE_<case>.json, mirroring how --stats-json names baselines. The
+// TRACE_<case>.json, mirroring how --stats-json names baselines, and the
+// same spans' flamegraph input as TRACE_<case>.folded (the --profile
+// BASE.folded holds only the suite's last run). The
 // shared obs flags (--timeout-s, --mem-limit-mb, --profile, --log-level)
 // work like in every other driver; a watchdog abort stops the suite but
 // the baseline written so far is still valid, with the aborted case
@@ -498,7 +500,7 @@ int usage(const char* argv0) {
       "          [--threads N] [--stats-json DIR-or-FILE.json]\n"
       "          [--trace-out DIR] [--list]\n"
       "          [--timeout-s S] [--mem-limit-mb M] [--profile]\n"
-      "          [--profile-out BASE] [--profile-interval-ms N]\n"
+      "          [--profile-out BASE]\n"
       "          [--log-level LVL] [--log-file F] [--ledger PATH]\n"
       "          [--flight-dir DIR]\n"
       "suites: smoke table1 reach quantify efd dontcare lc_vs_mc bdd "
@@ -654,13 +656,17 @@ int main(int argc, char** argv) {
       fs::create_directories(traceOut);
       std::string fname = c.name;
       std::replace(fname.begin(), fname.end(), '/', '_');
-      fs::path file = fs::path(traceOut) / ("TRACE_" + fname + ".json");
-      std::ofstream f(file);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", file.c_str());
-        return 2;
+      const hsis::obs::Snapshot snap = hsis::obs::snapshot();
+      for (const auto& [ext, text] :
+           {std::pair{".json", hsis::obs::toChromeTrace(snap)},
+            std::pair{".folded", hsis::obs::toFolded(snap)}}) {
+        fs::path file = fs::path(traceOut) / ("TRACE_" + fname + ext);
+        std::ofstream f(file);
+        if (!(f << text)) {
+          std::fprintf(stderr, "cannot write %s\n", file.c_str());
+          return 2;
+        }
       }
-      f << hsis::obs::toChromeTrace(hsis::obs::snapshot());
     }
     // A watchdog breach is a whole-process condition: running the
     // remaining cases would only re-trip it, so stop here. The baseline

@@ -11,9 +11,10 @@
 //   --stats-json FILE    dump the full snapshot (and FILE.trace.json) at exit
 //   --timeout-s S        abort the run past S seconds of wall clock
 //   --mem-limit-mb M     abort the run past M MiB of peak RSS
-//   --profile            sampling profiler: hsis-prof.folded + .census.jsonl
-//   --profile-out BASE   ... writing BASE.folded + BASE.census.jsonl
-//   --profile-interval-ms N  sampler tick (default 10 ms)
+//   --profile            census series sampled every 10 ms into
+//                        hsis-prof.census.jsonl, and at exit the span
+//                        tree's self times as hsis-prof.folded
+//   --profile-out BASE   ... writing BASE.census.jsonl + BASE.folded
 //   --log-level LVL      leveled event log, human lines on stderr
 //   --log-file F         ... as hsis-log-v1 JSONL appended to F
 //   --ledger PATH        run-ledger file (default $HSIS_LEDGER or
@@ -71,8 +72,8 @@ int usage() {
   std::fprintf(stderr,
                ")\nOBS-FLAGS: --stats-json FILE | --timeout-s S | "
                "--mem-limit-mb M | --profile |\n"
-               "           --profile-out BASE | --profile-interval-ms N |\n"
-               "           --log-level LVL | --log-file F | --ledger PATH |\n"
+               "           --profile-out BASE | --log-level LVL |\n"
+               "           --log-file F | --ledger PATH |\n"
                "           --flight-dir DIR | --cov-json FILE | "
                "--cov-spec FILE |\n"
                "           --cex-dir DIR | --jobs N\n");

@@ -1,7 +1,5 @@
 // Replay verification: drive an artifact's trace through the state-based
 // simulator and confirm it still demonstrates the property violation.
-#include <stdexcept>
-
 #include "cex/cex.hpp"
 #include "ctl/ctl.hpp"
 #include "hsis/session.hpp"
@@ -10,27 +8,6 @@
 namespace hsis::cex {
 
 namespace {
-
-/// The checker's propositional semantics (CtlChecker::evalPropositional is
-/// private): atoms straight through evalSigExpr, booleans on top.
-Bdd evalProp(const CtlRef& f, const Fsm& fsm) {
-  switch (f->kind) {
-    case CtlFormula::Kind::True:
-      return fsm.mgr().bddOne();
-    case CtlFormula::Kind::False:
-      return fsm.mgr().bddZero();
-    case CtlFormula::Kind::Atom:
-      return evalSigExpr(*f->atom, fsm);
-    case CtlFormula::Kind::Not:
-      return !evalProp(f->left, fsm);
-    case CtlFormula::Kind::And:
-      return evalProp(f->left, fsm) & evalProp(f->right, fsm);
-    case CtlFormula::Kind::Or:
-      return evalProp(f->left, fsm) | evalProp(f->right, fsm);
-    default:
-      throw std::runtime_error("not propositional");
-  }
-}
 
 ReplayResult fail(const std::string& note) { return {false, note}; }
 
@@ -114,14 +91,14 @@ ReplayResult replay(const Artifact& a, const Fsm& fsm,
     if (formula->kind == CtlFormula::Kind::AG &&
         formula->left->isPropositional()) {
       // AG p counterexample: a path ending in a ¬p state.
-      Bdd p = evalProp(formula->left, fsm);
+      Bdd p = evalPropositional(formula->left, fsm);
       if (!(states.back() & p).isZero())
         return fail("final state does not violate the AG body");
     } else if (formula->kind == CtlFormula::Kind::AF &&
                formula->left->isPropositional()) {
       // AF p counterexample: a (fair) lasso avoiding p on the whole cycle.
       if (!lasso) return fail("AF counterexample must be a lasso");
-      Bdd p = evalProp(formula->left, fsm);
+      Bdd p = evalPropositional(formula->left, fsm);
       for (size_t i = static_cast<size_t>(a.cycleStart); i < states.size();
            ++i)
         if (!(states[i] & p).isZero())

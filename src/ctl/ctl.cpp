@@ -264,4 +264,23 @@ class CtlParser {
 
 CtlRef parseCtl(const std::string& text) { return CtlParser(text).parse(); }
 
+Bdd evalPropositional(const CtlRef& f, const Fsm& fsm) {
+  switch (f->kind) {
+    case CtlFormula::Kind::True:
+      return fsm.mgr().bddOne();
+    case CtlFormula::Kind::False:
+      return fsm.mgr().bddZero();
+    case CtlFormula::Kind::Atom:
+      return evalSigExpr(*f->atom, fsm);
+    case CtlFormula::Kind::Not:
+      return !evalPropositional(f->left, fsm);
+    case CtlFormula::Kind::And:
+      return evalPropositional(f->left, fsm) & evalPropositional(f->right, fsm);
+    case CtlFormula::Kind::Or:
+      return evalPropositional(f->left, fsm) | evalPropositional(f->right, fsm);
+    default:
+      throw std::logic_error("evalPropositional: temporal operator");
+  }
+}
+
 }  // namespace hsis

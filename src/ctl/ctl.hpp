@@ -61,4 +61,9 @@ CtlRef ctlAU(CtlRef a, CtlRef b);
 /// Parse a CTL formula; throws std::runtime_error on syntax errors.
 CtlRef parseCtl(const std::string& text);
 
+/// The states of `fsm` satisfying a propositional (non-temporal) formula:
+/// atoms through evalSigExpr, booleans on top. Throws std::logic_error on
+/// a temporal operator.
+Bdd evalPropositional(const CtlRef& f, const Fsm& fsm);
+
 }  // namespace hsis

@@ -170,7 +170,7 @@ McResult CtlChecker::checkInvariantEarly(const CtlRef& formula) {
   // from the cached onion rings; otherwise p is checked on every frontier
   // and the fixpoint stops at the first violation.
   McResult res;
-  Bdd p = evalPropositional(formula->left);
+  Bdd p = evalPropositional(formula->left, *fsm_);
   Bdd notP = !p;
 
   ReachResult rr;
@@ -220,26 +220,6 @@ McResult CtlChecker::checkInvariantEarly(const CtlRef& formula) {
   attachInputs(fsm, trace);
   res.counterexample = std::move(trace);
   return res;
-}
-
-Bdd CtlChecker::evalPropositional(const CtlRef& f) {
-  BddManager& mgr = fsm_->mgr();
-  switch (f->kind) {
-    case CtlFormula::Kind::True:
-      return mgr.bddOne();
-    case CtlFormula::Kind::False:
-      return mgr.bddZero();
-    case CtlFormula::Kind::Atom:
-      return evalSigExpr(*f->atom, *fsm_);
-    case CtlFormula::Kind::Not:
-      return !evalPropositional(f->left);
-    case CtlFormula::Kind::And:
-      return evalPropositional(f->left) & evalPropositional(f->right);
-    case CtlFormula::Kind::Or:
-      return evalPropositional(f->left) | evalPropositional(f->right);
-    default:
-      throw std::logic_error("evalPropositional: temporal operator");
-  }
 }
 
 McResult CtlChecker::check(const CtlRef& formula) {

@@ -95,9 +95,6 @@ class CtlChecker {
   /// Greatest fixpoint EG p under the fairness constraints (Emerson-Lei).
   Bdd egFair(const Bdd& p);
 
-  /// Evaluate a propositional (non-temporal) formula to a BDD.
-  Bdd evalPropositional(const CtlRef& f);
-
  private:
   Bdd statesRec(const CtlFormula& f);
   McResult checkInvariantEarly(const CtlRef& formula);

@@ -402,10 +402,6 @@ ObsCliOptions stripObsCliFlags(int& argc, char** argv) {
       opts.profile = true;
       opts.profileBasePath = argv[i + 1];
       eraseArgs(argc, argv, i, 2);
-    } else if (std::strcmp(a, "--profile-interval-ms") == 0 && hasValue) {
-      opts.profile = true;
-      opts.profileIntervalMs = flagNumber<uint64_t>(a, argv[i + 1]);
-      eraseArgs(argc, argv, i, 2);
     } else if (std::strcmp(a, "--log-level") == 0 && hasValue) {
       opts.logLevel = argv[i + 1];
       eraseArgs(argc, argv, i, 2);
@@ -505,6 +501,22 @@ void runExitExporters() {
 void applyObsCliOptions(const ObsCliOptions& options) {
   setThreadName("main");
   ExitState& st = exitState();
+  // The profiler goes first: an unwritable census file is a usage error,
+  // reported before anything else is started.
+  if (options.profile) {
+    const std::string base = options.profileBasePath.empty()
+                                 ? std::string("hsis-prof")
+                                 : options.profileBasePath;
+    // Write-through spill: even a SIGKILLed run leaves the census series.
+    const std::string census = base + ".census.jsonl";
+    if (!prof::Profiler::instance().start({.jsonlPath = census}))
+      throw std::invalid_argument(
+          (options.profileBasePath.empty() ? "--profile" : "--profile-out") +
+          std::string(": cannot write ") + census);
+    std::lock_guard<std::mutex> lock(st.mu);
+    st.profile = true;
+    st.profileBase = base;
+  }
   if (!options.logLevel.empty()) {
     log::setLevel(log::parseLevel(options.logLevel));
     // An explicit level is a request to SEE the events, so attach the
@@ -523,21 +535,6 @@ void applyObsCliOptions(const ObsCliOptions& options) {
   }
   Watchdog::instance().start({.wallLimitSeconds = options.timeoutSeconds,
                               .memLimitKb = options.memLimitMb * 1024});
-  if (options.profile) {
-    const std::string base = options.profileBasePath.empty()
-                                 ? std::string("hsis-prof")
-                                 : options.profileBasePath;
-    {
-      std::lock_guard<std::mutex> lock(st.mu);
-      st.profile = true;
-      st.profileBase = base;
-    }
-    prof::ProfOptions po;
-    if (options.profileIntervalMs > 0) po.intervalMs = options.profileIntervalMs;
-    // Write-through spill: even a SIGKILLed run leaves the census series.
-    po.jsonlPath = base + ".census.jsonl";
-    prof::Profiler::instance().start(po);
-  }
   {
     std::lock_guard<std::mutex> lock(st.mu);
     if (!st.registered) {
@@ -574,16 +571,8 @@ std::string gitSha() {
 }
 
 ObsCliOptions initDriverObs(int& argc, char** argv,
-                            const DriverObsInit& init) {
-  ObsCliOptions opts;
-  try {
-    opts = stripObsCliFlags(argc, argv);
-  } catch (const std::invalid_argument& e) {
-    // A malformed flag value is a usage error, reported before anything
-    // is armed.
-    std::fprintf(stderr, "error: %s\n", e.what());
-    std::exit(2);
-  }
+                            const DriverObsInit& init) try {
+  ObsCliOptions opts = stripObsCliFlags(argc, argv);
   // An exporter-owned snapshot path is opened once here, so an unwritable
   // one is a usage error before any work, not a note at exit. Appending
   // leaves the file as it was: a run killed before exit leaves no empty
@@ -591,11 +580,8 @@ ObsCliOptions initDriverObs(int& argc, char** argv,
   if (const std::string& path = opts.statsJsonPath;
       !init.ownStatsJson && !path.empty()) {
     const bool existed = std::filesystem::exists(path);
-    if (!std::ofstream(path, std::ios::app)) {
-      std::fprintf(stderr, "error: --stats-json: cannot write %s\n",
-                   path.c_str());
-      std::exit(2);
-    }
+    if (!std::ofstream(path, std::ios::app))
+      throw std::invalid_argument("--stats-json: cannot write " + path);
     if (!existed) std::filesystem::remove(path);
   }
   ExitState& st = exitState();
@@ -628,6 +614,11 @@ ObsCliOptions initDriverObs(int& argc, char** argv,
   }
   applyObsCliOptions(opts);
   return opts;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag value or an unwritable output path is a usage error,
+  // reported before any work.
+  std::fprintf(stderr, "error: %s\n", e.what());
+  std::exit(2);
 }
 
 std::string activeLedgerPath() {

@@ -226,10 +226,11 @@ class Watchdog {
 ///   --stats-json PATH        dump the hsis-obs-v1 snapshot at exit
 ///   --timeout-s S            watchdog wall-clock limit
 ///   --mem-limit-mb M         watchdog peak-RSS limit
-///   --profile                start the sampling profiler (obs/prof);
-///                            writes hsis-prof.folded + hsis-prof.census.jsonl
-///   --profile-out BASE       ... writing BASE.folded + BASE.census.jsonl
-///   --profile-interval-ms N  sampler interval (default 10 ms)
+///   --profile                start the sampling profiler (obs/prof): the
+///                            census series goes to hsis-prof.census.jsonl
+///                            as it is sampled (10 ms), the span tree's
+///                            self times to hsis-prof.folded at exit
+///   --profile-out BASE       ... writing BASE.census.jsonl + BASE.folded
 ///   --log-level LVL          trace|debug|info|warn|error|off; also turns
 ///                            on human-readable log lines on stderr
 ///   --log-file F             append hsis-log-v1 JSONL events to F
@@ -243,7 +244,6 @@ struct ObsCliOptions {
   uint64_t memLimitMb = 0;
   bool profile = false;            ///< --profile or --profile-out seen
   std::string profileBasePath;     ///< empty = default "hsis-prof"
-  uint64_t profileIntervalMs = 0;  ///< 0 = profiler default (10 ms)
   std::string logLevel;            ///< "" = default (info, ring only)
   std::string logFile;             ///< "" = no JSONL log sink
   std::string ledgerPath;          ///< "" = default resolution, "none" = off
@@ -284,7 +284,8 @@ T flagNumber(const char* flag, const char* text) {
 ObsCliOptions stripObsCliFlags(int& argc, char** argv);
 /// Start watchdog/profiler/logger/flight recorder per the
 /// options (names the calling thread "main" for trace exports) and
-/// register the exit exporters.
+/// register the exit exporters. Throws std::invalid_argument, having
+/// started nothing, when the profiler's census file cannot be written.
 void applyObsCliOptions(const ObsCliOptions& options);
 /// Stop the process watchdog and the profiler, then join
 /// the ticker thread if no other entry (a per-request watchdog) is left.
@@ -300,7 +301,8 @@ void stopObsThreads();
 //
 //   1. stop the ticker entries (watchdog, sampling profiler)
 //      and the ticker thread, so nothing mutates the registry mid-export;
-//   2. profiler files (BASE.folded + BASE.census.jsonl) when --profile ran;
+//   2. when --profile ran: close BASE.census.jsonl (written through since
+//      start) and write BASE.folded, the tracer's spans folded to self µs;
 //   3. the --stats-json snapshot + its .trace.json Chrome view (unless the
 //      driver owns that flag itself, e.g. hsis_bench's baseline);
 //   4. the run-ledger record (result, wall, peak RSS, abort state), then
@@ -319,7 +321,8 @@ struct DriverObsInit {
 
 /// Strip + apply the shared flags and set up the exit exporters for a
 /// driver process. Call first thing in main, before other arg parsing.
-/// A malformed numeric flag value prints "error: ..." and exits with 2.
+/// A malformed numeric flag value or an unwritable --stats-json or
+/// --profile-out path prints "error: ..." and exits with 2.
 ObsCliOptions initDriverObs(int& argc, char** argv,
                             const DriverObsInit& init);
 

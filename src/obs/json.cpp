@@ -1,11 +1,13 @@
-// Snapshot assembly and the three export formats. Compiled in both the
-// enabled and the HSIS_OBS_DISABLE build: a disabled build exports a valid
-// empty document so downstream tooling needs no special casing.
+// Snapshot assembly and the export formats (JSON, Chrome trace, folded
+// stacks). Compiled in both the enabled and the HSIS_OBS_DISABLE
+// build: a disabled build exports a valid empty document so downstream
+// tooling needs no special casing.
 #include "obs/obs.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <unordered_map>
 
 #include "obs/control.hpp"
@@ -249,6 +251,30 @@ std::string toChromeTrace(const Snapshot& snap) {
     counter("bdd.dead_fraction", ts, "fraction", jsonDouble(p.deadFraction));
   }
   out += "\n]\n";
+  return out;
+}
+
+std::string toFolded(const Snapshot& snap) {
+  auto tree = buildTree(snap);
+  std::map<std::string, uint64_t> selfNs;  // path -> summed self time
+  auto visit = [&](auto& self, size_t idx, const std::string& prefix) -> void {
+    const SpanSample& s = snap.spans[idx];
+    const std::string path = prefix.empty() ? s.name : prefix + ';' + s.name;
+    uint64_t childNs = 0;
+    if (auto it = tree.find(static_cast<int64_t>(s.id)); it != tree.end()) {
+      for (size_t child : it->second) {
+        childNs += snap.spans[child].durationNs;
+        self(self, child, path);
+      }
+    }
+    selfNs[path] += s.durationNs > childNs ? s.durationNs - childNs : 0;
+  };
+  if (auto roots = tree.find(-1); roots != tree.end()) {
+    for (size_t root : roots->second) visit(visit, root, "");
+  }
+  std::string out;
+  for (const auto& [path, ns] : selfNs)
+    out += path + ' ' + std::to_string(ns / 1000) + '\n';
   return out;
 }
 

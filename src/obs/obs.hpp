@@ -112,6 +112,14 @@ std::string toJson(const Snapshot& snap);
 /// chrome://tracing / Perfetto compatible event array.
 std::string toChromeTrace(const Snapshot& snap);
 
+/// Flamegraph input (flamegraph.pl, speedscope): one `outer;inner <µs>`
+/// line per distinct span path, sorted, holding the summed self time
+/// (duration minus the captured children's) of every span on that path.
+/// Nanoseconds are summed per path and converted once, so many sub-µs
+/// spans still add up. A span whose parent is not in the snapshot starts
+/// its own path, as in toJson's tree.
+std::string toFolded(const Snapshot& snap);
+
 /// Convenience: toJson(snapshot()).
 std::string snapshotJson();
 

@@ -1,12 +1,11 @@
 // The sampling profiler: census rendezvous, the sampler's ticker entry,
-// folded stack aggregation, and the hsis-prof-v1 JSONL export. See
+// the hsis-prof-v1 JSONL series, and the exit-time folded export. See
 // prof.hpp for the design.
 #include "obs/prof.hpp"
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <utility>
 
@@ -135,10 +134,8 @@ struct Profiler::Impl {
   uint64_t tick = 0;  ///< ticker entry; 0 = not sampling
   ProfOptions opts;
 
-  // Sample ring + folded-stack aggregate.
   DropOldestRing<ProfSample> ring{ProfOptions{}.ringCapacity};
   uint64_t taken = 0;
-  std::map<std::string, uint64_t> foldedCounts;
 
   // Per-tick state.
   uint64_t startNs = WallTimer::nowNs();
@@ -149,13 +146,11 @@ struct Profiler::Impl {
   uint64_t lastReorderings = 0;
 
   std::ofstream spill;
-  bool spillHeaderWritten = false;
 
-  /// Drop every sample and aggregate and restart the clock. Caller holds mu.
+  /// Drop every sample and restart the clock. Caller holds mu.
   void resetSamples() {
     ring.reset(opts.ringCapacity);
     taken = 0;
-    foldedCounts.clear();
     startNs = WallTimer::nowNs();
     lastCensusSeq = lastCacheLookups = lastCacheHits = 0;
     lastGcRuns = lastReorderings = 0;
@@ -233,13 +228,7 @@ void Profiler::sampleOnce() {
     im.lastGcRuns = s.census->gcRuns;
     im.lastReorderings = s.census->reorderings;
   }
-  for (const std::string& f : s.folded) im.foldedCounts[f]++;
-
   if (im.spill.is_open()) {
-    if (!im.spillHeaderWritten) {
-      im.spillHeaderWritten = true;
-      im.spill << renderHeader(im.opts) << '\n';
-    }
     im.spill << s.toJsonl() << '\n';
     im.spill.flush();
   }
@@ -247,7 +236,7 @@ void Profiler::sampleOnce() {
   im.ring.push(std::move(s));
 }
 
-void Profiler::start(ProfOptions options) {
+bool Profiler::start(ProfOptions options) {
   stop();
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
@@ -256,30 +245,29 @@ void Profiler::start(ProfOptions options) {
   if (im.opts.ringCapacity == 0) im.opts.ringCapacity = 1;
   im.resetSamples();
   im.spill = std::ofstream();
-  im.spillHeaderWritten = false;
   if (!im.opts.jsonlPath.empty()) {
     std::error_code ec;
     std::filesystem::path p(im.opts.jsonlPath);
     if (p.has_parent_path())
       std::filesystem::create_directories(p.parent_path(), ec);
     im.spill.open(im.opts.jsonlPath, std::ios::trunc);
-    if (!im.spill) {
-      std::fprintf(stderr, "prof: cannot write %s\n",
-                   im.opts.jsonlPath.c_str());
-      // Forget the path so the exit-time export falls back to writing
-      // the ring view instead of trusting a spill that never opened.
-      im.opts.jsonlPath.clear();
+    // The header goes out now: a run that ends before the first tick
+    // still leaves a valid, header-only series.
+    if (!(im.spill << renderHeader(im.opts) << '\n' << std::flush)) {
+      im.spill = std::ofstream();
+      return false;
     }
   }
-  // A disabled build keeps the options (header/export reflect them) but
+  // A disabled build keeps the options (the header reflects them) but
   // never samples.
-  if (!kEnabled) return;
+  if (!kEnabled) return true;
   const uint64_t intervalNs = obs::detail::periodNs(im.opts.intervalMs);
   im.tick = obs::detail::scheduleTick(
       WallTimer::nowNs() + intervalNs, [this, intervalNs](uint64_t now) {
         sampleOnce();
         return now + intervalNs;
       });
+  return true;
 }
 
 void Profiler::stop() {
@@ -322,59 +310,20 @@ std::vector<ProfSample> Profiler::samples() const {
   return {im.ring.items.begin(), im.ring.items.end()};
 }
 
-std::string Profiler::foldedStacks() const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  std::string out;
-  for (const auto& [stack, count] : im.foldedCounts) {
-    out += stack;
-    out += ' ';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
-}
-
-std::string Profiler::censusJsonl() const {
-  std::string out = headerJson() + "\n";
-  for (const ProfSample& s : samples()) out += s.toJsonl() + "\n";
-  return out;
-}
-
-std::string Profiler::spillPath() const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  return im.opts.jsonlPath;
-}
-
-namespace {
-
-void writeText(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) std::fprintf(stderr, "prof: cannot write %s\n", path.c_str());
-  out << text;
-}
-
-}  // namespace
-
 void writeProfileFiles(const std::string& basePath) {
   if (basePath.empty()) return;
-  Profiler& p = Profiler::instance();
-  const std::string spill = p.spillPath();
-  p.stop();
-  std::error_code ec;
-  std::filesystem::path base(basePath);
-  if (base.has_parent_path())
-    std::filesystem::create_directories(base.parent_path(), ec);
-  writeText(basePath + ".folded", p.foldedStacks());
-  const std::string censusPath = basePath + ".census.jsonl";
-  // When the run spilled write-through to this same file it already holds
-  // the complete series (possibly longer than the ring); rewriting from
-  // the ring would truncate history. A spill that never took a sample
-  // (disabled build, aborted before the first tick) is rewritten so the
-  // file at least carries a parseable header line.
-  const bool spillHoldsSeries = spill == censusPath && p.sampleCount() > 0;
-  if (!spillHoldsSeries) writeText(censusPath, p.censusJsonl());
+  Profiler::instance().stop();
+  Snapshot snap;
+  snap.spans = Tracer::instance().completed();
+  if (const uint64_t dropped = Tracer::instance().dropped(); dropped > 0) {
+    std::fprintf(stderr,
+                 "prof: the span ring dropped %llu spans; %s.folded covers "
+                 "the rest\n",
+                 static_cast<unsigned long long>(dropped), basePath.c_str());
+  }
+  std::ofstream out(basePath + ".folded", std::ios::trunc);
+  if (!(out << toFolded(snap)))
+    std::fprintf(stderr, "prof: cannot write %s.folded\n", basePath.c_str());
 }
 
 }  // namespace hsis::obs::prof

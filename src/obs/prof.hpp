@@ -5,9 +5,8 @@
 // (default 10 ms) it records one ProfSample:
 //
 //  (a) the live per-thread phase stacks (obs/control) folded into
-//      `phaseA;phaseB;phaseC` frames — the aggregate over a run is the
-//      classic folded-stack format consumed directly by flamegraph.pl and
-//      speedscope;
+//      `phaseA;phaseB;phaseC` frames — what each thread is inside right
+//      now, for watching a run live;
 //  (b) the most recent BddCensus published by a BddManager (live nodes per
 //      variable level, unique-table load, cache traffic, GC/reorder event
 //      counts, dead-node fraction) plus the process RSS.
@@ -19,15 +18,17 @@
 // GC and abort checks already live — so no BDD data structure is ever read
 // concurrently with a mutation.
 //
-// Samples land in a fixed-capacity in-memory ring; when `jsonlPath` is set
-// every sample is additionally spilled as one JSONL record (schema
-// `hsis-prof-v1`, header line first), so even a run killed by the watchdog
-// leaves a complete time series of *where* the time and the nodes went.
+// Samples land in a fixed-capacity in-memory ring (read by the Chrome-trace
+// counter tracks); when `jsonlPath` is set, start() writes the
+// `hsis-prof-v1` header there and every sample is appended as one JSONL
+// record as it is taken, so even a run killed by the watchdog leaves a
+// complete time series of *where* the time and the nodes went. The
+// flamegraph is not sampled: writeProfileFiles folds the tracer's span
+// tree (obs::toFolded), which holds every phase however short.
 //
-// Under HSIS_OBS_DISABLE the sampler never schedules and every query returns
-// an empty (but valid) document; the BddCensus struct and the rendezvous
-// stay compiled so BddManager::census() remains usable as plain
-// introspection.
+// Under HSIS_OBS_DISABLE the sampler never schedules (the spill file still
+// gets its header); the BddCensus struct and the rendezvous stay compiled
+// so BddManager::census() remains usable as plain introspection.
 #pragma once
 
 #include <atomic>
@@ -105,7 +106,8 @@ struct ProfSample {
   double tSeconds = 0.0;  ///< since the profiler started
   uint64_t rssKb = 0;
   /// One `a;b;c` folded stack per thread that had open phase spans at
-  /// sample time (outermost frame first). Empty when the process was idle.
+  /// sample time (outermost frame first), the record's `stacks`. Empty
+  /// when the process was idle.
   std::vector<std::string> folded;
   /// Latest published census; absent until a manager first publishes.
   /// `census->seq` dedups repeats when the engine outruns publication.
@@ -123,23 +125,25 @@ struct ProfSample {
 struct ProfOptions {
   uint64_t intervalMs = 10;
   size_t ringCapacity = 1 << 14;  ///< samples kept in memory
-  /// When set, every sample is appended to this file as it is taken
-  /// (header line first), so the series survives any kind of death.
+  /// When set, start() truncates this file to the header line and every
+  /// sample is appended as it is taken, so the series survives any kind
+  /// of death.
   std::string jsonlPath;
 };
 
 /// The background sampler. start() is idempotent (restarts with the new
-/// options and a cleared ring); stop() fences its ticker entry and closes
-/// the spill file. `sampleOnce()` is the exact per-tick body, public so
+/// options and a cleared ring) and returns false, starting nothing, when
+/// `jsonlPath` cannot be written; stop() fences its ticker entry and
+/// closes the spill file. `sampleOnce()` is the exact per-tick body, public so
 /// tests drive deterministic ticks without a ticker or a clock.
 class Profiler {
  public:
   static Profiler& instance();
 
-  void start(ProfOptions options);
+  bool start(ProfOptions options);
   void stop();
   [[nodiscard]] bool running() const;
-  /// Drop all samples and folded-stack aggregates (ring stays allocated).
+  /// Drop all samples (the ring stays allocated).
   void clear();
 
   /// Take one sample right now (also what the ticker calls every tick).
@@ -149,16 +153,8 @@ class Profiler {
   [[nodiscard]] uint64_t droppedSamples() const;
   [[nodiscard]] std::vector<ProfSample> samples() const;  ///< ring copy
 
-  /// Aggregated folded stacks: one `phaseA;phaseB;phaseC <count>` line per
-  /// distinct stack, sorted, newline-terminated. Feed to flamegraph.pl.
-  [[nodiscard]] std::string foldedStacks() const;
   /// The `{"schema": "hsis-prof-v1", "kind": "header", ...}` first line.
   [[nodiscard]] std::string headerJson() const;
-  /// Header plus every ring sample as JSONL (for when no spill file ran).
-  [[nodiscard]] std::string censusJsonl() const;
-  /// The configured spill path ("" when none). Lets writeProfileFiles
-  /// avoid truncating a write-through spill with the shorter ring view.
-  [[nodiscard]] std::string spillPath() const;
 
  private:
   Profiler() = default;
@@ -167,12 +163,11 @@ class Profiler {
 };
 
 /// The exit-time export used by the shared CLI flag handling: stop the
-/// profiler (if running) and write `<base>.folded` plus
-/// `<base>.census.jsonl`. Safe to call multiple times. Both files are
-/// written even in a disabled build or after an aborted run (the census
-/// file is then header-only), so downstream scripts never hit a missing
-/// file; a write-through spill already at `<base>.census.jsonl` is left
-/// untouched rather than truncated to the ring view.
+/// profiler (closing `<base>.census.jsonl`, which the sampler wrote
+/// through from start()) and write `<base>.folded` = obs::toFolded of
+/// every span the tracer holds. A tracer that dropped spans says so on
+/// stderr. Safe to call multiple times; in a disabled build or after an
+/// aborted run the file is still written (empty without spans).
 void writeProfileFiles(const std::string& basePath);
 
 }  // namespace hsis::obs::prof

@@ -209,6 +209,8 @@ void Server::handleConnection(int fd) {
           writer->writeLine(statsFrame(req.id, pool_.statsJsonObject()));
           break;
         case Request::Op::StatsStream:
+          HSIS_LOG_DEBUG("serve", "stats-stream subscription",
+                         {{"interval_ms", req.statsIntervalMs}});
           if (req.statsIntervalMs == 0) {
             streamIntervalNs = 0;
           } else {

@@ -9,8 +9,10 @@
 //   trace.json      — Chrome-trace (chrome://tracing / Perfetto) of the
 //                     spans stamped with this request's trace id
 //   profile.folded  — flamegraph-ready folded self-times of those spans
-//   census.jsonl    — latest BDD census (hsis-prof-v1; header-only when no
-//                     manager published one)
+//                     (obs::toFolded)
+//   census.jsonl    — hsis-prof-v1: the profiler's header, then one sample
+//                     with the latest published BDD census (its census
+//                     fields null when no manager published one)
 //
 // The directory is named by the trace id, so a slow request found in
 // `hsis_report requests`, a log event, or a stats dashboard resolves to

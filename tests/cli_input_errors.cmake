@@ -1,8 +1,8 @@
 # CTest script: hsis_cli, hsis_report and hsis_client reject malformed
-# input — a design, a numeric flag value, an unwritable --stats-json path
-# or an unknown flag — with a message on stderr and exit code 2 (no abort,
-# no silent acceptance). Registered as the `cli_input_errors` test in
-# tests/CMakeLists.txt:
+# input — a design, a numeric flag value, an unwritable --stats-json or
+# --profile-out path or an unknown flag — with a message on stderr and exit
+# code 2 (no abort, no silent acceptance). Registered as the
+# `cli_input_errors` test in tests/CMakeLists.txt:
 #
 #   cmake -DHSIS_CLI=... -DHSIS_REPORT=... -DHSIS_CLIENT=... -DWORK_DIR=...
 #         -P cli_input_errors.cmake
@@ -56,5 +56,10 @@ expect_error("error: --count needs a number, got 'x'"
 # with a note at exit.
 expect_error("error: --stats-json: cannot write ${WORK_DIR}/missing/x.json"
              ${CLI} --model pingpong --stats-json ${WORK_DIR}/missing/x.json)
+# So does a --profile-out base under a regular file, where the census
+# series cannot be opened.
+expect_error("error: --profile-out: cannot write ${WORK_DIR}/empty.pif/p.census.jsonl"
+             ${CLI} --model pingpong --profile-out ${WORK_DIR}/empty.pif/p)
 # A flag no driver knows is a usage error.
 expect_error("usage: hsis_cli" ${CLI} --heartbeat 500 --model philos)
+expect_error("usage: hsis_cli" ${CLI} --profile-interval-ms 5 --model philos)

@@ -387,6 +387,52 @@ TEST(ObsExport, ChromeTraceIsWellFormed) {
   }
 }
 
+/// A completed span for hand-built snapshots (toFolded reads only these
+/// fields, so the fold is tested in both build modes).
+SpanSample spanSample(const char* name, uint64_t id, int64_t parent,
+                      uint64_t durationNs) {
+  SpanSample s;
+  s.name = name;
+  s.id = id;
+  s.parent = parent;
+  s.durationNs = durationNs;
+  return s;
+}
+
+TEST(ObsFolded, NestedSpansFoldToSelfMicros) {
+  Snapshot snap;
+  snap.spans = {spanSample("run", 1, -1, 10'000'000),
+                spanSample("reach", 2, 1, 6'000'000),
+                spanSample("image", 3, 2, 4'000'000),
+                spanSample("image", 4, 2, 1'000'000),
+                spanSample("check", 5, 1, 3'000'000)};
+  // Self times: run 10-6-3, reach 6-4-1, image 4+1, check 3 (ms).
+  EXPECT_EQ(toFolded(snap),
+            "run 1000\n"
+            "run;check 3000\n"
+            "run;reach 1000\n"
+            "run;reach;image 5000\n");
+}
+
+TEST(ObsFolded, SpanWithMissingParentStartsItsOwnStack) {
+  // Span 7's parent (6) fell out of the ring: span 7 becomes a root, and
+  // its own child still nests under it.
+  Snapshot snap;
+  snap.spans = {spanSample("lc.hull", 7, 6, 2'000'000),
+                spanSample("ctl.eu", 8, 7, 500'000)};
+  EXPECT_EQ(toFolded(snap),
+            "lc.hull 1500\n"
+            "lc.hull;ctl.eu 500\n");
+}
+
+TEST(ObsFolded, SubMicrosecondSpansSumBeforeRounding) {
+  Snapshot snap;
+  for (uint64_t id = 1; id <= 1000; ++id)
+    snap.spans.push_back(spanSample("bdd.op", id, -1, 500));
+  EXPECT_EQ(toFolded(snap), "bdd.op 500\n");
+  EXPECT_EQ(toFolded(Snapshot{}), "");
+}
+
 TEST(ObsExport, JsonEscapesControlAndQuoteCharacters) {
   Tracer::instance().clear();
   { Span s("test.escape.\"quote\"\n"); }

@@ -1,13 +1,16 @@
 // Tests for hsis::obs::prof — the sampling profiler, the BDD census
-// rendezvous, and the exit-time profile export. Like test_obs.cpp, every
-// test passes in both build modes: the census and the rendezvous stay live
+// rendezvous, and the profile files (the census series the sampler writes
+// through, the span tree folded at exit). Like test_obs.cpp, every test
+// passes in both build modes: the census and the rendezvous stay live
 // under HSIS_OBS_DISABLE (they are introspection/control flow), while
 // assertions about recorded samples are gated on obs::kEnabled because the
 // sampler itself compiles to a no-op there.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -157,7 +160,7 @@ TEST(ProfSampler, StartStopIsIdempotent) {
 
   ProfOptions opts;
   opts.intervalMs = 1000;  // never ticks within this test
-  p.start(opts);
+  EXPECT_TRUE(p.start(opts));
   EXPECT_EQ(p.running(), kEnabled);
   p.start(opts);  // restart while running
   EXPECT_EQ(p.running(), kEnabled);
@@ -182,20 +185,21 @@ TEST(ProfSampler, FoldedAggregationMatchesPhaseScript) {
   }
   p.sampleOnce();  // idle: no open phase anywhere
 
+  // Each sample's `stacks` is the live phase view at its tick.
   if (kEnabled) {
     EXPECT_EQ(p.sampleCount(), 4u);
-    std::string folded = p.foldedStacks();
-    EXPECT_NE(folded.find("prof.test.alpha;prof.test.beta 2\n"),
-              std::string::npos);
-    EXPECT_NE(folded.find("prof.test.alpha 1\n"), std::string::npos);
     std::vector<ProfSample> samples = p.samples();
     ASSERT_EQ(samples.size(), 4u);
-    EXPECT_EQ(samples[0].folded.size(), 1u);
-    EXPECT_EQ(samples[3].folded.size(), 0u);  // idle tick records no stack
+    const std::vector<std::string> inner = {"prof.test.alpha;prof.test.beta"};
+    EXPECT_EQ(samples[0].folded, inner);
+    EXPECT_EQ(samples[1].folded, inner);
+    EXPECT_EQ(samples[2].folded,
+              std::vector<std::string>{"prof.test.alpha"});
+    EXPECT_TRUE(samples[3].folded.empty());  // idle tick records no stack
     EXPECT_GT(samples[0].rssKb, 0u);
   } else {
     EXPECT_EQ(p.sampleCount(), 0u);
-    EXPECT_TRUE(p.foldedStacks().empty());
+    EXPECT_TRUE(p.samples().empty());
   }
   p.clear();
 }
@@ -229,7 +233,11 @@ TEST(ProfSampler, CapturesStacksOfOtherThreads) {
   cv.notify_all();
   worker.join();
 
-  EXPECT_NE(p.foldedStacks().find("prof.test.worker"), std::string::npos);
+  std::vector<ProfSample> samples = p.samples();
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_NE(std::find(samples[0].folded.begin(), samples[0].folded.end(),
+                      "prof.test.worker"),
+            samples[0].folded.end());
   p.clear();
 }
 
@@ -253,7 +261,6 @@ TEST(ProfSampler, SampleRecordsParseAndCarryCensus) {
   ASSERT_TRUE(header.isObject());
   EXPECT_EQ(jsonlite::find(header.object(), "schema")->str(), "hsis-prof-v1");
   EXPECT_EQ(jsonlite::find(header.object(), "enabled")->boolean(), kEnabled);
-  EXPECT_EQ(firstLine(p.censusJsonl()), p.headerJson());
 
   if (kEnabled) {
     std::vector<ProfSample> samples = p.samples();
@@ -287,7 +294,9 @@ TEST(ProfSampler, BackgroundThreadTicksAndSpills) {
   ProfOptions opts;
   opts.intervalMs = 1;
   opts.jsonlPath = spillPath;
-  p.start(opts);
+  ASSERT_TRUE(p.start(opts));
+  // The header is on disk before the first tick.
+  EXPECT_EQ(slurpFile(spillPath), p.headerJson() + "\n");
   {
     // Keep a BDD manager busy so ticks see phases and censuses.
     Span span("prof.test.busy");
@@ -328,11 +337,14 @@ TEST(ProfFiles, WriteProfileFilesLandsBothFilesEvenAfterAbort) {
   Profiler& p = Profiler::instance();
   p.stop();
   p.clear();
+  Tracer::instance().clear();
   ProfOptions opts;
   opts.intervalMs = 1000;
-  p.start(opts);
+  opts.jsonlPath = base + ".census.jsonl";
+  ASSERT_TRUE(p.start(opts));
   {
-    Span span("prof.test.aborted");
+    Span outer("prof.test.aborted");
+    Span inner("prof.test.inner");
     p.sampleOnce();
   }
   // Simulate a watchdog breach mid-run; the export must still happen.
@@ -341,13 +353,22 @@ TEST(ProfFiles, WriteProfileFilesLandsBothFilesEvenAfterAbort) {
   clearAbort();
 
   EXPECT_FALSE(p.running());  // writeProfileFiles stops the sampler
+  // The census file is the sampler's write-through: header, then the
+  // sample taken inside the phases.
+  std::istringstream census(slurpFile(base + ".census.jsonl"));
+  std::vector<jsonlite::Value> records;
+  for (std::string line; std::getline(census, line);)
+    records.push_back(jsonlite::parse(line));
+  ASSERT_EQ(records.size(), kEnabled ? 2u : 1u);
+  EXPECT_EQ(jsonlite::find(records[0].object(), "schema")->str(),
+            "hsis-prof-v1");
+  // The folded file is the span tree: one line per span path.
   std::string folded = slurpFile(base + ".folded");
-  std::string census = slurpFile(base + ".census.jsonl");
-  ASSERT_FALSE(census.empty());
-  jsonlite::Value header = jsonlite::parse(firstLine(census));
-  EXPECT_EQ(jsonlite::find(header.object(), "schema")->str(), "hsis-prof-v1");
   if (kEnabled) {
-    EXPECT_NE(folded.find("prof.test.aborted 1\n"), std::string::npos);
+    EXPECT_EQ(jsonlite::find(records[1].object(), "kind")->str(), "sample");
+    EXPECT_NE(folded.find("prof.test.aborted "), std::string::npos);
+    EXPECT_NE(folded.find("prof.test.aborted;prof.test.inner "),
+              std::string::npos);
   } else {
     EXPECT_TRUE(folded.empty());
   }
@@ -356,9 +377,42 @@ TEST(ProfFiles, WriteProfileFilesLandsBothFilesEvenAfterAbort) {
   std::remove((base + ".census.jsonl").c_str());
 }
 
+TEST(ProfFiles, SpanShorterThanOneTickLandsInFolded) {
+  // The sampler ticks every 10 ms; a phase that ends sooner is never on a
+  // sampled stack, but the exit export folds the span tree, so it is there.
+  // The child is a fresh process (threadsafe style re-executes the binary)
+  // so the exit exporter it registers runs at its exit, as in a driver.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::string base = testing::TempDir() + "hsis_prof_short_span";
+  EXPECT_EXIT(
+      {
+        ObsCliOptions options;
+        options.profile = true;
+        options.profileBasePath = base;
+        applyObsCliOptions(options);
+        { Span span("prof.test.short"); }
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  std::string folded = slurpFile(base + ".folded");
+  if (kEnabled) {
+    EXPECT_NE(folded.find("prof.test.short "), std::string::npos) << folded;
+  } else {
+    EXPECT_TRUE(folded.empty());
+  }
+  jsonlite::Value header =
+      jsonlite::parse(firstLine(slurpFile(base + ".census.jsonl")));
+  EXPECT_EQ(jsonlite::find(header.object(), "schema")->str(), "hsis-prof-v1");
+  std::remove((base + ".folded").c_str());
+  std::remove((base + ".census.jsonl").c_str());
+}
+
 // --------------------------------------------------------------- CLI flags
 
 TEST(ProfCli, StripRecognizesProfileFlags) {
+  // There is no interval flag: --profile-interval-ms stays in argv for
+  // the driver to reject.
   const char* raw[] = {"prog",           "--profile-out", "out/myprof",
                        "--profile-interval-ms", "5",      "design.v"};
   int argc = 6;
@@ -368,10 +422,10 @@ TEST(ProfCli, StripRecognizesProfileFlags) {
   ObsCliOptions opts = stripObsCliFlags(argc, argv);
   EXPECT_TRUE(opts.profile);
   EXPECT_EQ(opts.profileBasePath, "out/myprof");
-  EXPECT_EQ(opts.profileIntervalMs, 5u);
-  ASSERT_EQ(argc, 2);
+  ASSERT_EQ(argc, 4);
   EXPECT_STREQ(argv[0], "prog");
-  EXPECT_STREQ(argv[1], "design.v");
+  EXPECT_STREQ(argv[1], "--profile-interval-ms");
+  EXPECT_STREQ(argv[3], "design.v");
 }
 
 TEST(ProfCli, BareProfileFlagUsesDefaults) {
@@ -383,8 +437,20 @@ TEST(ProfCli, BareProfileFlagUsesDefaults) {
   ObsCliOptions opts = stripObsCliFlags(argc, argv);
   EXPECT_TRUE(opts.profile);
   EXPECT_TRUE(opts.profileBasePath.empty());
-  EXPECT_EQ(opts.profileIntervalMs, 0u);
   EXPECT_EQ(argc, 1);
+}
+
+TEST(ProfCli, UnwritableProfileOutThrowsAndStartsNothing) {
+  // The parent of BASE is a regular file, so no census file can open.
+  std::string blocker = testing::TempDir() + "hsis_prof_blocker";
+  std::ofstream(blocker) << "x";
+  Profiler::instance().stop();
+  ObsCliOptions options;
+  options.profile = true;
+  options.profileBasePath = blocker + "/prof";
+  EXPECT_THROW(applyObsCliOptions(options), std::invalid_argument);
+  EXPECT_FALSE(Profiler::instance().running());
+  std::remove(blocker.c_str());
 }
 
 }  // namespace

@@ -427,6 +427,17 @@ TEST(ServeTelemetry, SlowCaptureFiresExactlyOncePerBreachingRequest) {
             std::string::npos);
   EXPECT_NE(meta.find("0000feed0000beef"), std::string::npos);
   EXPECT_NE(meta.find("\"stages\""), std::string::npos);
+  // census.jsonl is an hsis-prof-v1 series: the profiler's header, then
+  // sample records.
+  std::ifstream census(dir / entries[0] / "census.jsonl");
+  std::vector<jl::Value> records;
+  for (std::string line; std::getline(census, line);)
+    records.push_back(jl::parse(line));
+  ASSERT_GE(records.size(), 2u);
+  EXPECT_EQ(jl::find(records[0].object(), "schema")->str(), "hsis-prof-v1");
+  EXPECT_EQ(jl::find(records[0].object(), "kind")->str(), "header");
+  for (size_t i = 1; i < records.size(); ++i)
+    EXPECT_EQ(jl::find(records[i].object(), "kind")->str(), "sample") << i;
   std::filesystem::remove_all(dir);
 }
 
